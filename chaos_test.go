@@ -2,7 +2,8 @@ package txsampler_test
 
 // Chaos suite: every fault-injection regime, run end to end through
 // the public API, must (a) never crash or hang, (b) be byte-identical
-// across runs with the same seed, (c) leave the profiler's
+// across runs with the same seed, under the default schedule and the
+// per-op oracle (Quantum=1) alike, (c) leave the profiler's
 // classification within 10 points of the fault-free baseline, and
 // (d) flag the profile as degraded exactly when faults actually fire.
 
@@ -42,9 +43,15 @@ func chaosPeriods() pmu.Periods {
 
 func chaosRun(t *testing.T, plan faults.Plan) *txsampler.Result {
 	t.Helper()
+	return chaosRunQuantum(t, plan, 0)
+}
+
+// chaosRunQuantum is chaosRun under the given scheduler quantum.
+func chaosRunQuantum(t *testing.T, plan faults.Plan, quantum int) *txsampler.Result {
+	t.Helper()
 	res, err := txsampler.Run(chaosWorkload, txsampler.Options{
 		Threads: chaosThreads, Seed: chaosSeed, Profile: true, Faults: plan,
-		Periods: chaosPeriods(),
+		Periods: chaosPeriods(), Quantum: quantum,
 	})
 	if err != nil {
 		t.Fatalf("plan %q: %v", plan, err)
@@ -111,10 +118,14 @@ func TestChaosRegimes(t *testing.T) {
 				t.Fatalf("plan %s fired no injector events", name)
 			}
 
-			// (b) Same seed, same plan: byte-identical profile.
-			again := chaosRun(t, plan)
-			if !bytes.Equal(serialize(t, res.Report), serialize(t, again.Report)) {
-				t.Fatal("same seed produced different profiles under injection")
+			// (b) Same seed, same plan: byte-identical profile, also
+			// under the per-op oracle schedule.
+			want := serialize(t, res.Report)
+			for _, quantum := range []int{0, 1} {
+				again := chaosRunQuantum(t, plan, quantum)
+				if !bytes.Equal(want, serialize(t, again.Report)) {
+					t.Fatalf("quantum %d: same seed produced a different profile under injection", quantum)
+				}
 			}
 
 			// (c) Classification stays within 10 points of baseline:
@@ -143,7 +154,7 @@ func TestChaosRegimes(t *testing.T) {
 	// Pmem regime: crash-storm presets against a persistent workload
 	// under every hybrid policy — no crash/hang, recovery converges (the
 	// workload Check pins every durable word), degradation is flagged,
-	// and the profile stays reproducible.
+	// and the profile stays reproducible under both schedules.
 	for _, name := range faults.PresetNames() {
 		if !faults.PmemPreset(name) {
 			continue
@@ -166,16 +177,19 @@ func TestChaosRegimes(t *testing.T) {
 				if q.Injected.PmemCrashes == 0 {
 					t.Fatalf("plan %s fired no pmem crashes: %+v", name, q.Injected)
 				}
-				again, err := txsampler.Run("pmem/kv", txsampler.Options{
-					Threads: chaosThreads, Seed: chaosSeed, Profile: true,
-					Faults: plan, Periods: chaosPeriods(), Hybrid: pol,
-					Pmem: pmem.Config{Enabled: true},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(serialize(t, res.Report), serialize(t, again.Report)) {
-					t.Fatal("same seed produced different profiles under crash injection")
+				want := serialize(t, res.Report)
+				for _, quantum := range []int{0, 1} {
+					again, err := txsampler.Run("pmem/kv", txsampler.Options{
+						Threads: chaosThreads, Seed: chaosSeed, Profile: true,
+						Faults: plan, Periods: chaosPeriods(), Hybrid: pol,
+						Pmem: pmem.Config{Enabled: true}, Quantum: quantum,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(want, serialize(t, again.Report)) {
+						t.Fatalf("quantum %d: same seed produced a different profile under crash injection", quantum)
+					}
 				}
 				if pol != machine.HybridLockOnly {
 					return // drift is judged against the lock-only baseline

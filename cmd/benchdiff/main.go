@@ -8,14 +8,14 @@
 // its baseline by more than the threshold — slower, or less
 // throughput — fails the run: the CI bench-regression gate.
 //
-// -ratio adds a scaling gate on the current run: the first metric's
+// -ratio adds a ratio gate on the current run: the first metric's
 // value divided by the second must reach the given minimum. CI uses it
-// to hold the scheduler's 8-thread/1-thread throughput ratio on
-// multicore runners.
+// to hold the STM, pmem and elision throughput headlines against the
+// plain hardware path.
 //
 //	go test -bench . -benchtime=3x -count=3 ./internal/machine | benchdiff -baseline BENCH_baseline.json
 //	go test -bench . -benchtime=3x -count=3 ./... | benchdiff -baseline BENCH_baseline.json -update
-//	benchdiff -ratio "Benchmark8t ops/sec|Benchmark1t ops/sec|6.5" bench.txt
+//	benchdiff -ratio "BenchmarkSTM/stm cs/sec|BenchmarkSTM/htm cs/sec|0.25" bench.txt
 package main
 
 import (
@@ -133,7 +133,7 @@ func main() {
 		threshold = flag.Float64("threshold", 0.25, "maximum tolerated relative regression (slower ns/op or lower /sec)")
 	)
 	var gates []ratioGate
-	flag.Func("ratio", `scaling gate "numerator|denominator|min" on the current run (repeatable)`, func(spec string) error {
+	flag.Func("ratio", `ratio gate "numerator|denominator|min" on the current run (repeatable)`, func(spec string) error {
 		g, err := parseRatio(spec)
 		if err != nil {
 			return err
@@ -227,7 +227,7 @@ func main() {
 		failed = failed || bad
 	}
 	if failed {
-		fmt.Printf("benchdiff: regression beyond %.0f%% threshold or scaling gate missed\n", 100**threshold)
+		fmt.Printf("benchdiff: regression beyond %.0f%% threshold or ratio gate missed\n", 100**threshold)
 		os.Exit(1)
 	}
 }

@@ -5,21 +5,24 @@
 // and architectural call stacks that roll back on abort.
 //
 // Simulated threads are real goroutines driven one at a time by a
-// deterministic run-quantum scheduler: exactly one thread holds the
-// baton and executes operations inline while the per-op schedule
-// provably would keep selecting it (its clock stays below every other
-// live thread's clock, frozen at grant time), rendezvousing with the
-// scheduler only when it would lose that race or its quantum expires.
-// The resulting interleaving is the same total order over simulated
-// time the per-op scheduler (Quantum=1) produces — always advance the
-// runnable thread with the smallest local cycle clock — reproducible
-// for a given seed and workload, independent of the quantum.
+// deterministic scheduler: exactly one thread holds the baton and runs
+// until it reaches a gate point — an operation on shared machine
+// state, any operation inside a transaction, a PMU sample delivery, or
+// an Exclusive section — whose canonical position another live thread
+// precedes; only then does it hand the baton over. Thread-private
+// operations between gate points commute with everything other
+// threads do, so the interleaving of every shared effect is the total
+// order the per-op schedule (Quantum=1, the reference oracle) produces
+// — always advance the live thread with the smallest pending (clock,
+// ID) — reproducible for a given seed and workload, independent of the
+// quantum.
 package machine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -55,32 +58,11 @@ func DefaultCosts() Costs {
 }
 
 // DefaultQuantum is the run-quantum applied when Config.Quantum is
-// zero: the most operations one thread may execute between scheduler
-// rendezvous. The horizon rule already forces a rendezvous whenever
-// another thread could be due, so the quantum only bounds how long the
-// watchdog's progress counter and status snapshots can go stale; it
-// does not affect the schedule.
+// zero: how many operations a thread executes between scheduler
+// bookkeeping rendezvous (status snapshot, watchdog progress,
+// cancellation pickup). Handoffs happen only at gate points, so the
+// quantum does not affect the schedule.
 const DefaultQuantum = 4096
-
-// SchedMode selects the cross-thread coordination strategy.
-type SchedMode int
-
-const (
-	// SchedAuto picks the sharded scheduler except where the serial
-	// one is required: Quantum=1 (the per-op debug schedule) and
-	// tracing (run-slice tenures only exist serially).
-	SchedAuto SchedMode = iota
-	// SchedSerial is the baton scheduler: one thread runs at a time,
-	// handing off through a mutex/condvar rendezvous.
-	SchedSerial
-	// SchedSharded is the lock-free scheduler: threads run in
-	// parallel, publishing per-thread atomic epoch clocks; operations
-	// on shared state gate on a min-clock scan so every shared effect
-	// executes in the canonical (clock, ID) order. The schedule — and
-	// every profile built from it — is byte-identical to SchedSerial.
-	// See sched_sharded.go and DESIGN.md §3.2.
-	SchedSharded
-)
 
 // Config describes a machine.
 type Config struct {
@@ -132,23 +114,17 @@ type Config struct {
 	// with a diagnostic dump. Zero means unbounded.
 	MaxCycles uint64
 
-	// Quantum bounds the operations one thread executes between
-	// scheduler rendezvous. Zero selects DefaultQuantum; 1 forces a
-	// rendezvous after every operation (the per-op debug schedule).
-	// The schedule itself is quantum-invariant; see DESIGN.md.
+	// Quantum is the number of operations between scheduler
+	// bookkeeping rendezvous. Zero selects DefaultQuantum; 1 selects
+	// the per-op reference schedule, which hands the baton to the live
+	// thread with the smallest pending (clock, ID) after every
+	// operation. The schedule itself is quantum-invariant; see
+	// DESIGN.md §3.1.
 	Quantum int
 
-	// Sched selects the scheduler (see SchedMode). The default,
-	// SchedAuto, runs the sharded parallel scheduler unless Quantum=1
-	// or a Trace is attached, which require the serial one;
-	// SchedSharded with a Trace likewise falls back to serial. Both
-	// schedulers produce byte-identical schedules and profiles — the
-	// knob exists for A/B benchmarking and the equivalence tests.
-	Sched SchedMode
-
-	// Trace, when non-nil, records scheduler baton tenures,
-	// transaction regions (with abort causes), and PMU interrupt
-	// deliveries, timestamped with virtual cycle clocks — the trace
+	// Trace, when non-nil, records canonical run slices, transaction
+	// regions (with abort causes), and PMU interrupt deliveries,
+	// timestamped with virtual cycle clocks — the trace
 	// content is deterministic for a seed and invariant to Quantum.
 	// Nil disables tracing; instrumented paths then pay one branch.
 	Trace *telemetry.Tracer
@@ -218,9 +194,6 @@ func (c Config) Validate() error {
 	if c.Quantum < 0 {
 		return fmt.Errorf("machine: negative scheduler quantum %d", c.Quantum)
 	}
-	if c.Sched < SchedAuto || c.Sched > SchedSharded {
-		return fmt.Errorf("machine: unknown scheduler mode %d", c.Sched)
-	}
 	if !c.Hybrid.Valid() {
 		return fmt.Errorf("machine: unknown hybrid policy %d", int(c.Hybrid))
 	}
@@ -238,24 +211,6 @@ func (c Config) Validate() error {
 			c.Faults.PmemCrashPoint)
 	}
 	return nil
-}
-
-// sharded resolves the scheduler choice for a defaulted Config. The
-// serial scheduler is required for the per-op debug schedule
-// (Quantum=1, whose whole point is a rendezvous per operation) and for
-// tracing (baton tenures only exist when a baton does).
-func (c Config) sharded() bool {
-	if c.Trace != nil {
-		return false
-	}
-	switch c.Sched {
-	case SchedSerial:
-		return false
-	case SchedSharded:
-		return true
-	default:
-		return c.Quantum != 1
-	}
 }
 
 // Sampling reports whether any PMU event is enabled.
@@ -310,15 +265,10 @@ type scheduler struct {
 	// and stops the machine at that quantum boundary.
 	cancelErr error
 
-	// Sharded-scheduler state (see sched_sharded.go). clocks holds one
-	// padded published-clock slot per thread; busy counts thread
-	// goroutines that have neither finished nor parked; stopFlag is
-	// the lock-free analogue of stopped, checked at every gate spin
-	// and quantum boundary.
-	sharded  bool
-	clocks   []paddedClock
-	busy     atomic.Int32
-	stopFlag atomic.Bool
+	// lastGater is the thread that passed the most recent gate, or -1
+	// before any has. Only the baton holder touches it; it defines the
+	// canonical run-slice boundaries (see Thread.gate).
+	lastGater int
 }
 
 // reportLocked delivers the terminal result (first one wins) and stops
@@ -347,14 +297,10 @@ func New(cfg Config) *Machine {
 		HTM: htm.NewEngine(htm.Config{
 			Sets: cfg.Cache.Sets, Ways: cfg.Cache.Ways, MaxReadLines: cfg.MaxReadLines,
 		}),
-		sched: &scheduler{done: make(chan error, 1)},
+		sched: &scheduler{done: make(chan error, 1), lastGater: -1},
 	}
 	if cfg.Pmem.Enabled {
 		m.pmem = pmem.New(cfg.Pmem, cfg.Faults, cfg.Threads)
-	}
-	m.sched.sharded = cfg.sharded()
-	if m.sched.sharded {
-		m.sched.clocks = make([]paddedClock, cfg.Threads)
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		m.threads = append(m.threads, newThread(m, i))
@@ -406,15 +352,6 @@ func (m *Machine) Run(bodies ...func(*Thread)) error {
 	s.live = make([]*Thread, len(m.threads))
 	copy(s.live, m.threads)
 	s.status = make([]threadStatus, len(m.threads))
-	if s.sharded {
-		// Publish every thread's initial (possibly skewed) clock before
-		// any goroutine starts, so the first gate scans see real values.
-		for _, t := range m.threads {
-			s.clocks[t.ID].v.Store(t.clock)
-			t.lastPub = t.clock
-		}
-		s.busy.Store(int32(len(m.threads)))
-	}
 	if ctx := m.cfg.Context; ctx != nil && ctx.Err() != nil {
 		// A context canceled before Run is visible synchronously, so
 		// even workloads shorter than one quantum report ErrCanceled.
@@ -441,7 +378,7 @@ const DefaultWatchdog = 30 * time.Second
 
 // threadStatus is the scheduler's own record of a thread's state at
 // its most recent rendezvous. It is written only under the scheduler
-// mutex (by the thread itself, right before it hands off the baton),
+// mutex (by the thread itself, at a rendezvous or when it finishes),
 // which makes the watchdog's diagnostic dump race-free even while a
 // stuck thread goroutine is blocked in workload code.
 type threadStatus struct {
@@ -467,52 +404,46 @@ func statusOf(t *Thread) threadStatus {
 	}
 }
 
-// pickNextLocked selects the live thread the canonical per-op schedule
-// runs next — smallest clock, ties broken by thread ID (live is kept
-// in ID order) — or the MaxCycles livelock error, or (nil, nil) when
-// every thread has finished.
-func (m *Machine) pickNextLocked() (*Thread, error) {
-	s := m.sched
-	if len(s.live) == 0 {
-		return nil, nil
-	}
-	t := s.live[0]
-	for _, c := range s.live[1:] {
-		if c.clock < t.clock {
-			t = c
+// pickNextLocked orders the live threads by pending position
+// (lastPub, ID) and returns the first — the thread the canonical per-op
+// schedule runs next — and the second, which becomes the first's
+// horizon (nil when it runs alone). Both are nil when every thread has
+// finished; the error is the MaxCycles livelock, once even the first
+// is past the budget.
+func (m *Machine) pickNextLocked() (first, second *Thread, err error) {
+	for _, c := range m.sched.live { // ID order: strict < keeps ties by ID
+		switch {
+		case first == nil || c.lastPub < first.lastPub:
+			first, second = c, first
+		case second == nil || c.lastPub < second.lastPub:
+			second = c
 		}
 	}
-	if m.cfg.MaxCycles > 0 && t.clock > m.cfg.MaxCycles {
-		return nil, fmt.Errorf("machine: watchdog: slowest live thread passed MaxCycles=%d without completing (livelock?)\n%s",
-			m.cfg.MaxCycles, dumpStatus(s.status, -1))
+	if first != nil && m.cfg.MaxCycles > 0 && first.lastPub > m.cfg.MaxCycles {
+		return nil, nil, fmt.Errorf("machine: watchdog: slowest live thread passed MaxCycles=%d without completing (livelock?)\n%s",
+			m.cfg.MaxCycles, dumpStatus(m.sched.status, -1))
 	}
-	return t, nil
+	return first, second, nil
 }
 
-// grantLocked hands the baton to t: freeze t's horizon (the earliest
-// other live thread), reset its quantum, and wake it.
-func (m *Machine) grantLocked(t *Thread) {
-	m.setHorizonLocked(t)
-	t.sinceYield = 0
-	t.sliceStart = t.clock
+// grantLocked hands the baton to t with horizon h and wakes it.
+func (m *Machine) grantLocked(t, h *Thread) {
+	t.setHorizon(h)
 	m.sched.running = t.ID
 	t.granted = true
 	t.cond.Signal()
 }
 
-// setHorizonLocked records the smallest (clock, ID) among the other
-// live threads. Those clocks cannot change while t holds the baton, so
-// t may run inline exactly while it stays ahead of this horizon.
-func (m *Machine) setHorizonLocked(t *Thread) {
-	t.hasHorizon = false
-	for _, c := range m.sched.live {
-		if c == t {
-			continue
-		}
-		if !t.hasHorizon || c.clock < t.hClock || (c.clock == t.hClock && c.ID < t.hID) {
-			t.hasHorizon, t.hClock, t.hID = true, c.clock, c.ID
-		}
+// setHorizon freezes h's pending position as t's horizon: no other live
+// thread's position can change while t holds the baton, so t passes
+// every gate whose position stays below it. A thread running alone (h
+// nil) gets a horizon no position reaches.
+func (t *Thread) setHorizon(h *Thread) {
+	if h == nil {
+		t.hClock, t.hID = math.MaxUint64, math.MaxInt
+		return
 	}
+	t.hClock, t.hID = h.lastPub, h.ID
 }
 
 // ErrCanceled marks a run stopped cooperatively via Config.Context.
@@ -523,7 +454,7 @@ var ErrCanceled = errors.New("machine: run canceled")
 
 // checkCancelLocked reports the pending cancellation, if any, stopping
 // the machine. Called with the scheduler mutex held, from a rendezvous
-// — i.e. at a quantum boundary, when no thread is mid-operation.
+// — i.e. at an operation boundary, when no thread is mid-operation.
 func (s *scheduler) checkCancelLocked() {
 	if s.cancelErr != nil && !s.stopped {
 		s.reportLocked(fmt.Errorf("%w at a quantum boundary: %w", ErrCanceled, s.cancelErr))
@@ -540,8 +471,8 @@ func panicErr(id int, v any) error {
 // schedule starts the machine: grant the first operation to the live
 // thread with the smallest clock, then wait for the threads — who pass
 // the baton among themselves — to report a terminal result. A watchdog
-// goroutine monitors rendezvous progress in real time; if a thread is
-// granted an operation and never yields (a deadlock in workload or
+// goroutine monitors rendezvous progress in real time; if the baton
+// holder never reaches another rendezvous (a deadlock in workload or
 // handler code), the scheduler fails with a per-thread diagnostic dump
 // instead of hanging forever. A cycle budget (Config.MaxCycles)
 // catches livelock the same way.
@@ -572,23 +503,25 @@ func (m *Machine) schedule() error {
 		}()
 	}
 
-	if !s.sharded {
-		// Serial: grant the first operation to the minimum-clock thread;
-		// the threads pass the baton among themselves from there.
-		s.mu.Lock()
-		first, err := m.pickNextLocked()
-		if err != nil {
-			s.stopped = true
-			s.mu.Unlock()
-			return err
-		}
-		if first == nil {
-			s.mu.Unlock()
-			return nil
-		}
-		m.grantLocked(first)
+	// Grant the first operation to the minimum-clock thread; the
+	// threads pass the baton among themselves from there. A context
+	// canceled before Run stops the machine before any operation.
+	s.mu.Lock()
+	s.checkCancelLocked()
+	first, horizon, err := m.pickNextLocked()
+	switch {
+	case s.stopped:
+	case err != nil:
+		s.stopped = true
 		s.mu.Unlock()
+		return err
+	case first == nil:
+		s.mu.Unlock()
+		return nil
+	default:
+		m.grantLocked(first, horizon)
 	}
+	s.mu.Unlock()
 
 	select {
 	case err := <-s.done:
@@ -600,23 +533,9 @@ func (m *Machine) schedule() error {
 			return err
 		default:
 		}
-		s.stopFlag.Store(true)
 		s.mu.Lock()
 		s.stopped = true
-		var stuck *Thread
-		if s.sharded {
-			// The thread holding the minimum published clock is the one
-			// every gate is waiting behind — the thread that stopped
-			// executing operations.
-			minC := uint64(clockDone)
-			for i := range s.clocks {
-				if c := s.clocks[i].v.Load(); c < minC {
-					minC, stuck = c, m.threads[i]
-				}
-			}
-		} else {
-			stuck = m.threads[s.running]
-		}
+		stuck := m.threads[s.running]
 		snap := make([]threadStatus, len(s.status))
 		copy(snap, s.status)
 		s.mu.Unlock()

@@ -1,12 +1,12 @@
 package machine
 
-// Equivalence of the sharded lock-free scheduler with the serial baton
-// scheduler: both must produce byte-identical schedules — same sample
-// stream, same clocks, same ground truth — for any GOMAXPROCS and any
-// quantum, including the horizon edge cases: threads tied at the same
-// minimum clock, a thread exiting while it holds the minimum, and the
-// Quantum=1 degenerate run where the sharded gate fires on every
-// operation.
+// Equivalence of the gate-point scheduler with the per-op oracle
+// (Quantum=1, a baton handoff to the smallest pending (clock, ID) after
+// every operation): both must produce byte-identical schedules — same
+// sample stream, same clocks, same ground truth, same canonical
+// interleavings — for any GOMAXPROCS, including the horizon edge
+// cases: threads tied at the same minimum clock, and a thread exiting
+// while it holds the minimum.
 
 import (
 	"fmt"
@@ -29,6 +29,9 @@ func requireSameRun(t *testing.T, label string, got, want quantumRun) {
 		t.Fatalf("%s: ground truth diverges: commits %v vs %v, aborts %v vs %v",
 			label, got.commits, want.commits, got.aborts, want.aborts)
 	}
+	if got.interleavings != want.interleavings {
+		t.Fatalf("%s: %d interleavings vs %d", label, got.interleavings, want.interleavings)
+	}
 	if len(got.samples) != len(want.samples) {
 		t.Fatalf("%s: %d samples vs %d", label, len(got.samples), len(want.samples))
 	}
@@ -40,21 +43,33 @@ func requireSameRun(t *testing.T, label string, got, want quantumRun) {
 	}
 }
 
-// contendedConfig is the quantum_test workload config, parameterized by
-// scheduler mode and quantum.
-func contendedConfig(sched SchedMode, quantum int, skew uint64) Config {
+// capture records a finished run's schedule-determined observables.
+func capture(m *Machine, h *collectHandler) quantumRun {
+	r := quantumRun{samples: h.samples, elapsed: m.Elapsed(), total: m.TotalCycles()}
+	g := m.GroundTruth()
+	r.commits = g.PerThreadCommits
+	r.aborts = g.PerThreadAborts
+	for _, th := range m.threads {
+		r.interleavings += th.interleavings
+	}
+	return r
+}
+
+// contendedConfig is the config of the contended workload below,
+// parameterized by quantum and start skew.
+func contendedConfig(quantum int, skew uint64) Config {
 	var p pmu.Periods
 	p[pmu.Cycles] = 400
 	p[pmu.TxAbort] = 4
 	p[pmu.TxCommit] = 8
 	p[pmu.Loads] = 300
 	p[pmu.Stores] = 300
-	return Config{Threads: 4, Seed: 42, Periods: p, StartSkew: skew, Sched: sched, Quantum: quantum}
+	return Config{Threads: 4, Seed: 42, Periods: p, StartSkew: skew, Quantum: quantum}
 }
 
-// contendedBody returns the quantum_test transactional workload: every
-// thread hammers the same 8 words, so aborts, retries, and samples all
-// depend on the exact interleaving the scheduler picks.
+// contendedBody returns a transactional workload where every thread
+// hammers the same 8 words, so aborts, retries, and samples all depend
+// on the exact interleaving the scheduler picks.
 func contendedBody(m *Machine, iters int) func(*Thread) {
 	a := m.Mem.AllocWords(8)
 	return func(t *Thread) {
@@ -68,7 +83,7 @@ func contendedBody(m *Machine, iters int) func(*Thread) {
 					}) == nil {
 						break
 					}
-					t.Compute(20)
+					t.Compute(20) // backoff before the retry
 				}
 			})
 		}
@@ -83,98 +98,72 @@ func runContended(t *testing.T, cfg Config, iters int) quantumRun {
 	h := &collectHandler{}
 	m.SetHandler(h)
 	if err := m.RunAll(contendedBody(m, iters)); err != nil {
-		t.Fatalf("sched %d quantum %d: %v", cfg.Sched, cfg.Quantum, err)
+		t.Fatalf("quantum %d: %v", cfg.Quantum, err)
 	}
-	r := quantumRun{samples: h.samples, elapsed: m.Elapsed(), total: m.TotalCycles()}
-	g := m.GroundTruth()
-	r.commits = g.PerThreadCommits
-	r.aborts = g.PerThreadAborts
-	return r
+	return capture(m, h)
 }
 
-// TestSchedulerModeEquivalence is the old-vs-new scheduler gate: the
-// serial baton scheduler and the sharded lock-free scheduler must
-// produce byte-identical runs across GOMAXPROCS settings (1 makes the
-// sharded scheduler's goroutines time-slice on one core; higher counts
-// let them genuinely race).
+// TestSchedulerModeEquivalence is the scheduler gate: gate-point
+// handoff must reproduce the per-op oracle byte for byte across
+// GOMAXPROCS settings (1 time-slices every thread goroutine on one
+// core; higher counts let handoffs wake threads on other cores).
 func TestSchedulerModeEquivalence(t *testing.T) {
-	serial := runContended(t, contendedConfig(SchedSerial, 0, 512), 150)
+	oracle := runContended(t, contendedConfig(1, 512), 150)
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		sharded := runContended(t, contendedConfig(SchedSharded, 0, 512), 150)
-		requireSameRun(t, fmt.Sprintf("sharded GOMAXPROCS=%d vs serial", procs), sharded, serial)
+		got := runContended(t, contendedConfig(0, 512), 150)
+		requireSameRun(t, fmt.Sprintf("gate-point GOMAXPROCS=%d vs oracle", procs), got, oracle)
+	}
+	if oracle.interleavings == 0 {
+		t.Fatal("contended workload never interleaved; the comparison is vacuous")
 	}
 }
 
-// TestShardedQuantum1Degenerate forces the sharded scheduler with
-// Quantum=1 — a gate check after every operation, the worst case for
-// the min-clock scan — and requires byte-identity with the serial
-// per-op schedule, which defines the canonical order.
-func TestShardedQuantum1Degenerate(t *testing.T) {
-	perOp := runContended(t, contendedConfig(SchedSerial, 1, 512), 100)
-	degenerate := runContended(t, contendedConfig(SchedSharded, 1, 512), 100)
-	requireSameRun(t, "sharded quantum=1 vs serial per-op", degenerate, perOp)
-}
-
-// TestHorizonIdenticalMinClock ties threads at the same published
-// clock: with StartSkew=0 and identical bodies every thread reaches
-// each shared operation at exactly the same clock, so the min-clock
-// gate must break every tie by thread ID to reproduce the serial
-// schedule.
+// TestHorizonIdenticalMinClock ties threads at the same pending clock:
+// with StartSkew=0 and identical bodies every thread reaches each
+// shared operation at exactly the same clock, so every gate must break
+// the tie by thread ID to reproduce the oracle.
 func TestHorizonIdenticalMinClock(t *testing.T) {
-	serial := runContended(t, contendedConfig(SchedSerial, 1, 0), 100)
-	sharded := runContended(t, contendedConfig(SchedSharded, 0, 0), 100)
-	requireSameRun(t, "identical clocks: sharded vs serial", sharded, serial)
+	oracle := runContended(t, contendedConfig(1, 0), 100)
+	got := runContended(t, contendedConfig(0, 0), 100)
+	requireSameRun(t, "identical clocks: gate-point vs oracle", got, oracle)
 }
 
 // TestHorizonThreadExitWhileMin exits a thread while it holds the
 // minimum clock: thread 0 stops after a handful of operations while
-// the rest keep going, so the sharded scheduler must publish its done
-// marker (clockDone) or every other thread's gate would wait forever
-// on a clock that can no longer advance.
+// the rest keep going, so its exit must hand the baton to the next
+// pending thread, and no later horizon may still count the dead one.
 func TestHorizonThreadExitWhileMin(t *testing.T) {
-	build := func(sched SchedMode) (Config, func(m *Machine) func(*Thread)) {
+	run := func(quantum int) quantumRun {
 		var p pmu.Periods
 		p[pmu.Cycles] = 250
 		p[pmu.Stores] = 100
-		cfg := Config{Threads: 4, Seed: 7, Periods: p, Sched: sched}
-		body := func(m *Machine) func(*Thread) {
-			a := m.Mem.AllocWords(4)
-			return func(t *Thread) {
-				iters := 400
-				if t.ID == 0 {
-					iters = 3 // exits holding the minimum clock
-				}
-				for i := 0; i < iters; i++ {
-					t.Store(a.Offset(t.ID%4), uint64(i))
-					t.Compute(2)
-				}
-			}
-		}
-		return cfg, body
-	}
-
-	run := func(sched SchedMode) quantumRun {
-		cfg, body := build(sched)
-		m := New(cfg)
+		m := New(Config{Threads: 4, Seed: 7, Periods: p, Quantum: quantum})
+		a := m.Mem.AllocWords(4)
 		h := &collectHandler{}
 		m.SetHandler(h)
-		if err := m.RunAll(body(m)); err != nil {
-			t.Fatalf("sched %d: %v", sched, err)
+		err := m.RunAll(func(t *Thread) {
+			iters := 400
+			if t.ID == 0 {
+				iters = 3 // exits holding the minimum clock
+			}
+			for i := 0; i < iters; i++ {
+				t.Store(a.Offset(t.ID%4), uint64(i))
+				t.Compute(2)
+			}
+		})
+		if err != nil {
+			t.Fatalf("quantum %d: %v", quantum, err)
 		}
-		r := quantumRun{samples: h.samples, elapsed: m.Elapsed(), total: m.TotalCycles()}
-		g := m.GroundTruth()
-		r.commits = g.PerThreadCommits
-		r.aborts = g.PerThreadAborts
-		return r
+		return capture(m, h)
 	}
 
-	serial := run(SchedSerial)
-	sharded := run(SchedSharded)
-	requireSameRun(t, "early exit: sharded vs serial", sharded, serial)
-	if len(serial.samples) == 0 {
+	oracle := run(1)
+	got := run(0)
+	requireSameRun(t, "early exit: gate-point vs oracle", got, oracle)
+	if len(oracle.samples) == 0 {
 		t.Fatal("workload produced no samples; the comparison is vacuous")
 	}
 }

@@ -1,13 +1,13 @@
 package machine
 
 // Telemetry instrumentation: the machine emits trace events for
-// scheduler baton tenures, transaction regions, and PMU interrupt
+// canonical run slices, transaction regions, and PMU interrupt
 // deliveries, and publishes exact post-run counters into a metrics
 // registry. Every emitted value is virtual (cycle clocks, cause
 // codes), so traces and metrics are deterministic for a seed and
-// invariant to the run quantum — run-slice boundaries are the actual
-// thread switches of the canonical per-op schedule, which the quantum
-// provably does not move (DESIGN.md §3.1).
+// invariant to the run quantum — run-slice boundaries follow the
+// canonical order of gate passes, which no quantum moves (DESIGN.md
+// §8).
 
 import (
 	"fmt"
@@ -69,30 +69,35 @@ func (t *Thread) flushTrace() {
 	}
 }
 
-// emitRunSlice records one baton tenure of t ending now; called at
-// handoffs and thread completion, under the scheduler mutex.
-func (t *Thread) emitRunSlice() {
+// emitRunSlice records t's current run slice as ending at clock end;
+// called at slice-ending gate passes and at thread completion.
+func (t *Thread) emitRunSlice(end uint64) {
 	t.TraceEvent(telemetry.Event{
-		Kind: telemetry.KindRunSlice, TS: t.sliceStart, Dur: t.clock - t.sliceStart, TID: int32(t.ID),
+		Kind: telemetry.KindRunSlice, TS: t.sliceStart, Dur: end - t.sliceStart, TID: int32(t.ID),
 	})
 }
 
 // PublishMetrics writes the machine's exact post-run instrumentation
 // into reg: ground-truth commit/abort counts by cause, PMU event and
-// overflow totals, interrupt and sample delivery counts, and the
-// cycle totals. Everything published is deterministic for a seed.
-// Call after Run; a nil registry is ignored.
+// overflow totals, interrupt and sample delivery counts, the cycle
+// totals, and the scheduler's canonical interleavings (run-slice
+// boundaries). All of it is deterministic for a seed and invariant to
+// the quantum except machine.sched.handoffs, a volatile gauge: the
+// Quantum=1 oracle hands off after every operation. Call after Run; a
+// nil registry is ignored.
 func (m *Machine) PublishMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	var commits, interrupts, delivered uint64
+	var commits, interrupts, delivered, interleavings, handoffs uint64
 	var aborts [htm.NumCauses]uint64
 	var events, overflows [pmu.NumEvents]uint64
 	for _, t := range m.threads {
 		commits += t.commits
 		interrupts += t.interrupts
 		delivered += t.samplesDelivered
+		interleavings += t.interleavings
+		handoffs += t.handoffs
 		for c := range aborts {
 			aborts[c] += t.aborts[c]
 		}
@@ -120,4 +125,6 @@ func (m *Machine) PublishMetrics(reg *telemetry.Registry) {
 	}
 	reg.Gauge("machine.cycles.elapsed", false).Set(m.Elapsed())
 	reg.Gauge("machine.cycles.total", false).Set(m.TotalCycles())
+	reg.Counter("machine.sched.interleavings").Add(interleavings)
+	reg.Gauge("machine.sched.handoffs", true).Set(handoffs)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"txsampler/internal/faults"
 	"txsampler/internal/htm"
@@ -75,15 +74,16 @@ type Thread struct {
 	commits uint64
 	aborts  [8]uint64 // indexed by htm.Cause
 
-	// Run-quantum scheduling state. cond waits on the machine
-	// scheduler's mutex; granted is the baton. The horizon is the
-	// smallest (clock, ID) among the other live threads, frozen at
-	// grant time: while this thread stays below it, the per-op
-	// scheduler would re-select this thread anyway, so operations run
-	// inline without a rendezvous.
+	// Scheduling state. cond waits on the machine scheduler's mutex;
+	// granted is the baton. lastPub is the thread's pending position:
+	// the pre-operation clock of whatever it executes next, which is
+	// where its next gate point sits in the canonical order. The
+	// horizon is the smallest pending (lastPub, ID) among the other
+	// live threads, frozen at grant time: every gate whose position is
+	// below it passes without a rendezvous.
 	cond       *sync.Cond
 	granted    bool
-	hasHorizon bool
+	lastPub    uint64
 	hClock     uint64
 	hID        int
 	sinceYield uint64 // operations since the last rendezvous
@@ -91,23 +91,11 @@ type Thread struct {
 	quantum    uint64 // rendezvous at least every quantum operations
 	maxCycles  uint64 // cached Config.MaxCycles
 
-	// Sharded-scheduler state (see sched_sharded.go). pub is this
-	// thread's published-clock slot; lastPub mirrors the last value
-	// stored there (always the pre-operation clock of whatever runs
-	// next). gated caches that the gate condition was proven for
-	// lastPub; (hasG, gClock, gID) cache the minimum other published
-	// (clock, ID) seen by the last scan — a monotone lower bound.
-	sharded bool
-	pub     *atomic.Uint64
-	lastPub uint64
-	gated   bool
-	hasG    bool
-	gClock  uint64
-	gID     int
-
-	// Telemetry state: the clock at the last baton grant (run-slice
-	// start) and exact delivery counts published post-run.
+	// Telemetry state: the start of the current canonical run slice
+	// and exact counts published post-run.
 	sliceStart       uint64
+	interleavings    uint64 // run slices this thread ended at a gate
+	handoffs         uint64 // times this thread passed the baton on
 	interrupts       uint64 // PMU interrupts taken
 	samplesDelivered uint64 // samples handed to the handler
 
@@ -138,10 +126,6 @@ func newThread(m *Machine, id int) *Thread {
 		maxCycles: m.cfg.MaxCycles,
 	}
 	t.counters.SetPeriods(m.cfg.Periods)
-	if m.sched.sharded {
-		t.sharded = true
-		t.pub = &m.sched.clocks[id].v
-	}
 	if m.cfg.Trace != nil {
 		t.evBatch = make([]telemetry.Event, 0, traceBatchSize)
 	}
@@ -159,21 +143,13 @@ func newThread(m *Machine, id int) *Thread {
 		// herds no real machine exhibits.
 		t.clock = uint64(t.rng.Int63n(int64(m.cfg.StartSkew)))
 	}
+	t.lastPub, t.sliceStart = t.clock, t.clock
 	return t
 }
 
 // main is the goroutine body driving the workload under the scheduler.
 func (t *Thread) main(body func(*Thread)) {
 	defer func() { t.finish(recover()) }()
-	if t.sharded {
-		// No start grant: threads free-run immediately; the gates order
-		// every shared-state operation canonically. The initial tick
-		// picks up a context that was canceled before Run, so even a
-		// workload shorter than one quantum observes the cancellation.
-		t.quantumTick()
-		body(t)
-		return
-	}
 	s := t.m.sched
 	s.mu.Lock()
 	for !t.granted {
@@ -189,20 +165,15 @@ func (t *Thread) main(body func(*Thread)) {
 // reports the terminal result (panic, or all threads done) or hands
 // the baton to the next runnable thread.
 func (t *Thread) finish(panicked any) {
-	if t.sharded {
-		t.finishSharded(panicked)
-		return
-	}
 	s := t.m.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := statusOf(t)
-	st.ops = t.opCount
 	st.done = true
 	s.status[t.ID] = st
 	s.progress.Add(1)
 	if t.m.cfg.Trace != nil {
-		t.emitRunSlice()
+		t.emitRunSlice(t.clock)
 		t.flushTrace()
 	}
 	for i, c := range s.live {
@@ -222,7 +193,7 @@ func (t *Thread) finish(panicked any) {
 		s.reportLocked(panicErr(t.ID, panicked))
 		return
 	}
-	next, err := t.m.pickNextLocked()
+	next, horizon, err := t.m.pickNextLocked()
 	if err != nil {
 		s.reportLocked(err)
 		return
@@ -235,47 +206,53 @@ func (t *Thread) finish(panicked any) {
 	if s.stopped {
 		return
 	}
-	t.m.grantLocked(next)
+	t.m.grantLocked(next, horizon)
 }
 
-// rendezvous is the scheduling point: record status, pick the next
-// runnable thread by (clock, ID), and either continue (this thread is
-// still the minimum) or hand the baton over and wait to be granted.
+// rendezvous is the scheduler's slow path at an operation boundary:
+// record status, feed the watchdog and pick up cancellation. Only the
+// per-op oracle (Quantum=1) and a thread past MaxCycles also yield the
+// baton here; otherwise handoffs happen at gate points alone.
 func (t *Thread) rendezvous() {
 	s := t.m.sched
 	s.mu.Lock()
-	st := statusOf(t)
-	st.ops = t.opCount
-	s.status[t.ID] = st
+	s.status[t.ID] = statusOf(t)
 	s.progress.Add(1)
+	t.sinceYield = 0
 	s.checkCancelLocked()
+	if t.quantum == 1 || (t.maxCycles > 0 && t.clock > t.maxCycles) {
+		t.yieldLocked()
+	} else if s.stopped {
+		t.parkLocked()
+	}
+	s.mu.Unlock()
+}
+
+// yieldLocked passes the baton to the live thread with the smallest
+// pending (lastPub, ID), or keeps it when that is t, and returns once t
+// holds the baton again — as the canonical minimum. Parks instead when
+// the machine stopped, or fails it at MaxCycles.
+func (t *Thread) yieldLocked() {
+	s := t.m.sched
 	if s.stopped {
 		t.parkLocked()
 	}
-	next, err := t.m.pickNextLocked()
+	next, horizon, err := t.m.pickNextLocked()
 	if err != nil {
 		s.reportLocked(err)
 		t.parkLocked()
 	}
 	if next == t {
-		// The baton stays here: the run slice continues, so no trace
-		// event — slice boundaries stay quantum-invariant.
-		t.m.setHorizonLocked(t)
-		t.sinceYield = 0
-		s.running = t.ID
-		s.mu.Unlock()
+		t.setHorizon(horizon)
 		return
 	}
-	if t.m.cfg.Trace != nil {
-		t.emitRunSlice()
-		t.flushTrace() // hand off with an empty batch: ring stays near-ordered
-	}
-	t.m.grantLocked(next)
+	t.handoffs++
+	t.flushTrace() // hand off with an empty batch: ring stays near-ordered
+	t.m.grantLocked(next, horizon)
 	for !t.granted {
 		t.cond.Wait()
 	}
 	t.granted = false
-	s.mu.Unlock()
 }
 
 // parkLocked blocks the calling thread goroutine forever (the machine
@@ -286,15 +263,6 @@ func (t *Thread) parkLocked() {
 	for {
 		t.cond.Wait()
 	}
-}
-
-// mayContinue reports whether the per-op scheduler would re-select
-// this thread for its next operation: its clock is still below the
-// horizon (the smallest other live thread's clock at grant time,
-// which cannot change while this thread runs), or ties it with a
-// smaller ID.
-func (t *Thread) mayContinue() bool {
-	return !t.hasHorizon || t.clock < t.hClock || (t.clock == t.hClock && t.ID < t.hID)
 }
 
 // Clock returns the thread's cycle clock.
@@ -362,12 +330,11 @@ type opMeta struct {
 // and run the fault injector's per-operation hooks. The operation's
 // effect then executes inline in the caller, followed by endOp.
 //
-// Under the sharded scheduler, any operation inside a transaction
-// gates first — other threads' canonical-order operations may doom
-// this transaction, so even thread-private work must observe shared
-// state at its canonical position.
+// Any operation inside a transaction is a gate point: other threads'
+// operations may doom this transaction, so even thread-private work
+// must observe shared state at its canonical position.
 func (t *Thread) startOp() {
-	if t.sharded && t.tx != nil {
+	if t.tx != nil {
 		t.gate()
 	}
 	if t.tx != nil && t.tx.Doomed {
@@ -391,22 +358,66 @@ func (t *Thread) startOp() {
 }
 
 // startShared begins an operation whose effect touches shared machine
-// state (memory, caches, the HTM engine) even outside a transaction.
-// Under the sharded scheduler it first gates at the thread's canonical
-// position; under the serial scheduler the baton already serializes.
+// state (memory, caches, the HTM engine) even outside a transaction: a
+// gate point.
 func (t *Thread) startShared() {
-	if t.sharded {
-		t.gate()
+	if t.tx == nil {
+		t.gate() // startOp gates in-transaction operations itself
 	}
 	t.startOp()
 }
 
+// gate holds the thread at its pending position (lastPub, ID) until
+// that position is the smallest among the live threads — at once while
+// it stays below the horizon, else after handing the baton to the
+// thread holding the horizon and being granted it back. Every effect
+// on state shared across threads runs behind a gate, so those effects
+// execute in canonical (lastPub, ID) order while the thread-private
+// operations between them run past the horizon. The abort path never
+// publishes, so an operation riding along with an abort still passes
+// at the aborted operation's position.
+//
+// Gate passes also define the canonical run slices: a thread's slice
+// ends at its next gate pass if another thread passed a gate since its
+// last one. That sequence is the same under every quantum, so the
+// slices — and the interleavings count — are too.
+func (t *Thread) gate() {
+	s := t.m.sched
+	if t.lastPub > t.hClock || (t.lastPub == t.hClock && t.ID > t.hID) {
+		s.mu.Lock()
+		t.yieldLocked()
+		s.mu.Unlock()
+	}
+	if s.lastGater != t.ID {
+		if s.lastGater >= 0 {
+			t.interleavings++
+			t.emitRunSlice(t.lastPub)
+			t.sliceStart = t.lastPub
+		}
+		s.lastGater = t.ID
+	}
+}
+
+// Exclusive runs fn at the thread's current canonical position,
+// mutually exclusive with every other thread's Exclusive sections and
+// shared-state operations, in the order the per-op schedule would run
+// it. Runtime libraries layered on the machine (internal/rtm,
+// instrumentation sinks) must use it for every access to Go-level
+// state shared across simulated threads — per-lock statistics, event
+// logs — because thread-private operations run past other threads'
+// positions; that contract is what makes gate-point handoff sound. fn
+// must not invoke thread operations.
+func (t *Thread) Exclusive(fn func()) {
+	t.gate()
+	fn()
+}
+
 // endOp completes one operation: unwind if the effect doomed the
 // transaction, advance the clock and PMU counters, deliver counter
-// overflow interrupts, and reach the scheduler's slow path — a serial
-// rendezvous when the per-op schedule would select another thread or
-// the quantum expires, or (sharded) a publish of the advanced clock
-// plus per-quantum bookkeeping.
+// overflow interrupts behind a gate, publish the advanced clock as the
+// next pending position, and reach the scheduler's slow path when the
+// quantum expires (every operation for the Quantum=1 oracle) or the
+// clock passes MaxCycles.
 func (t *Thread) endOp(meta opMeta, cost uint64) {
 	if t.tx != nil && t.tx.Doomed {
 		t.abortNow() // the effect doomed us (capacity, sync, explicit)
@@ -423,28 +434,16 @@ func (t *Thread) endOp(meta opMeta, cost uint64) {
 		n++
 	}
 	if n > 0 && t.m.handler != nil {
-		if t.sharded {
-			// Sample delivery mutates shared collector state. Gate at
-			// the operation's canonical position — lastPub still holds
-			// the pre-operation clock — before invoking the handler.
-			t.gate()
-		}
+		// Sample delivery mutates shared collector state. Gate at the
+		// operation's canonical position — lastPub still holds the
+		// pre-operation clock — before invoking the handler.
+		t.gate()
 		t.deliverInterrupt(over[:n], meta)
 	}
 	t.opCount++
 	t.sinceYield++
-	if t.sharded {
-		t.publish()
-		if t.maxCycles > 0 && t.clock > t.maxCycles {
-			t.livelockSharded()
-		}
-		if t.sinceYield >= t.quantum {
-			t.quantumTick()
-		}
-		return
-	}
-	if t.sinceYield >= t.quantum || !t.mayContinue() ||
-		(t.maxCycles > 0 && t.clock > t.maxCycles) {
+	t.lastPub = t.clock
+	if t.sinceYield >= t.quantum || (t.maxCycles > 0 && t.clock > t.maxCycles) {
 		t.rendezvous()
 	}
 }
@@ -498,12 +497,10 @@ func (t *Thread) abortNow() {
 		t.deliverSamples(events[:], from, truth, true, opMeta{})
 	}
 	// Deliberately no publish here: the unwind skips endOp, so the
-	// first operation after the abort runs while this thread still
-	// holds the gate at the aborted operation's canonical position —
-	// exactly matching the serial scheduler, where the unwind skips
-	// the rendezvous check and the post-abort operation's effect
-	// executes before the baton can move. The rider's own endOp
-	// publish releases the gate.
+	// first operation after the abort still passes its gate at the
+	// aborted operation's canonical position, before the baton can
+	// move — as in the per-op schedule, where the unwind skips the
+	// rendezvous. The rider's own endOp publish moves the position on.
 	panic(txAbortSentinel{})
 }
 
@@ -534,8 +531,8 @@ func (t *Thread) deliverInterrupt(events []pmu.Event, meta opMeta) {
 	}
 	t.deliverSamples(events, ip, truth, wasInTx, meta)
 	if wasInTx {
-		// No publish: the post-abort operation rides along under the
-		// held gate, as in the serial scheduler; see abortNow.
+		// No publish: the post-abort operation rides along at this
+		// operation's position; see abortNow.
 		panic(txAbortSentinel{})
 	}
 }
@@ -915,9 +912,9 @@ func (t *Thread) TxBegin() {
 // buffered stores to memory, or unwinds if it was doomed at the commit
 // point. A nested commit only decrements the flattened nesting depth.
 func (t *Thread) TxCommit() {
-	// startOp first: the gate must be held (sharded) before reading
-	// t.tx.Doomed, which a concurrent thread's conflicting access may
-	// set from its own gated operation.
+	// startOp first: the gate must be passed before reading
+	// t.tx.Doomed, which another thread's conflicting access may set
+	// from its own gated operation.
 	t.startOp()
 	if t.tx != nil && !t.tx.Doomed && t.txNest > 0 {
 		t.txNest--

@@ -329,9 +329,9 @@ type Lock struct {
 	// Adaptive-policy state, mutated only by the simulated threads.
 	// All cross-thread reads and writes of this state (and of Stats)
 	// happen inside machine.Thread.Exclusive sections, which the
-	// scheduler orders at the thread's canonical position — the serial
-	// scheduler's for-free ordering, made explicit so the sharded
-	// scheduler preserves it.
+	// scheduler orders at the thread's canonical position — required
+	// because thread-private operations run past other threads'
+	// positions between gate points.
 	ambientStreak int  // consecutive ambient aborts since last commit
 	storming      bool // storm mode active
 

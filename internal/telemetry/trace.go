@@ -14,10 +14,11 @@ import (
 type Kind uint8
 
 const (
-	// KindRunSlice is one thread's baton tenure on the scheduler
-	// track: from baton grant to the handoff that moved it to another
-	// thread. Slice boundaries are actual thread switches of the
-	// canonical per-op schedule, so they are quantum-invariant.
+	// KindRunSlice is one canonical run slice of a thread on the
+	// scheduler track: it ends at the thread's next gate pass after
+	// another thread passed a gate, or at thread exit. Gate passes
+	// happen in the canonical order under every quantum, so slice
+	// boundaries are quantum-invariant.
 	KindRunSlice Kind = iota
 	// KindTx is a committed transaction region (outermost XBEGIN to
 	// XEND).
@@ -43,7 +44,7 @@ const (
 // the same simulated thread never overlap within one track.
 const (
 	PIDMachine   = 0 // transaction regions, interrupts, generic spans
-	PIDScheduler = 1 // run slices (baton tenures)
+	PIDScheduler = 1 // canonical run slices
 	PIDAnalyzer  = 2 // frontend/analyzer phases
 )
 

@@ -11,11 +11,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"txsampler"
 	"txsampler/internal/profile"
 	"txsampler/internal/telemetry"
+	"txsampler/internal/viewer"
 )
 
 // traceRun profiles the workload with a tracer and registry attached
@@ -57,6 +59,68 @@ func TestTraceDeterministicAndQuantumInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap1, snapQ) {
 		t.Fatal("metrics snapshot changed under per-op quantum")
+	}
+}
+
+// TestSchedulerSelfReport checks the scheduler's self-report against
+// the trace it recorded: every canonical interleaving ends one run
+// slice and every thread ends one more at exit, so interleavings plus
+// threads equals the run events. Interleavings are equal under the
+// gate-point schedule and the per-op oracle; handoffs differ (the
+// oracle hands off after every operation), so they are volatile and
+// stay out of the deterministic snapshot. Both render in the text and
+// HTML self-report.
+func TestSchedulerSelfReport(t *testing.T) {
+	const seed = 11
+	interleavings := func(snap []telemetry.MetricValue) uint64 {
+		for _, mv := range snap {
+			if mv.Name == "machine.sched.handoffs" {
+				t.Fatal("volatile handoffs leaked into the deterministic snapshot")
+			}
+			if mv.Name == "machine.sched.interleavings" {
+				return mv.Value
+			}
+		}
+		t.Fatal("snapshot has no machine.sched.interleavings")
+		return 0
+	}
+	trace, snap, res := traceRun(t, "synchro/linkedlist", seed, 0)
+	var out struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			PID  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace, &out); err != nil {
+		t.Fatal(err)
+	}
+	var runs uint64
+	for _, ev := range out.TraceEvents {
+		if ev.Name == "run" && ev.PID == telemetry.PIDScheduler {
+			runs++
+		}
+	}
+	got := interleavings(snap)
+	if got == 0 {
+		t.Fatal("no interleavings on a 4-thread contended run")
+	}
+	if got+uint64(res.Threads) != runs {
+		t.Fatalf("interleavings %d + threads %d != %d run events", got, res.Threads, runs)
+	}
+	_, snapQ, _ := traceRun(t, "synchro/linkedlist", seed, 1)
+	if q := interleavings(snapQ); q != got {
+		t.Fatalf("interleavings %d under Quantum 1, %d under the default", q, got)
+	}
+
+	var text, html bytes.Buffer
+	viewer.SelfReport(&text, res.Report)
+	if err := viewer.HTML(&html, res.Report, nil, viewer.TreeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"machine.sched.interleavings", "machine.sched.handoffs"} {
+		if !strings.Contains(text.String(), name) || !strings.Contains(html.String(), name) {
+			t.Errorf("%s missing from the text or HTML self-report", name)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ type Options struct {
 	// earlier versions.
 	Pmem pmem.Config
 	// Quantum overrides the scheduler run quantum (0 = the machine
-	// default; 1 = per-op scheduling, a debug knob). The schedule is
+	// default; 1 = the per-op reference schedule). The schedule is
 	// quantum-invariant — results are bit-identical for any value.
 	Quantum int
 	// Trace, when non-nil, records scheduler, transaction, PMU, and
