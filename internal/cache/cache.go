@@ -133,8 +133,8 @@ type dirEntry struct {
 type AccessResult struct {
 	Latency     int
 	Hit         bool
-	Invalidated []int // cores whose copy was invalidated by this access
-	Evicted     bool  // this core's L1 evicted a line to make room
+	Invalidated uint64 // bitmask of cores whose copy this access invalidated
+	Evicted     bool   // this core's L1 evicted a line to make room
 	EvictedLine mem.Addr
 }
 
@@ -178,7 +178,7 @@ func (h *Hierarchy) entry(line mem.Addr) *dirEntry {
 // Access performs a load (write=false) or store (write=true) by core to
 // the cache line containing a, updating coherence state, and returns
 // the latency and any remote invalidations. The returned Invalidated
-// slice is the set of *other* cores that lost their copy — the machine
+// mask is the set of *other* cores that lost their copy — the machine
 // layer uses it to charge sharing costs; the HTM engine performs its
 // own conflict detection on read/write sets.
 func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
@@ -224,7 +224,7 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	if e.owner >= 0 && e.owner != core {
 		res.Latency = h.cfg.RemoteLatency
 		h.invalidateAt(e.owner, line)
-		res.Invalidated = append(res.Invalidated, e.owner)
+		res.Invalidated |= 1 << uint(e.owner)
 	}
 	for other := 0; other < len(h.cores); other++ {
 		if other == core || e.sharers&(1<<uint(other)) == 0 {
@@ -232,7 +232,7 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 		}
 		res.Latency = h.cfg.RemoteLatency
 		h.invalidateAt(other, line)
-		res.Invalidated = append(res.Invalidated, other)
+		res.Invalidated |= 1 << uint(other)
 	}
 	e.sharers = 0
 	e.owner = core
@@ -271,8 +271,25 @@ func (h *Hierarchy) evictFrom(core int, line mem.Addr) {
 }
 
 // Holds reports whether core currently caches the line containing a.
-// Used by tests and by the machine's lock-spin fast path.
+// Used by tests and by the machine's spin-wait fast-forward.
 func (h *Hierarchy) Holds(core int, a mem.Addr) bool {
 	line := a.Line()
 	return h.cores[core].lookup(h.cfg.SetIndex(line), line) != nil
+}
+
+// ReadHits replays n back-to-back read hits by core on the line
+// containing a, which core's L1 must hold: the LRU stamp, the L1's use
+// tick and the hit count end exactly where n Access(core, a, false)
+// calls would leave them. The machine's spin-wait fast-forward applies
+// a sleeping spinner's skipped loads with it.
+func (h *Hierarchy) ReadHits(core int, a mem.Addr, n uint64) {
+	line := a.Line()
+	c := h.cores[core]
+	w := c.lookup(h.cfg.SetIndex(line), line)
+	if w == nil {
+		panic(fmt.Sprintf("cache: ReadHits by core %d on line %#x it does not hold", core, uint64(line)))
+	}
+	c.tick += n
+	w.lru = c.tick
+	h.Hits += n
 }

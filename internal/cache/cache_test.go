@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -29,8 +30,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	h.Access(2, a, false)
 	h.Access(3, a, false)
 	r := h.Access(0, a, true)
-	if len(r.Invalidated) != 3 {
-		t.Fatalf("invalidated %v, want cores 1,2,3", r.Invalidated)
+	if r.Invalidated != 0b1110 {
+		t.Fatalf("invalidated %#b, want cores 1,2,3", r.Invalidated)
 	}
 	if r.Latency != cfg().RemoteLatency {
 		t.Fatalf("write over sharers latency = %d, want remote %d", r.Latency, cfg().RemoteLatency)
@@ -57,14 +58,14 @@ func TestReadDowngradesModified(t *testing.T) {
 	if r.Latency != cfg().RemoteLatency {
 		t.Fatalf("remote read latency = %d, want %d", r.Latency, cfg().RemoteLatency)
 	}
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("read should not invalidate, got %v", r.Invalidated)
+	if r.Invalidated != 0 {
+		t.Fatalf("read should not invalidate, got %#b", r.Invalidated)
 	}
 	// Both copies are now shared; core 0 re-acquiring ownership must
 	// invalidate core 1.
 	r = h.Access(0, a, true)
-	if len(r.Invalidated) != 1 || r.Invalidated[0] != 1 {
-		t.Fatalf("upgrade invalidated %v, want [1]", r.Invalidated)
+	if r.Invalidated != 1<<1 {
+		t.Fatalf("upgrade invalidated %#b, want core 1", r.Invalidated)
 	}
 }
 
@@ -110,8 +111,8 @@ func TestEvictionClearsDirectory(t *testing.T) {
 	h.Access(0, b, true) // evicts a
 	// Core 1 writing a must not see core 0 as owner anymore.
 	r := h.Access(1, a, true)
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("write to evicted line invalidated %v, want none", r.Invalidated)
+	if r.Invalidated != 0 {
+		t.Fatalf("write to evicted line invalidated %#b, want none", r.Invalidated)
 	}
 }
 
@@ -120,8 +121,8 @@ func TestDistinctLinesNoInterference(t *testing.T) {
 	a, b := mem.Addr(0x1000), mem.Addr(0x1040) // adjacent lines
 	h.Access(0, a, true)
 	r := h.Access(1, b, true)
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("write to different line invalidated %v", r.Invalidated)
+	if r.Invalidated != 0 {
+		t.Fatalf("write to different line invalidated %#b", r.Invalidated)
 	}
 	if !h.Holds(0, a) || !h.Holds(1, b) {
 		t.Fatal("both cores should retain their lines")
@@ -134,8 +135,8 @@ func TestSameLineDifferentWordsConflict(t *testing.T) {
 	a := mem.Addr(0x2000)
 	h.Access(0, a, true)
 	r := h.Access(1, a+56, true)
-	if len(r.Invalidated) != 1 || r.Invalidated[0] != 0 {
-		t.Fatalf("false-sharing write invalidated %v, want [0]", r.Invalidated)
+	if r.Invalidated != 1<<0 {
+		t.Fatalf("false-sharing write invalidated %#b, want core 0", r.Invalidated)
 	}
 }
 
@@ -202,4 +203,32 @@ func TestQuickLatencyDomain(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ReadHits must leave a hierarchy exactly as the same number of
+// Access read hits does: LRU stamps, use ticks and the hit count.
+func TestReadHitsMatchesAccess(t *testing.T) {
+	c := Config{Sets: 2, Ways: 2, HitLatency: 1, MissLatency: 10, RemoteLatency: 20}
+	a, b := mem.Addr(0*64), mem.Addr(2*64) // same set
+	build := func() *Hierarchy {
+		h := New(2, c)
+		h.Access(0, a, false)
+		h.Access(0, b, true)
+		h.Access(1, a, false)
+		return h
+	}
+	want, got := build(), build()
+	for i := 0; i < 7; i++ {
+		want.Access(0, a, false)
+	}
+	got.ReadHits(0, a, 7)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadHits(7) state %+v, want %+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ReadHits on a line the core does not hold did not panic")
+		}
+	}()
+	got.ReadHits(1, b, 1)
 }

@@ -15,14 +15,14 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// benchOps drives threads through b.N total operations, split evenly
-// across threads — op issues the i-th operation of a thread — and
-// reports aggregate ops/sec and scheduler handoffs per operation.
-func benchOps(b *testing.B, cfg Config, op func(m *Machine) func(t *Thread, i int)) {
+// benchOps drives threads through b.N total steps, split evenly across
+// threads — op issues the i-th step of a thread — and reports the
+// operations executed per second and scheduler handoffs per operation.
+func benchOps(b *testing.B, cfg Config, op func(m *Machine, steps int) func(t *Thread, i int)) {
 	b.ReportAllocs()
 	perThread := b.N/cfg.Threads + 1
 	m := New(cfg)
-	step := op(m)
+	step := op(m, perThread)
 	b.ResetTimer()
 	err := m.RunAll(func(t *Thread) {
 		for i := 0; i < perThread; i++ {
@@ -33,9 +33,10 @@ func benchOps(b *testing.B, cfg Config, op func(m *Machine) func(t *Thread, i in
 	if err != nil {
 		b.Fatal(err)
 	}
-	ops := float64(perThread) * float64(cfg.Threads)
+	var ops float64
 	var handoffs uint64
 	for _, t := range m.threads {
+		ops += float64(t.opCount)
 		handoffs += t.handoffs
 	}
 	b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/sec")
@@ -44,19 +45,43 @@ func benchOps(b *testing.B, cfg Config, op func(m *Machine) func(t *Thread, i in
 
 // private issues thread-private Compute operations, which never reach
 // a gate.
-func private(*Machine) func(*Thread, int) {
+func private(*Machine, int) func(*Thread, int) {
 	return func(t *Thread, _ int) { t.Compute(1) }
 }
 
 // gated alternates Load and Store on one line every thread shares, so
 // every operation passes a gate.
-func gated(m *Machine) func(*Thread, int) {
+func gated(m *Machine, _ int) func(*Thread, int) {
 	a := m.Mem.AllocLines(1)
 	return func(t *Thread, i int) {
 		if i%2 == 0 {
 			t.Load(a)
 		} else {
 			t.Store(a, mem.Word(i))
+		}
+	}
+}
+
+// spin has thread 0 hold one lock word for the whole run — taking it at
+// its first step, releasing it at its last, with gated Load and Store on
+// its own line in between — while every other thread waits for it in
+// SpinWhileNonzero: one holder and a crowd of spinners.
+func spin(m *Machine, steps int) func(*Thread, int) {
+	lock, own := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
+	return func(t *Thread, i int) {
+		switch {
+		case t.ID != 0:
+			if i == 0 {
+				t.SpinWhileNonzero(lock, 2)
+			}
+		case i == steps-1:
+			t.Store(lock, 0)
+		case i == 0:
+			t.Store(lock, 1)
+		case i%2 == 0:
+			t.Load(own)
+		default:
+			t.Store(own, mem.Word(i))
 		}
 	}
 }
@@ -73,13 +98,18 @@ func BenchmarkOpThroughput8Threads(b *testing.B) {
 // number: simulated operations per second in native mode (no PMU, no
 // handler) when every operation passes a gate, so the gate check and
 // the baton handoffs it forces are the only cost besides the cache
-// model. handoffs/op shows how often the baton moved.
+// model. handoffs/op shows how often the baton moved. 8threads-spin is
+// one lock holder and seven spin-waiters, whose loads would each pass
+// a gate were they not asleep on the lock line.
 func BenchmarkSchedulerOpsPerSec(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dthreads", n), func(b *testing.B) {
 			benchOps(b, Config{Threads: n}, gated)
 		})
 	}
+	b.Run("8threads-spin", func(b *testing.B) {
+		benchOps(b, Config{Threads: 8}, spin)
+	})
 }
 
 // BenchmarkTelemetryOverhead bounds what the telemetry hooks cost the

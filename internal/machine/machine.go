@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -269,6 +270,11 @@ type scheduler struct {
 	// before any has. Only the baton holder touches it; it defines the
 	// canonical run-slice boundaries (see Thread.gate).
 	lastGater int
+
+	// sleeping is the bitmask of threads asleep in a spin-wait
+	// fast-forward (see Thread.SpinWhileNonzero). Only the baton
+	// holder reads or writes it, like the sleepers' own spin state.
+	sleeping uint64
 }
 
 // reportLocked delivers the terminal result (first one wins) and stops
@@ -432,6 +438,27 @@ func (m *Machine) grantLocked(t, h *Thread) {
 	m.sched.running = t.ID
 	t.granted = true
 	t.cond.Signal()
+}
+
+// wakeSpinners runs before writer's write access to line, at the
+// writer's pending position: every spinner asleep on the line first
+// applies the skipped iterations whose loads precede that position —
+// they hit and read the old value — and resumes pending at its next
+// load, which observes the write. The writer, holding the baton, lowers
+// its own horizon to a woken spinner's position when that is smaller.
+func (m *Machine) wakeSpinners(writer *Thread, line mem.Addr) {
+	s := m.sched
+	for set := s.sleeping; set != 0; set &= set - 1 {
+		sp := m.threads[bits.TrailingZeros64(set)]
+		if sp.spin.line != line {
+			continue
+		}
+		s.sleeping &^= 1 << uint(sp.ID)
+		sp.skipSpins(sp.spin.before(writer.lastPub, writer.ID, sp.ID))
+		if sp.lastPub < writer.hClock || (sp.lastPub == writer.hClock && sp.ID < writer.hID) {
+			writer.hClock, writer.hID = sp.lastPub, sp.ID
+		}
+	}
 }
 
 // setHorizon freezes h's pending position as t's horizon: no other live

@@ -17,6 +17,7 @@ type quantumRun struct {
 	commits       []uint64
 	aborts        []uint64
 	interleavings uint64
+	spins         uint64
 }
 
 func TestQuantumSampleStreamEquivalence(t *testing.T) {

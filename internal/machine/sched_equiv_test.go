@@ -5,13 +5,17 @@ package machine
 // every operation): both must produce byte-identical schedules — same
 // sample stream, same clocks, same ground truth, same canonical
 // interleavings — for any GOMAXPROCS, including the horizon edge
-// cases: threads tied at the same minimum clock, and a thread exiting
-// while it holds the minimum.
+// cases: threads tied at the same minimum clock, a thread exiting while
+// it holds the minimum, and spinners asleep in a spin-wait fast-forward
+// woken at, before and after their own iteration positions.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"txsampler/internal/pmu"
@@ -29,8 +33,9 @@ func requireSameRun(t *testing.T, label string, got, want quantumRun) {
 		t.Fatalf("%s: ground truth diverges: commits %v vs %v, aborts %v vs %v",
 			label, got.commits, want.commits, got.aborts, want.aborts)
 	}
-	if got.interleavings != want.interleavings {
-		t.Fatalf("%s: %d interleavings vs %d", label, got.interleavings, want.interleavings)
+	if got.interleavings != want.interleavings || got.spins != want.spins {
+		t.Fatalf("%s: %d interleavings and %d spins vs %d and %d",
+			label, got.interleavings, got.spins, want.interleavings, want.spins)
 	}
 	if len(got.samples) != len(want.samples) {
 		t.Fatalf("%s: %d samples vs %d", label, len(got.samples), len(want.samples))
@@ -51,6 +56,7 @@ func capture(m *Machine, h *collectHandler) quantumRun {
 	r.aborts = g.PerThreadAborts
 	for _, th := range m.threads {
 		r.interleavings += th.interleavings
+		r.spins += th.spinIters
 	}
 	return r
 }
@@ -165,5 +171,206 @@ func TestHorizonThreadExitWhileMin(t *testing.T) {
 	requireSameRun(t, "early exit: gate-point vs oracle", got, oracle)
 	if len(oracle.samples) == 0 {
 		t.Fatal("workload produced no samples; the comparison is vacuous")
+	}
+}
+
+// runSpinBodies runs one body per thread under a sample-collecting
+// handler and returns the captured run, the spin iterations applied
+// without a gate pass, and Run's error.
+func runSpinBodies(cfg Config, build func(m *Machine) []func(*Thread)) (quantumRun, uint64, error) {
+	m := New(cfg)
+	h := &collectHandler{}
+	m.SetHandler(h)
+	err := m.Run(build(m)...)
+	var skipped uint64
+	for _, th := range m.threads {
+		skipped += th.spinSkipped
+	}
+	return capture(m, h), skipped, err
+}
+
+// spinPeriods are short enough that counter overflows land inside
+// fast-forwarded sleeps.
+func spinPeriods() pmu.Periods {
+	var p pmu.Periods
+	p[pmu.Cycles] = 211
+	p[pmu.Loads] = 17
+	p[pmu.Stores] = 5
+	return p
+}
+
+// spinLockBodies has every thread take one test-and-test-and-set lock
+// iters times, waiting in SpinWhileNonzero while it is held.
+func spinLockBodies(iters int) func(m *Machine) []func(*Thread) {
+	return func(m *Machine) []func(*Thread) {
+		lock, data := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
+		body := func(t *Thread) {
+			for i := 0; i < iters; i++ {
+				for !t.AtomicCAS(lock, 0, 1) {
+					t.SpinWhileNonzero(lock, 2)
+				}
+				t.Add(data, 1)
+				t.Compute(60 + 7*t.ID)
+				t.Store(lock, 0)
+				t.Compute(5)
+			}
+		}
+		bodies := make([]func(*Thread), m.Config().Threads)
+		for i := range bodies {
+			bodies[i] = body
+		}
+		return bodies
+	}
+}
+
+// neverReleased: thread 0 takes the lock and exits holding it; every
+// other thread waits for it forever.
+func neverReleased(m *Machine) []func(*Thread) {
+	lock := m.Mem.AllocLines(1)
+	bodies := make([]func(*Thread), m.Config().Threads)
+	bodies[0] = func(t *Thread) { t.AtomicCAS(lock, 0, 1) }
+	for i := 1; i < len(bodies); i++ {
+		bodies[i] = func(t *Thread) {
+			t.Compute(30 * t.ID)
+			for !t.AtomicCAS(lock, 0, 1) {
+				t.SpinWhileNonzero(lock, 3)
+			}
+		}
+	}
+	return bodies
+}
+
+// TestSpinWaitEquivalence holds the spin-wait fast-forward to the
+// literal loop: sleeping spinners, woken by the lock holder's writes or
+// by their own budget (PMU headroom, quantum, MaxCycles), must
+// reproduce the per-op oracle, which runs every iteration through a
+// gate.
+func TestSpinWaitEquivalence(t *testing.T) {
+	run := func(t *testing.T, cfg Config, build func(m *Machine) []func(*Thread)) (quantumRun, uint64) {
+		t.Helper()
+		r, skipped, err := runSpinBodies(cfg, build)
+		if err != nil {
+			t.Fatalf("quantum %d: %v", cfg.Quantum, err)
+		}
+		return r, skipped
+	}
+	cfg := func(quantum int, skew uint64) Config {
+		return Config{Threads: 5, Seed: 9, Periods: spinPeriods(), StartSkew: skew, Quantum: quantum}
+	}
+
+	t.Run("contended", func(t *testing.T) {
+		oracle, skipped := run(t, cfg(1, 512), spinLockBodies(30))
+		if oracle.spins == 0 || skipped != 0 {
+			t.Fatalf("oracle: %d spins, %d skipped; want spins, none skipped", oracle.spins, skipped)
+		}
+		old := runtime.GOMAXPROCS(0)
+		defer runtime.GOMAXPROCS(old)
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, skipped := run(t, cfg(0, 512), spinLockBodies(30))
+			requireSameRun(t, fmt.Sprintf("GOMAXPROCS=%d", procs), got, oracle)
+			if skipped == 0 {
+				t.Fatal("no spin iteration was fast-forwarded; the comparison is vacuous")
+			}
+		}
+	})
+
+	t.Run("ties", func(t *testing.T) {
+		oracle, _ := run(t, cfg(1, 0), spinLockBodies(20))
+		got, _ := run(t, cfg(0, 0), spinLockBodies(20))
+		requireSameRun(t, "StartSkew 0", got, oracle)
+	})
+
+	// One spinner and one writer, both starting at cycle 0: the
+	// spinner's first load misses (60 cycles) and its loads then sit at
+	// 62 + 6i; the writer releases the lock at cycle x. Sweeping x puts
+	// the write before, between and exactly at iteration positions,
+	// with the writer on either side of the ID tie-break, and with and
+	// without PMU overflows inside the sleep.
+	t.Run("writer-at-iteration-position", func(t *testing.T) {
+		var woken uint64
+		for _, periods := range []pmu.Periods{{}, spinPeriods()} {
+			for _, writer := range []int{0, 1} {
+				for x := 50; x <= 100; x++ {
+					build := func(m *Machine) []func(*Thread) {
+						lock := m.Mem.AllocLines(1)
+						m.Mem.Store(lock, 1)
+						bodies := make([]func(*Thread), 2)
+						bodies[writer] = func(t *Thread) {
+							t.Compute(x)
+							t.Store(lock, 0)
+						}
+						bodies[1-writer] = func(t *Thread) { t.SpinWhileNonzero(lock, 2) }
+						return bodies
+					}
+					c := Config{Threads: 2, Seed: 1, Periods: periods}
+					c.Quantum = 1
+					oracle, _ := run(t, c, build)
+					c.Quantum = 0
+					got, skipped := run(t, c, build)
+					requireSameRun(t, fmt.Sprintf("writer %d at %d, periods %v", writer, x, periods), got, oracle)
+					woken += skipped
+				}
+			}
+		}
+		if woken == 0 {
+			t.Fatal("no sleeping spinner was woken; the sweep is vacuous")
+		}
+	})
+
+	// Without sampling the MaxCycles bound ends the last sleeps.
+	t.Run("never-released-under-MaxCycles", func(t *testing.T) {
+		for _, periods := range []pmu.Periods{{}, spinPeriods()} {
+			c := Config{Threads: 4, Seed: 2, Periods: periods, StartSkew: 100, MaxCycles: 40_000}
+			var errs [2]error
+			var runs [2]quantumRun
+			var skipped uint64
+			for i, q := range []int{1, 0} {
+				c.Quantum = q
+				runs[i], skipped, errs[i] = runSpinBodies(c, neverReleased)
+				if errs[i] == nil || !strings.Contains(errs[i].Error(), "MaxCycles") {
+					t.Fatalf("quantum %d: err = %v, want the livelock error", q, errs[i])
+				}
+			}
+			if skipped == 0 {
+				t.Fatal("no spin iteration was fast-forwarded; the comparison is vacuous")
+			}
+			if errs[0].Error() != errs[1].Error() {
+				t.Fatalf("periods %v: livelock errors differ:\noracle: %v\ngot:    %v", periods, errs[0], errs[1])
+			}
+			requireSameRun(t, fmt.Sprintf("livelock, periods %v", periods), runs[1], runs[0])
+		}
+	})
+
+	// Waiters on a lock nobody releases spin forever; the run must
+	// still stop at the cancellation, posted from the fifth sample.
+	t.Run("cancel", func(t *testing.T) {
+		for _, q := range []int{1, 0} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var p pmu.Periods
+			p[pmu.Loads] = 50
+			m := New(Config{Threads: 3, Seed: 1, Periods: p, Quantum: q, Context: ctx})
+			m.SetHandler(&cancelingHandler{n: 5, cancel: cancel})
+			err := m.Run(neverReleased(m)...)
+			cancel()
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("quantum %d: err = %v, want ErrCanceled", q, err)
+			}
+			if q == 0 && m.threads[1].spinSkipped+m.threads[2].spinSkipped == 0 {
+				t.Fatal("no waiter slept; cancelling sleepers is untested")
+			}
+		}
+	})
+}
+
+// cancelingHandler cancels the run at its n-th sample.
+type cancelingHandler struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (h *cancelingHandler) HandleSample(*Sample) {
+	if h.n--; h.n == 0 {
+		h.cancel()
 	}
 }

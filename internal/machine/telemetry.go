@@ -81,15 +81,17 @@ func (t *Thread) emitRunSlice(end uint64) {
 // into reg: ground-truth commit/abort counts by cause, PMU event and
 // overflow totals, interrupt and sample delivery counts, the cycle
 // totals, and the scheduler's canonical interleavings (run-slice
-// boundaries). All of it is deterministic for a seed and invariant to
-// the quantum except machine.sched.handoffs, a volatile gauge: the
-// Quantum=1 oracle hands off after every operation. Call after Run; a
-// nil registry is ignored.
+// boundaries) and spin-wait iterations. All of it is deterministic for
+// a seed and invariant to the quantum except two volatile gauges:
+// machine.sched.handoffs (the Quantum=1 oracle hands off after every
+// operation) and machine.spin.skipped, the spin iterations a sleeping
+// spinner applied without a gate pass (none under Quantum=1). Call
+// after Run; a nil registry is ignored.
 func (m *Machine) PublishMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	var commits, interrupts, delivered, interleavings, handoffs uint64
+	var commits, interrupts, delivered, interleavings, handoffs, spins, skipped uint64
 	var aborts [htm.NumCauses]uint64
 	var events, overflows [pmu.NumEvents]uint64
 	for _, t := range m.threads {
@@ -98,6 +100,8 @@ func (m *Machine) PublishMetrics(reg *telemetry.Registry) {
 		delivered += t.samplesDelivered
 		interleavings += t.interleavings
 		handoffs += t.handoffs
+		spins += t.spinIters
+		skipped += t.spinSkipped
 		for c := range aborts {
 			aborts[c] += t.aborts[c]
 		}
@@ -127,4 +131,6 @@ func (m *Machine) PublishMetrics(reg *telemetry.Registry) {
 	reg.Gauge("machine.cycles.total", false).Set(m.TotalCycles())
 	reg.Counter("machine.sched.interleavings").Add(interleavings)
 	reg.Gauge("machine.sched.handoffs", true).Set(handoffs)
+	reg.Counter("machine.spin.iterations").Add(spins)
+	reg.Gauge("machine.spin.skipped", true).Set(skipped)
 }

@@ -99,6 +99,14 @@ type Thread struct {
 	interrupts       uint64 // PMU interrupts taken
 	samplesDelivered uint64 // samples handed to the handler
 
+	// Spin-wait state (see SpinWhileNonzero): spinning marks a thread
+	// inside the primitive, spin describes a sleeping spinner's skipped
+	// iterations, and the counters are published post-run.
+	spinning    bool
+	spin        spinSleep
+	spinIters   uint64 // spin iterations, executed or skipped
+	spinSkipped uint64 // iterations applied without a gate pass
+
 	// Scratch reused across sample deliveries so the delivery hot path
 	// allocates nothing. The Sample handed to the handler (and every
 	// slice it carries) is valid only for the duration of HandleSample;
@@ -380,7 +388,9 @@ func (t *Thread) startShared() {
 // Gate passes also define the canonical run slices: a thread's slice
 // ends at its next gate pass if another thread passed a gate since its
 // last one. That sequence is the same under every quantum, so the
-// slices — and the interleavings count — are too.
+// slices — and the interleavings count — are too. Gate passes inside
+// SpinWhileNonzero take no part: a sleeping spinner skips them, so
+// counting them would tie the slices to the quantum.
 func (t *Thread) gate() {
 	s := t.m.sched
 	if t.lastPub > t.hClock || (t.lastPub == t.hClock && t.ID > t.hID) {
@@ -388,14 +398,15 @@ func (t *Thread) gate() {
 		t.yieldLocked()
 		s.mu.Unlock()
 	}
-	if s.lastGater != t.ID {
-		if s.lastGater >= 0 {
-			t.interleavings++
-			t.emitRunSlice(t.lastPub)
-			t.sliceStart = t.lastPub
-		}
-		s.lastGater = t.ID
+	if t.spinning || s.lastGater == t.ID {
+		return
 	}
+	if s.lastGater >= 0 {
+		t.interleavings++
+		t.emitRunSlice(t.lastPub)
+		t.sliceStart = t.lastPub
+	}
+	s.lastGater = t.ID
 }
 
 // Exclusive runs fn at the thread's current canonical position,
@@ -639,11 +650,157 @@ func (t *Thread) Load(a mem.Addr) mem.Word {
 	return v
 }
 
+// SpinWhileNonzero waits for the word at a to read zero. It behaves
+// exactly like
+//
+//	for t.Load(a) != 0 {
+//		t.Compute(pause)
+//		spins++
+//	}
+//
+// — the same clock, PMU counts and samples, cache state and schedule —
+// and returns spins. Its gate passes end no canonical run slice, and
+// it records one spin-wait trace span from entry to exit.
+//
+// Once a load read nonzero and the line is still in the thread's L1,
+// every later iteration repeats it exactly until another thread writes
+// the line, so the thread sleeps on the line instead of passing a gate
+// per iteration (see fastForward). Under Quantum 1, with a fault
+// injector, a SoftTx hook, or inside a transaction every iteration runs
+// literally.
+func (t *Thread) SpinWhileNonzero(a mem.Addr, pause int) (spins int) {
+	entry, iters := t.clock, t.spinIters
+	t.spinning = true
+	defer func() { t.spinning = false }() // an in-transaction spin may unwind
+	for t.Load(a) != 0 {
+		t.Compute(pause)
+		t.spinIters++
+		if t.inj == nil && t.soft == nil && t.tx == nil {
+			t.fastForward(a, pause)
+		}
+	}
+	t.TraceEvent(telemetry.Event{
+		Kind: telemetry.KindSpan, TS: entry, Dur: t.clock - entry, TID: int32(t.ID), Name: "spin-wait",
+	})
+	return int(t.spinIters - iters)
+}
+
+// spinSleep describes the iterations a sleeping spinner skips: the load
+// of iteration i sits at canonical position base + i·cost.
+type spinSleep struct {
+	line mem.Addr // the watched cache line
+	base uint64   // position of the first skipped load
+	cost uint64   // cycles per iteration: a load hit plus the pause
+	ops  uint64   // operations per iteration: the load, and the pause if any
+}
+
+// before counts the skipped iterations whose loads precede the pending
+// position (pos, id) in canonical order, for the spinner self.
+func (sp *spinSleep) before(pos uint64, id, self int) uint64 {
+	if pos < sp.base {
+		return 0
+	}
+	d := pos - sp.base
+	n := (d + sp.cost - 1) / sp.cost // loads strictly before pos
+	if d%sp.cost == 0 && self < id {
+		n++ // the load at pos itself wins the ID tie-break
+	}
+	return n
+}
+
+// fastForward runs after a spin iteration whose load read nonzero; the
+// next load is at base = t.clock. While the line is still in the
+// thread's L1, no other thread wrote it since that load (a write
+// invalidates every other copy), so until one does every iteration
+// hits, reads the same word and touches only the thread's clock, PMU
+// counters and its own L1, and none needs a gate. (The pause's sample
+// delivery may have passed the baton, so the load's own hit or miss
+// does not decide this.) The thread publishes the position of the first
+// iteration that must run literally (spinBudget), registers on the
+// line and passes the baton. A write to the line wakes it early
+// (Machine.wakeSpinners). Granted the baton still asleep, it holds the
+// minimum position, so every skipped iteration precedes all other
+// pending positions and it applies them all.
+func (t *Thread) fastForward(a mem.Addr, pause int) {
+	c, ops := uint64(t.m.cfg.Cache.HitLatency)+t.m.cfg.MemPenalty, uint64(1)
+	if pause > 0 {
+		c += uint64(pause) * t.m.cfg.Costs.Compute
+		ops = 2
+	}
+	if c == 0 || !t.m.Caches.Holds(t.ID, a) {
+		return // a clockless spin, or a line written since, runs literally
+	}
+	n := t.spinBudget(c, ops)
+	if n == 0 {
+		return
+	}
+	t.spin = spinSleep{line: a.Line(), base: t.clock, cost: c, ops: ops}
+	s := t.m.sched
+	bit := uint64(1) << uint(t.ID)
+	s.mu.Lock()
+	t.lastPub = t.clock + n*c
+	s.sleeping |= bit
+	t.yieldLocked()
+	s.mu.Unlock()
+	if s.sleeping&bit != 0 {
+		s.sleeping &^= bit
+		t.skipSpins(n)
+	}
+}
+
+// spinBudget bounds how many spin iterations of c cycles and ops
+// operations the thread may skip from its current state. No skipped
+// iteration may overflow a PMU counter (the sample is a gate and
+// reaches the handler), end past MaxCycles (the thread then
+// rendezvouses every operation), or expire the quantum (the rendezvous
+// snapshots status and picks up cancellation) — a bound that is zero
+// under Quantum 1.
+func (t *Thread) spinBudget(c, ops uint64) uint64 {
+	n := min(t.counters.Headroom(pmu.Cycles)/c, t.counters.Headroom(pmu.Loads))
+	if t.maxCycles > 0 {
+		if t.clock >= t.maxCycles {
+			return 0
+		}
+		n = min(n, (t.maxCycles-t.clock)/c)
+	}
+	return min(n, (t.quantum-1-t.sinceYield)/ops)
+}
+
+// skipSpins applies m skipped iterations to the sleeping spinner t in
+// O(1) — clock, PMU totals, one batched L1 touch, operation counts and
+// spin counters — and leaves it pending at its next load. The caller
+// holds the baton.
+func (t *Thread) skipSpins(m uint64) {
+	if m > 0 {
+		sp := &t.spin
+		cycles := m * sp.cost
+		t.clock += cycles
+		if t.counters.Add(pmu.Cycles, cycles) || t.counters.Add(pmu.Loads, m) {
+			panic("machine: spin fast-forward crossed a PMU overflow")
+		}
+		t.m.Caches.ReadHits(t.ID, sp.line, m)
+		t.opCount += m * sp.ops
+		t.sinceYield += m * sp.ops
+		t.spinIters += m
+		t.spinSkipped += m
+	}
+	t.lastPub = t.clock
+}
+
+// wake runs before every write access to a: a write is the one event
+// that changes what a spinner asleep on a's line observes.
+func (t *Thread) wake(a mem.Addr) {
+	if t.m.sched.sleeping != 0 {
+		t.m.wakeSpinners(t, a.Line())
+	}
+}
+
 // Store writes v to the word at a, transactionally when a transaction
 // is active (the store is buffered until commit).
 func (t *Thread) Store(a mem.Addr, v mem.Word) {
 	t.softStore(a)
 	t.startShared()
+	t.wake(a)
 	var cost uint64
 	if t.tx != nil {
 		t.m.HTM.Write(t.tx, a, v)
@@ -677,6 +834,7 @@ func (t *Thread) Add(a mem.Addr, d int64) mem.Word {
 func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 	t.softStore(a)
 	t.startShared()
+	t.wake(a)
 	var ok bool
 	var cost uint64
 	if t.tx != nil {
@@ -713,6 +871,7 @@ func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 func (t *Thread) AtomicAdd(a mem.Addr, d int64) mem.Word {
 	t.softStore(a)
 	t.startShared()
+	t.wake(a)
 	var v mem.Word
 	var cost uint64
 	if t.tx != nil {

@@ -6,7 +6,10 @@
 // executing (paper §3.1, Challenge I).
 package pmu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event enumerates the hardware events TxSampler samples (paper §6):
 // cycles, RTM_RETIRED:ABORTED, RTM_RETIRED:COMMIT, and
@@ -144,6 +147,23 @@ func (c *Counters) Add(e Event, n uint64) (overflowed bool) {
 		return true
 	}
 	return false
+}
+
+// Headroom returns how many more events of type e the counter absorbs
+// without overflowing: unless it is 0, Adds totalling at most
+// Headroom(e) events all return false, and one event more always
+// overflows. It is 0 both when one event would overflow and when even
+// an empty Add would (a large Add can leave its remainder at or past a
+// jittered threshold), and math.MaxUint64 for an unsampled or frozen
+// counter, which never overflows.
+func (c *Counters) Headroom(e Event) uint64 {
+	if c.periods[e] == 0 || c.frozen {
+		return math.MaxUint64
+	}
+	if c.pending[e] >= c.next[e] {
+		return 0
+	}
+	return c.next[e] - c.pending[e] - 1
 }
 
 // Total returns the lifetime count of event e.

@@ -1,6 +1,7 @@
 package pmu
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -214,5 +215,41 @@ func TestJitterDisabledForTinyPeriods(t *testing.T) {
 		if !c.Add(TxAbort, 1) {
 			t.Fatal("period-1 counter missed an overflow under jitter")
 		}
+	}
+}
+
+// Headroom is exact: Adds totalling Headroom(e) events never overflow
+// and one event more always does, including when a large Add left its
+// remainder at or past a jittered next threshold.
+func TestHeadroomIsExact(t *testing.T) {
+	f := func(seed uint64, adds []uint16) bool {
+		var c Counters
+		var p Periods
+		p[Cycles] = 1000
+		c.SetPeriods(p)
+		c.EnableJitter(seed | 1)
+		for _, n := range adds {
+			h := c.Headroom(Cycles)
+			if over := c; !over.Add(Cycles, h+1) {
+				return false
+			}
+			if fit := c; h > 0 && (fit.Add(Cycles, h/2) || fit.Add(Cycles, h-h/2)) {
+				return false
+			}
+			c.Add(Cycles, uint64(n))
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var c Counters
+	c.SetPeriods(Periods{Cycles: 10})
+	if h := c.Headroom(Loads); h != math.MaxUint64 {
+		t.Fatalf("unsampled event headroom %d, want unbounded", h)
+	}
+	c.Freeze()
+	if h := c.Headroom(Cycles); h != math.MaxUint64 {
+		t.Fatalf("frozen counter headroom %d, want unbounded", h)
 	}
 }

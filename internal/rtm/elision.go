@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"txsampler/internal/machine"
-	"txsampler/internal/mem"
 )
 
 // ElisionFramePrefix prefixes the runtime frame an ElidedLock pushes
@@ -99,11 +98,7 @@ func (e *ElidedLock) Lock(t *machine.Thread) {
 	l := e.inner
 	l.resetRunOn(t)
 	t.State = InCS | InLockWaiting
-	for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
-		for t.Load(l.Addr) != 0 {
-			t.Compute(2)
-		}
-	}
+	l.acquire(t)
 	if l.Hybrid != machine.HybridLockOnly {
 		// Same protocol as the ladder's fallback rung: software
 		// writers that entered their write phase before the CAS must
@@ -132,11 +127,7 @@ func (l *Lock) plain(t *machine.Thread, body func()) bool {
 	l.resetRunOn(t)
 	t.PmemSectionBegin()
 	t.State = l.cs(InCS | InLockWaiting)
-	for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
-		for t.Load(l.Addr) != 0 {
-			t.Compute(2)
-		}
-	}
+	l.acquire(t)
 	if l.Hybrid != machine.HybridLockOnly {
 		// A plain-mode lock can share its word with speculating
 		// sections (Lock/Unlock callers, crash re-execution), so it

@@ -2,6 +2,7 @@ package rtm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"txsampler/internal/machine"
@@ -18,7 +19,10 @@ import (
 // one way — a double unlock or a lost section breaks the count), no
 // lock word or state word leaks past the run, and the whole machine
 // is a deterministic function of the input (identical fingerprints
-// on replay). Deadlock surfaces as a fuzzer timeout.
+// on replay) that the per-op oracle (Quantum 1, every spin-wait
+// iteration literal) reproduces — clocks, lock stats and memory — under
+// the default schedule, whose waiters sleep. Deadlock surfaces as a
+// fuzzer timeout.
 //
 // Script encoding: data[0] threads, data[1] seed, data[2] hybrid
 // policy, data[3] elision mode, data[4] retry policy; data[5:] is the
@@ -30,6 +34,7 @@ func FuzzElisionPolicy(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 0, 7, 0, 1, 2, 4, 0})        // elision off
 	f.Add([]byte{3, 1, 3, 1, 4, 2, 2, 0, 1, 3, 4, 21}) // sandboxed slow path
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 4, 0, 0, 9, 4, 4, 0, 4, 20, 4, 0, 4}) // five threads queue on plain locks: waiters sleep
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -76,10 +81,14 @@ func FuzzElisionPolicy(f *testing.F) {
 			}
 		}
 
-		run := func() uint64 {
+		type outcome struct {
+			fingerprint, elapsed, total uint64
+			stats                       [2]Stats
+		}
+		run := func(quantum int) outcome {
 			m := machine.New(machine.Config{
 				Threads: threads, Seed: seed, StartSkew: 256,
-				Hybrid: pol, Elision: emode,
+				Hybrid: pol, Elision: emode, Quantum: quantum,
 			})
 			locks := [2]*ElidedLock{
 				NewElidedLock(m, "fuzz_a"),
@@ -174,11 +183,18 @@ func FuzzElisionPolicy(f *testing.F) {
 						i, ended, st.Commits, st.StmCommits, st.Fallbacks, want)
 				}
 			}
-			return m.Mem.Fingerprint()
+			return outcome{
+				fingerprint: m.Mem.Fingerprint(), elapsed: m.Elapsed(), total: m.TotalCycles(),
+				stats: [2]Stats{locks[0].Inner().Stats, locks[1].Inner().Stats},
+			}
 		}
 
-		if a, b := run(), run(); a != b {
-			t.Fatalf("nondeterministic: fingerprints %#x vs %#x for one input", a, b)
+		a := run(0)
+		if b := run(0); !reflect.DeepEqual(a, b) {
+			t.Fatalf("nondeterministic: %+v vs %+v for one input", a, b)
+		}
+		if o := run(1); !reflect.DeepEqual(a, o) {
+			t.Fatalf("default schedule %+v, per-op oracle %+v", a, o)
 		}
 	})
 }

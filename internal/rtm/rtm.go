@@ -490,17 +490,12 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 
 		// Wait for the lock to be free before starting (Figure 2).
 		t.State = l.cs(InCS | InLockWaiting)
-		waited := false
-		for t.Load(l.Addr) != 0 {
-			t.Compute(2)
-			waited = true
-		}
+		waited := t.SpinWhileNonzero(l.Addr, 2) > 0
 		if hybrid && l.Hybrid != HybridSandboxed {
 			// Also wait for software writers to drain; the sandboxed
 			// policy skips this and burns speculative attempts on the
 			// in-transaction check instead.
-			for t.Load(l.stm.active) != 0 {
-				t.Compute(2)
+			if t.SpinWhileNonzero(l.stm.active, 2) > 0 {
 				waited = true
 			}
 		}
@@ -594,11 +589,7 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 	// transaction that has read it — the serialization the paper's
 	// T_wait measures.
 	t.State = l.cs(InCS | InLockWaiting)
-	for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
-		for t.Load(l.Addr) != 0 {
-			t.Compute(2)
-		}
-	}
+	l.acquire(t)
 	if hybrid {
 		// Software writers that entered their write phase before the
 		// CAS drain here; new ones wait for the lock word. Their
@@ -621,6 +612,15 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 	t.State = 0
 	t.Exclusive(func() { l.Stats.Fallbacks++ })
 	return ok
+}
+
+// acquire takes the lock word for t: CAS it from free to t's owner
+// tag, spinning on the cached word between attempts — the
+// test-and-test-and-set loop every non-speculative path shares.
+func (l *Lock) acquire(t *machine.Thread) {
+	for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
+		t.SpinWhileNonzero(l.Addr, 2)
+	}
 }
 
 // persist runs the durable-commit epilogue when the section stored to
@@ -669,9 +669,7 @@ func (l *Lock) backoff(t *machine.Thread, retries int, storming bool) {
 func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 	t.Func("hle_acquire", func() {
 		t.State = l.cs(InCS | InLockWaiting)
-		for t.Load(l.Addr) != 0 {
-			t.Compute(2)
-		}
+		t.SpinWhileNonzero(l.Addr, 2)
 		t.State = l.cs(InCS | InOverhead)
 		abort := t.Attempt(func() {
 			t.State |= InHTM
@@ -688,11 +686,7 @@ func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 		t.Exclusive(func() { l.Stats.Aborts[abort.Cause]++ })
 		// HLE retries by grabbing the real lock immediately.
 		t.State = l.cs(InCS | InLockWaiting)
-		for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
-			for t.Load(l.Addr) != 0 {
-				t.Compute(2)
-			}
-		}
+		l.acquire(t)
 		t.State = l.cs(InCS | InFallback)
 		body()
 		t.State = l.cs(InCS | InOverhead)
@@ -708,11 +702,7 @@ func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 func (l *Lock) RunLocked(t *machine.Thread, body func()) {
 	t.Func("lock_acquire", func() {
 		t.State = l.cs(InCS | InLockWaiting)
-		for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
-			for t.Load(l.Addr) != 0 {
-				t.Compute(2)
-			}
-		}
+		l.acquire(t)
 		t.State = l.cs(InCS | InFallback)
 		body()
 		t.Store(l.Addr, 0)

@@ -65,24 +65,31 @@ func TestTraceDeterministicAndQuantumInvariant(t *testing.T) {
 // TestSchedulerSelfReport checks the scheduler's self-report against
 // the trace it recorded: every canonical interleaving ends one run
 // slice and every thread ends one more at exit, so interleavings plus
-// threads equals the run events. Interleavings are equal under the
-// gate-point schedule and the per-op oracle; handoffs differ (the
-// oracle hands off after every operation), so they are volatile and
-// stay out of the deterministic snapshot. Both render in the text and
-// HTML self-report.
+// threads equals the run events. Interleavings and spin-wait
+// iterations are equal under the gate-point schedule and the per-op
+// oracle; handoffs differ (the oracle hands off after every
+// operation) and so do skipped spin iterations (the oracle runs every
+// one through a gate), so both are volatile and stay out of the
+// deterministic snapshot. All four render in the text and HTML
+// self-report.
 func TestSchedulerSelfReport(t *testing.T) {
 	const seed = 11
-	interleavings := func(snap []telemetry.MetricValue) uint64 {
+	metric := func(snap []telemetry.MetricValue, name string) uint64 {
 		for _, mv := range snap {
-			if mv.Name == "machine.sched.handoffs" {
-				t.Fatal("volatile handoffs leaked into the deterministic snapshot")
-			}
-			if mv.Name == "machine.sched.interleavings" {
+			if mv.Name == name {
 				return mv.Value
 			}
 		}
-		t.Fatal("snapshot has no machine.sched.interleavings")
+		t.Fatalf("snapshot has no %s", name)
 		return 0
+	}
+	deterministic := func(snap []telemetry.MetricValue) (interleavings, spins uint64) {
+		for _, mv := range snap {
+			if mv.Name == "machine.sched.handoffs" || mv.Name == "machine.spin.skipped" {
+				t.Fatalf("volatile %s leaked into the deterministic snapshot", mv.Name)
+			}
+		}
+		return metric(snap, "machine.sched.interleavings"), metric(snap, "machine.spin.iterations")
 	}
 	trace, snap, res := traceRun(t, "synchro/linkedlist", seed, 0)
 	var out struct {
@@ -94,22 +101,32 @@ func TestSchedulerSelfReport(t *testing.T) {
 	if err := json.Unmarshal(trace, &out); err != nil {
 		t.Fatal(err)
 	}
-	var runs uint64
+	var runs, spinWaits uint64
 	for _, ev := range out.TraceEvents {
-		if ev.Name == "run" && ev.PID == telemetry.PIDScheduler {
+		switch {
+		case ev.Name == "run" && ev.PID == telemetry.PIDScheduler:
 			runs++
+		case ev.Name == "spin-wait" && ev.PID == telemetry.PIDMachine:
+			spinWaits++
 		}
 	}
-	got := interleavings(snap)
-	if got == 0 {
-		t.Fatal("no interleavings on a 4-thread contended run")
+	got, spins := deterministic(snap)
+	if got == 0 || spins == 0 || spinWaits == 0 {
+		t.Fatalf("%d interleavings, %d spin iterations, %d spin-wait spans on a 4-thread contended run; want all nonzero",
+			got, spins, spinWaits)
 	}
 	if got+uint64(res.Threads) != runs {
 		t.Fatalf("interleavings %d + threads %d != %d run events", got, res.Threads, runs)
 	}
-	_, snapQ, _ := traceRun(t, "synchro/linkedlist", seed, 1)
-	if q := interleavings(snapQ); q != got {
-		t.Fatalf("interleavings %d under Quantum 1, %d under the default", q, got)
+	if skipped := metric(res.Report.Self, "machine.spin.skipped"); skipped == 0 || skipped > spins {
+		t.Fatalf("%d spin iterations skipped of %d; want some, at most all", skipped, spins)
+	}
+	_, snapQ, resQ := traceRun(t, "synchro/linkedlist", seed, 1)
+	if q, qs := deterministic(snapQ); q != got || qs != spins {
+		t.Fatalf("interleavings %d and spin iterations %d under Quantum 1, %d and %d under the default", q, qs, got, spins)
+	}
+	if skipped := metric(resQ.Report.Self, "machine.spin.skipped"); skipped != 0 {
+		t.Fatalf("Quantum 1 skipped %d spin iterations; the oracle runs every one", skipped)
 	}
 
 	var text, html bytes.Buffer
@@ -117,7 +134,7 @@ func TestSchedulerSelfReport(t *testing.T) {
 	if err := viewer.HTML(&html, res.Report, nil, viewer.TreeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"machine.sched.interleavings", "machine.sched.handoffs"} {
+	for _, name := range []string{"machine.sched.interleavings", "machine.sched.handoffs", "machine.spin.iterations", "machine.spin.skipped"} {
 		if !strings.Contains(text.String(), name) || !strings.Contains(html.String(), name) {
 			t.Errorf("%s missing from the text or HTML self-report", name)
 		}
