@@ -62,7 +62,7 @@ func BenchmarkTable1Fig7Clomp(b *testing.B) {
 		for _, r := range rows {
 			switch r.Name {
 			case "clomp/large-2":
-				b.ReportMetric(100*r.Twait, "large2-wait-%")
+				b.ReportMetric(100*r.Share[rtm.ModeWaiting], "large2-wait-%")
 			case "clomp/large-3":
 				total := r.Conflicts + r.Capacity + r.Sync
 				if total > 0 {
@@ -218,7 +218,7 @@ func BenchmarkAblationLBRDepth(b *testing.B) {
 					b.Fatal(err)
 				}
 				tot := res.Report.Totals
-				samples := float64(tot.W + tot.AbortSamples + tot.CommitSamples + tot.MemSamples)
+				samples := float64(tot.W() + tot.AbortSamples + tot.CommitSamples + tot.MemSamples)
 				if samples > 0 {
 					b.ReportMetric(100*float64(tot.Truncated)/samples, "truncated-%")
 				}
@@ -244,7 +244,7 @@ func BenchmarkAblationSamplingPeriod(b *testing.B) {
 				}
 				_ = native
 				b.ReportMetric(100*ov, "overhead-%")
-				b.ReportMetric(float64(prof.Report.Totals.W)/float64(benchThreads), "cycles-samples-per-thread")
+				b.ReportMetric(float64(prof.Report.Totals.W())/float64(benchThreads), "cycles-samples-per-thread")
 			}
 		})
 	}

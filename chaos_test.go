@@ -20,6 +20,7 @@ import (
 	"txsampler/internal/pmem"
 	"txsampler/internal/pmu"
 	"txsampler/internal/profile"
+	"txsampler/internal/rtm"
 )
 
 const (
@@ -87,16 +88,12 @@ func TestChaosRegimes(t *testing.T) {
 	if got := clean.Report.Quality.Degraded(); got != 0 {
 		t.Fatalf("fault-free run reports degradation: %d (%+v)", got, clean.Report.Quality)
 	}
-	cTx, cStm, cFb, cWait, cOh, cPersist := clean.Report.TimeShares()
-	cleanRcs := clean.Report.Rcs()
 	// The pmem crash presets need a persistent workload with the pmem
 	// tier enabled; their baseline is a crash-free pmem run.
 	cleanPmem := chaosRunPmem(t, faults.Plan{})
 	if got := cleanPmem.Report.Quality.Degraded(); got != 0 {
 		t.Fatalf("crash-free pmem run reports degradation: %d (%+v)", got, cleanPmem.Report.Quality)
 	}
-	pTx, pStm, pFb, pWait, pOh, pPersist := cleanPmem.Report.TimeShares()
-	cleanPmemRcs := cleanPmem.Report.Rcs()
 
 	for _, name := range faults.PresetNames() {
 		plan := faults.Presets[name]
@@ -131,23 +128,7 @@ func TestChaosRegimes(t *testing.T) {
 			// (c) Classification stays within 10 points of baseline:
 			// ambient faults may cost samples but must not reshuffle
 			// where the profiler says the time went.
-			tx, stm, fb, wait, oh, persist := res.Report.TimeShares()
-			for _, d := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"r_cs", res.Report.Rcs(), cleanRcs},
-				{"tx-share", tx, cTx},
-				{"stm-share", stm, cStm},
-				{"fallback-share", fb, cFb},
-				{"wait-share", wait, cWait},
-				{"overhead-share", oh, cOh},
-				{"persist-share", persist, cPersist},
-			} {
-				if diff := math.Abs(d.got - d.want); diff > 0.10 {
-					t.Errorf("%s drifted %.3f (faulted %.3f vs clean %.3f)", d.name, diff, d.got, d.want)
-				}
-			}
+			requireNoDrift(t, "faulted", res.Report, clean.Report)
 		})
 	}
 
@@ -194,24 +175,23 @@ func TestChaosRegimes(t *testing.T) {
 				if pol != machine.HybridLockOnly {
 					return // drift is judged against the lock-only baseline
 				}
-				tx, stm, fb, wait, oh, persist := res.Report.TimeShares()
-				for _, d := range []struct {
-					name      string
-					got, want float64
-				}{
-					{"r_cs", res.Report.Rcs(), cleanPmemRcs},
-					{"tx-share", tx, pTx},
-					{"stm-share", stm, pStm},
-					{"fallback-share", fb, pFb},
-					{"wait-share", wait, pWait},
-					{"overhead-share", oh, pOh},
-					{"persist-share", persist, pPersist},
-				} {
-					if diff := math.Abs(d.got - d.want); diff > 0.10 {
-						t.Errorf("%s drifted %.3f (crashed %.3f vs clean %.3f)", d.name, diff, d.got, d.want)
-					}
-				}
+				requireNoDrift(t, "crashed", res.Report, cleanPmem.Report)
 			})
+		}
+	}
+}
+
+// requireNoDrift applies the chaos classification bound: r_cs and
+// every base mode's share of T stay within 10 points of the clean run.
+func requireNoDrift(t *testing.T, regime string, got, clean *analyzer.Report) {
+	t.Helper()
+	if d := math.Abs(got.Rcs() - clean.Rcs()); d > 0.10 {
+		t.Errorf("r_cs drifted %.3f (%s %.3f vs clean %.3f)", d, regime, got.Rcs(), clean.Rcs())
+	}
+	gs, cs := got.TimeShares(), clean.TimeShares()
+	for md := rtm.ModeHTM; md < rtm.NumModes; md++ {
+		if d := math.Abs(gs[md] - cs[md]); md.Base() == md && d > 0.10 {
+			t.Errorf("%v share drifted %.3f (%s %.3f vs clean %.3f)", md, d, regime, gs[md], cs[md])
 		}
 	}
 }

@@ -253,8 +253,7 @@ func main() {
 				fn, site, _ := strings.Cut(strings.TrimSpace(part), ":")
 				path = append(path, lbr.IP{Fn: fn, Site: site})
 			}
-			viewer.ContextHistogram(os.Stdout, res.Report, path, "T",
-				func(m *core.Metrics) uint64 { return m.T })
+			viewer.ContextHistogram(os.Stdout, res.Report, path, "T", (*core.Metrics).T)
 		}
 		fmt.Println()
 		res.Report.Render(os.Stdout)

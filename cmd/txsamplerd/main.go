@@ -1,5 +1,5 @@
-// Command txsamplerd is the fleet ingestion daemon: it accepts framed
-// v2 profile shards over HTTP from many nodes (htmbench -fleet, or
+// Command txsamplerd is the fleet ingestion daemon: it accepts
+// framed profile shards over HTTP from many nodes (htmbench -fleet, or
 // anything that POSTs profile.Database bytes to /ingest), journals
 // each shard durably before acknowledging it, and merges them into
 // time-windowed aggregate calling-context trees served back through

@@ -10,12 +10,13 @@ import (
 
 	"txsampler/internal/core"
 	"txsampler/internal/profile"
+	"txsampler/internal/rtm"
 )
 
 func shardPayload(t *testing.T) []byte {
 	t.Helper()
 	var m core.Metrics
-	m.W, m.T = 100, 40
+	m.Time[rtm.ModeNone], m.Time[rtm.ModeHTM] = 60, 40
 	db := &profile.Database{
 		Version: profile.FormatVersion,
 		Program: "micro/low-abort",

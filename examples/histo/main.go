@@ -13,6 +13,7 @@ import (
 
 	"txsampler"
 	"txsampler/internal/pmu"
+	"txsampler/internal/rtm"
 )
 
 func profile(name string) *txsampler.Result {
@@ -44,9 +45,8 @@ func main() {
 	fmt.Println()
 	base.Advice.Render(os.Stdout)
 
-	tot := base.Report.Totals
 	fmt.Printf("\nT_oh share of critical-section time: %.0f%% -> the decision tree suggests merging transactions\n\n",
-		100*float64(tot.Toh)/float64(tot.T))
+		100*base.Report.TimeShares()[rtm.ModeOverhead])
 
 	fmt.Println("== Step 2: apply the fix — coalesce pixels per transaction (Listing 4) ==")
 	b1 := native("parboil/histo-1")

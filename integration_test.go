@@ -151,7 +151,7 @@ func TestSoakAllWorkloadsProfiled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Report.Totals.W == 0 {
+			if res.Report.Totals.W() == 0 {
 				t.Error("no cycles samples collected")
 			}
 			if res.CollectorBytes > res.Threads*5<<20 {

@@ -20,6 +20,7 @@ import (
 	"txsampler/internal/htm"
 	"txsampler/internal/lbr"
 	"txsampler/internal/pmu"
+	"txsampler/internal/rtm"
 	"txsampler/internal/telemetry"
 )
 
@@ -150,18 +151,22 @@ func mergeMetrics(dst, src *core.Metrics) { dst.Merge(src) }
 
 // Rcs returns the critical-section duration ratio r_cs = T/W
 // (paper §7.3). Zero when no cycles samples were taken.
-func (r *Report) Rcs() float64 { return ratio(r.Totals.T, r.Totals.W) }
+func (r *Report) Rcs() float64 { return ratio(r.Totals.T(), r.Totals.W()) }
 
-// TimeShares returns the shares of T spent in the hardware
-// transaction path, the instrumented software-transaction path, the
-// fallback path, lock waiting, transaction overhead, and the
-// persist epilogue (Equation 2 extended with the hybrid-TM stm bucket
-// and the pmem persistence-stall bucket; stm is zero under the
-// lock-only policy, persist is zero without the pmem tier).
-func (r *Report) TimeShares() (tx, stm, fb, wait, oh, persist float64) {
-	t := r.Totals
-	return ratio(t.Ttx, t.T), ratio(t.Tstm, t.T), ratio(t.Tfb, t.T),
-		ratio(t.Twait, t.T), ratio(t.Toh, t.T), ratio(t.Tpersist, t.T)
+// TimeShares returns each execution mode's share of T (Equation 2,
+// extended with the hybrid-TM stm, pmem flush, and elided-lock
+// modes). A base mode's share includes its elided refinement, so the
+// base modes' shares sum to 1 whenever T > 0; an elided mode's share
+// is the refinement alone. The ModeNone entry is 0: S lies outside T.
+func (r *Report) TimeShares() [rtm.NumModes]float64 {
+	var shares [rtm.NumModes]float64
+	t := r.Totals.T()
+	for md := range shares {
+		if rtm.Mode(md) != rtm.ModeNone {
+			shares[md] = ratio(r.Totals.TimeIn(rtm.Mode(md)), t)
+		}
+	}
+	return shares
 }
 
 // StmOverhead returns the instrumentation-overhead ratio of the
@@ -171,28 +176,7 @@ func (r *Report) TimeShares() (tx, stm, fb, wait, oh, persist float64) {
 // workload pays heavily for STM coexistence (the HyTM cost both
 // Alistarh et al. and Brown & Ravi bound from below).
 func (r *Report) StmOverhead() float64 {
-	return ratio(r.Totals.Tstm, r.Totals.Ttx)
-}
-
-// TopStmOverhead ranks contexts by instrumented-software-path samples
-// — the call paths paying the most STM instrumentation cost.
-func (r *Report) TopStmOverhead(k int) []HotContext {
-	return r.TopBy(k, func(m *core.Metrics) uint64 { return m.Tstm })
-}
-
-// PersistOverhead returns the persistence-stall ratio of the pmem
-// tier: cycles samples in the durable-commit persist epilogue per
-// critical-section cycles sample (persist ÷ T). Zero without the pmem
-// tier; large values mean durable commits — flushes, the persist
-// fence, the commit record — dominate the critical-section budget.
-func (r *Report) PersistOverhead() float64 {
-	return ratio(r.Totals.Tpersist, r.Totals.T)
-}
-
-// TopPersist ranks contexts by persist-epilogue samples — the flush
-// sites paying the most persistence-stall cycles.
-func (r *Report) TopPersist(k int) []HotContext {
-	return r.TopBy(k, func(m *core.Metrics) uint64 { return m.Tpersist })
+	return ratio(r.Totals.TimeIn(rtm.ModeSTM), r.Totals.TimeIn(rtm.ModeHTM))
 }
 
 // AbortCommitRatio returns r_a/c over sampled application aborts and
@@ -215,30 +199,17 @@ const inf = 1e18
 // CauseShare returns cause's share of the total application abort
 // weight (Equation 4's r_conflict and friends).
 func (r *Report) CauseShare(c htm.Cause) float64 {
-	var total uint64
-	for cc, w := range r.Totals.AbortWeight {
-		if !htm.Cause(cc).Ambient() {
-			total += w
-		}
-	}
-	return ratio(r.Totals.AbortWeight[c], total)
+	return ratio(r.Totals.AbortWeight[c], r.Totals.AppAbortWeight())
 }
 
 // MeanAbortWeight returns w_t (Equation 3) over all sampled
 // application aborts.
 func (r *Report) MeanAbortWeight() float64 {
-	var w, n uint64
-	for c := range r.Totals.AbortWeight {
-		if htm.Cause(c).Ambient() {
-			continue
-		}
-		w += r.Totals.AbortWeight[c]
-		n += r.Totals.AbortCount[c]
-	}
+	n := r.Totals.AppAborts()
 	if n == 0 {
 		return 0
 	}
-	return float64(w) / float64(n)
+	return float64(r.Totals.AppAbortWeight()) / float64(n)
 }
 
 // FalseSharingShare returns false-sharing samples over all contention
@@ -307,17 +278,12 @@ func (r *Report) Imbalance() float64 {
 // the work estimated from cycles samples (VTune's "wasted cycles"
 // metric, §9). Returns 0 when no cycles samples were taken.
 func (r *Report) WastedWorkShare() float64 {
-	totalCycles := float64(r.Totals.W) * float64(max64(r.Periods[pmu.Cycles], 1))
+	totalCycles := float64(r.Totals.W()) * float64(max64(r.Periods[pmu.Cycles], 1))
 	if totalCycles == 0 {
 		return 0
 	}
-	var wasted float64
-	for c, wgt := range r.Totals.AbortWeight {
-		if !htm.Cause(c).Ambient() {
-			// Weights are sampled once per Periods[TxAbort] aborts.
-			wasted += float64(wgt) * float64(max64(r.Periods[pmu.TxAbort], 1))
-		}
-	}
+	// Weights are sampled once per Periods[TxAbort] aborts.
+	wasted := float64(r.Totals.AppAbortWeight()) * float64(max64(r.Periods[pmu.TxAbort], 1))
 	share := wasted / totalCycles
 	if share > 1 {
 		share = 1
@@ -355,7 +321,7 @@ func (r *Report) ImbalancedContexts(k int, threshold float64) []ImbalancedContex
 				}
 			}
 			if n != nil {
-				per[i] = n.Data.T
+				per[i] = n.Data.T()
 			}
 			sum += per[i]
 			if per[i] > maxV {
@@ -408,20 +374,20 @@ func (r *Report) TopBy(k int, value func(*core.Metrics) uint64) []HotContext {
 // TopAbortWeight ranks contexts by total application abort weight —
 // the paper's "sort abort weight" investigation step (§8.1).
 func (r *Report) TopAbortWeight(k int) []HotContext {
-	return r.TopBy(k, func(m *core.Metrics) uint64 {
-		var w uint64
-		for c, v := range m.AbortWeight {
-			if !htm.Cause(c).Ambient() {
-				w += v
-			}
-		}
-		return w
-	})
+	return r.TopBy(k, (*core.Metrics).AppAbortWeight)
 }
 
 // TopTime ranks contexts by critical-section samples.
 func (r *Report) TopTime(k int) []HotContext {
-	return r.TopBy(k, func(m *core.Metrics) uint64 { return m.T })
+	return r.TopBy(k, (*core.Metrics).T)
+}
+
+// TopMode ranks contexts by cycles samples in one execution mode,
+// counted as TimeIn does: rtm.ModeSTM finds the call paths paying the
+// most STM instrumentation cost, rtm.ModeFlush the flush sites paying
+// the most persistence-stall cycles.
+func (r *Report) TopMode(k int, mode rtm.Mode) []HotContext {
+	return r.TopBy(k, func(m *core.Metrics) uint64 { return m.TimeIn(mode) })
 }
 
 // TopFalseSharing ranks contexts by false-sharing samples.
@@ -434,17 +400,18 @@ func (r *Report) TopFalseSharing(k int) []HotContext {
 func (r *Report) Render(w io.Writer) {
 	t := r.Totals
 	fmt.Fprintf(w, "=== TxSampler report: %s (%d threads) ===\n", r.Program, r.Threads)
-	fmt.Fprintf(w, "samples: W=%d T=%d (r_cs=%.2f)\n", t.W, t.T, r.Rcs())
-	tx, stm, fb, wait, oh, persist := r.TimeShares()
+	fmt.Fprintf(w, "samples: W=%d T=%d (r_cs=%.2f)\n", t.W(), t.T(), r.Rcs())
+	sh := r.TimeShares()
 	fmt.Fprintf(w, "time in CS: tx=%.1f%% fallback=%.1f%% lock-wait=%.1f%% overhead=%.1f%%\n",
-		100*tx, 100*fb, 100*wait, 100*oh)
-	if t.Tstm > 0 {
+		100*sh[rtm.ModeHTM], 100*sh[rtm.ModeLock], 100*sh[rtm.ModeWaiting], 100*sh[rtm.ModeOverhead])
+	stm, flush := t.TimeIn(rtm.ModeSTM), t.TimeIn(rtm.ModeFlush)
+	if stm > 0 {
 		fmt.Fprintf(w, "hybrid: stm=%.1f%% of CS; instrumentation overhead stm/htm=%.2f\n",
-			100*stm, r.StmOverhead())
+			100*sh[rtm.ModeSTM], r.StmOverhead())
 	}
-	if t.Tpersist > 0 {
+	if flush > 0 {
 		fmt.Fprintf(w, "pmem: persist=%.1f%% of CS (persistence stalls: flush+fence+commit-record)\n",
-			100*persist)
+			100*sh[rtm.ModeFlush])
 	}
 	fmt.Fprintf(w, "aborts/commits (sampled, scaled): ratio=%.3f mean-weight=%.0f\n",
 		r.AbortCommitRatio(), r.MeanAbortWeight())
@@ -477,24 +444,25 @@ func (r *Report) Render(w io.Writer) {
 	if hot := r.TopTime(3); len(hot) > 0 {
 		fmt.Fprintf(w, "hottest CS contexts:\n")
 		for _, h := range hot {
-			fmt.Fprintf(w, "  %s (T=%d)\n", h.Path(), h.Metrics.T)
+			fmt.Fprintf(w, "  %s (T=%d)\n", h.Path(), h.Metrics.T())
 		}
 	}
-	if t.Tstm > 0 {
-		if hot := r.TopStmOverhead(3); len(hot) > 0 {
+	if stm > 0 {
+		if hot := r.TopMode(3, rtm.ModeSTM); len(hot) > 0 {
 			fmt.Fprintf(w, "hottest instrumented (stm) contexts:\n")
 			for _, h := range hot {
-				fmt.Fprintf(w, "  %s (stm=%d htm=%d stm/htm=%.2f)\n",
-					h.Path(), h.Metrics.Tstm, h.Metrics.Ttx, ratio(h.Metrics.Tstm, h.Metrics.Ttx))
+				s, x := h.Metrics.TimeIn(rtm.ModeSTM), h.Metrics.TimeIn(rtm.ModeHTM)
+				fmt.Fprintf(w, "  %s (stm=%d htm=%d stm/htm=%.2f)\n", h.Path(), s, x, ratio(s, x))
 			}
 		}
 	}
-	if t.Tpersist > 0 {
-		if hot := r.TopPersist(3); len(hot) > 0 {
+	if flush > 0 {
+		if hot := r.TopMode(3, rtm.ModeFlush); len(hot) > 0 {
 			fmt.Fprintf(w, "hottest persistence-stall (flush) contexts:\n")
 			for _, h := range hot {
+				f := h.Metrics.TimeIn(rtm.ModeFlush)
 				fmt.Fprintf(w, "  %s (persist=%d, %.1f%% of context CS)\n",
-					h.Path(), h.Metrics.Tpersist, 100*ratio(h.Metrics.Tpersist, h.Metrics.T))
+					h.Path(), f, 100*ratio(f, h.Metrics.T()))
 			}
 		}
 	}

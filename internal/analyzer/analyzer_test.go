@@ -76,12 +76,13 @@ func TestRcsAndShares(t *testing.T) {
 	if got := r.Rcs(); got != 0.45 {
 		t.Errorf("Rcs = %v, want 0.45", got)
 	}
-	tx, stm, fb, wait, oh, persist := r.TimeShares()
-	if tx != 10.0/45 || stm != 5.0/45 || fb != 20.0/45 || wait != 5.0/45 || oh != 5.0/45 {
-		t.Errorf("shares = %v %v %v %v %v", tx, stm, fb, wait, oh)
+	sh := r.TimeShares()
+	want := [rtm.NumModes]float64{
+		rtm.ModeHTM: 10.0 / 45, rtm.ModeSTM: 5.0 / 45, rtm.ModeLock: 20.0 / 45,
+		rtm.ModeWaiting: 5.0 / 45, rtm.ModeOverhead: 5.0 / 45,
 	}
-	if persist != 0 {
-		t.Errorf("persist share = %v, want 0 without the pmem tier", persist)
+	if sh != want {
+		t.Errorf("shares = %v, want %v (persist and elided 0 without pmem or elision)", sh, want)
 	}
 	if got := r.StmOverhead(); got != 0.5 {
 		t.Errorf("StmOverhead = %v, want 0.5", got)
@@ -159,16 +160,16 @@ func TestMergeAcrossThreads(t *testing.T) {
 	r.Merged.Walk(func(n *core.Node, _ int) {
 		switch n.Frame.Fn {
 		case "f":
-			fT += n.Data.T
+			fT += n.Data.T()
 		case "g":
-			gT += n.Data.T
+			gT += n.Data.T()
 		}
 	})
 	if fT != 12 || gT != 3 {
 		t.Errorf("merged f=%d g=%d, want 12,3", fT, gT)
 	}
-	if r.Totals.T != 15 {
-		t.Errorf("totals T = %d, want 15", r.Totals.T)
+	if r.Totals.T() != 15 {
+		t.Errorf("totals T = %d, want 15", r.Totals.T())
 	}
 }
 
@@ -179,14 +180,14 @@ func TestAnalyzeDoesNotMutateCollector(t *testing.T) {
 	Analyze("x", c)
 	Analyze("x", c)
 	r := Analyze("x", c)
-	if r.Totals.T != 12 {
-		t.Errorf("repeated analysis changed totals: T = %d, want 12", r.Totals.T)
+	if r.Totals.T() != 12 {
+		t.Errorf("repeated analysis changed totals: T = %d, want 12", r.Totals.T())
 	}
 	// Thread 0's own tree must still hold only its own samples.
 	var fT uint64
 	c.Profiles()[0].Tree.Walk(func(n *core.Node, _ int) {
 		if n.Frame.Fn == "f" {
-			fT += n.Data.T
+			fT += n.Data.T()
 		}
 	})
 	if fT != 5 {
@@ -280,13 +281,13 @@ func TestParallelReductionManyThreads(t *testing.T) {
 	}
 	r := Analyze("wide", c)
 	want := uint64(n * (n + 1) / 2)
-	if r.Totals.T != want {
-		t.Fatalf("totals T = %d, want %d", r.Totals.T, want)
+	if r.Totals.T() != want {
+		t.Fatalf("totals T = %d, want %d", r.Totals.T(), want)
 	}
 	var fT uint64
 	r.Merged.Walk(func(node *core.Node, _ int) {
 		if node.Frame.Fn == "f" {
-			fT += node.Data.T
+			fT += node.Data.T()
 		}
 	})
 	if fT != want {

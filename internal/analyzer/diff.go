@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"txsampler/internal/core"
-	"txsampler/internal/htm"
 	"txsampler/internal/lbr"
+	"txsampler/internal/rtm"
 )
 
 // Delta is one calling context's change between two profiles.
@@ -44,13 +44,8 @@ func Diff(before, after *Report, k int) []Delta {
 
 	collect := func(r *Report, idx int) {
 		r.Merged.Walk(func(n *core.Node, _ int) {
-			var aw uint64
-			for c, v := range n.Data.AbortWeight {
-				if !htm.Cause(c).Ambient() {
-					aw += v
-				}
-			}
-			if n.Data.T == 0 && aw == 0 {
+			t, aw := n.Data.T(), n.Data.AppAbortWeight()
+			if t == 0 && aw == 0 {
 				return
 			}
 			fs := n.Frames()
@@ -61,7 +56,7 @@ func Diff(before, after *Report, k int) []Delta {
 				byPath[key] = a
 				frames[key] = fs
 			}
-			a.t[idx] += n.Data.T
+			a.t[idx] += t
 			a.aw[idx] += aw
 		})
 	}
@@ -103,24 +98,18 @@ func RenderDiff(w io.Writer, before, after *Report, k int) {
 	row("abort/commit", clampRatio(before.AbortCommitRatio()), clampRatio(after.AbortCommitRatio()), "")
 	row("mean abort weight", before.MeanAbortWeight(), after.MeanAbortWeight(), "cycles")
 	row("wasted work", before.WastedWorkShare(), after.WastedWorkShare(), "share")
-	btx, bstm, bfb, bwait, boh, bpersist := before.TimeShares()
-	atx, astm, afb, await, aoh, apersist := after.TimeShares()
-	row("T_tx share", btx, atx, "")
-	row("T_stm share", bstm, astm, "")
-	row("T_fb share", bfb, afb, "")
-	row("T_wait share", bwait, await, "")
-	row("T_oh share", boh, aoh, "")
-	if before.Totals.Tpersist > 0 || after.Totals.Tpersist > 0 {
-		row("T_persist share", bpersist, apersist, "")
+	bs, as := before.TimeShares(), after.TimeShares()
+	elided := before.Totals.Elided()+after.Totals.Elided() > 0
+	for md := rtm.ModeHTM; md < rtm.NumModes; md++ {
+		switch {
+		case md == rtm.ModeFlush && before.Totals.Time[md]+after.Totals.Time[md] == 0:
+			continue // neither side ran the pmem tier
+		case md.Base() != md && !elided:
+			continue // neither side ran elided
+		}
+		row(diffLabels[md]+" share", bs[md], as[md], "")
 	}
-	belide := before.Totals.TelideHtm + before.Totals.TelideStm + before.Totals.TelideLock
-	aelide := after.Totals.TelideHtm + after.Totals.TelideStm + after.Totals.TelideLock
-	if belide > 0 || aelide > 0 {
-		bh, bs, bl := before.ElisionShares()
-		ah, as, al := after.ElisionShares()
-		row("elided-htm share", bh, ah, "")
-		row("elided-stm share", bs, as, "")
-		row("elided-lock share", bl, al, "")
+	if elided {
 		diffElisionVerdicts(w, before, after)
 	}
 	fmt.Fprintln(w, "top moving contexts (CS samples, abort weight):")
@@ -128,6 +117,13 @@ func RenderDiff(w io.Writer, before, after *Report, k int) {
 		fmt.Fprintf(w, "  T %5d -> %-5d  AW %8d -> %-8d  %s\n",
 			d.TBefore, d.TAfter, d.AWBefore, d.AWAfter, d.Path())
 	}
+}
+
+// diffLabels names RenderDiff's time-share rows by mode.
+var diffLabels = [rtm.NumModes]string{
+	rtm.ModeHTM: "T_tx", rtm.ModeSTM: "T_stm", rtm.ModeLock: "T_fb",
+	rtm.ModeWaiting: "T_wait", rtm.ModeOverhead: "T_oh", rtm.ModeFlush: "T_persist",
+	rtm.ModeElidedHTM: "elided-htm", rtm.ModeElidedSTM: "elided-stm", rtm.ModeElidedLock: "elided-lock",
 }
 
 // diffElisionVerdicts lists lock sites whose elision verdict flipped

@@ -112,13 +112,13 @@ func (r *Report) ElisionSites() []ElisionSite {
 	var collect func(n *core.Node, s *ElisionSite)
 	collect = func(n *core.Node, s *ElisionSite) {
 		d := &n.Data
-		s.Htm += d.Ttx
-		s.Stm += d.Tstm
-		s.Lock += d.Tfb
-		s.Wait += d.Twait
-		s.Overhead += d.Toh
+		s.Htm += d.TimeIn(rtm.ModeHTM)
+		s.Stm += d.TimeIn(rtm.ModeSTM)
+		s.Lock += d.TimeIn(rtm.ModeLock)
+		s.Wait += d.Time[rtm.ModeWaiting]
+		s.Overhead += d.Time[rtm.ModeOverhead]
 		s.SpecCommits += d.CommitSamples
-		if d.TelideHtm+d.TelideStm+d.TelideLock > 0 {
+		if d.Elided() > 0 {
 			s.Elided = true
 		}
 		for c := range d.AbortCount {
@@ -164,14 +164,6 @@ func (r *Report) ElisionSites() []ElisionSite {
 		return out[i].Site < out[j].Site
 	})
 	return out
-}
-
-// ElisionShares returns the elided splits of the Figure 4 buckets:
-// the shares of T spent in elided-htm, elided-stm, and elided-lock
-// sections. All zero when nothing ran elided.
-func (r *Report) ElisionShares() (htm, stm, lock float64) {
-	t := r.Totals
-	return ratio(t.TelideHtm, t.T), ratio(t.TelideStm, t.T), ratio(t.TelideLock, t.T)
 }
 
 // renderElision writes the per-site verdict table; no output when the

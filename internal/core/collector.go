@@ -5,7 +5,8 @@
 // call stack), builds per-thread calling-context-tree profiles with:
 //
 //   - time decomposition: W = T + S, T = Ttx + Tfb + Twait + Toh
-//     (paper §4, computed per Figure 4's classification);
+//     (paper §4), one bucket per rtm.Mode of Figure 4's
+//     classification;
 //   - abort penalty metrics: sampled abort counts and weights by
 //     cause, including capacity read/write splits (paper §5);
 //   - contention metrics: per-thread commit/abort balance and
@@ -40,34 +41,12 @@ var BeginInTx = lbr.IP{Fn: "begin_in_tx"}
 // cycles-event samples; multiply by the cycles sampling period to
 // estimate cycles (the analyzer does this).
 type Metrics struct {
-	// Figure 4 time decomposition, in cycles samples. Tstm extends
-	// the paper's four-way split with the hybrid-TM software slow
-	// path: samples whose state word carries rtm.InSTM — instrumented
-	// execution, the numerator of the per-path instrumentation
-	// overhead metric (Tstm ÷ Ttx).
-	W     uint64 // work: every cycles sample
-	T     uint64 // samples inside critical sections
-	Ttx   uint64 // … in the transaction path (LBR abort bit)
-	Tstm  uint64 // … in the instrumented software-transaction path
-	Tfb   uint64 // … in the fallback path
-	Twait uint64 // … waiting for the global lock
-	Toh   uint64 // … in transaction begin/retry/cleanup overhead
-
-	// Tpersist counts cycles samples in the durable-commit persist
-	// epilogue of the pmem tier (rtm.InFlush): flushes, the persist
-	// fence, the commit record — persistence stalls. Tagged omitempty
-	// so profiles from machines without the pmem tier serialize
-	// byte-identically to earlier versions.
-	Tpersist uint64 `json:"Tpersist,omitempty"`
-
-	// Elided-lock splits (rtm.InElision): how much of Ttx/Tstm/Tfb
-	// was spent inside elided critical sections. Each counter is a
-	// refinement of its base bucket, never an addition to it, so the
-	// Figure 4 decomposition is unchanged; omitempty keeps profiles
-	// from elision-free runs byte-identical to earlier versions.
-	TelideHtm  uint64 `json:"TelideHtm,omitempty"`
-	TelideStm  uint64 `json:"TelideStm,omitempty"`
-	TelideLock uint64 `json:"TelideLock,omitempty"`
+	// Time is the Figure 4 time decomposition, in cycles samples, one
+	// bucket per execution mode (rtm.ModeOf of the state word and the
+	// LBR abort bit). Time[rtm.ModeNone] is the paper's S; the other
+	// buckets split T. The elided modes are disjoint from their base
+	// modes; TimeIn folds them back.
+	Time [rtm.NumModes]uint64
 
 	// Abort analysis (paper §5), from RTM_RETIRED:ABORTED samples.
 	AbortSamples uint64
@@ -99,17 +78,9 @@ type Metrics struct {
 
 // Merge accumulates src into m; used for cross-thread coalescing.
 func (m *Metrics) Merge(src *Metrics) {
-	m.W += src.W
-	m.T += src.T
-	m.Ttx += src.Ttx
-	m.Tstm += src.Tstm
-	m.Tfb += src.Tfb
-	m.Twait += src.Twait
-	m.Toh += src.Toh
-	m.Tpersist += src.Tpersist
-	m.TelideHtm += src.TelideHtm
-	m.TelideStm += src.TelideStm
-	m.TelideLock += src.TelideLock
+	for i := range m.Time {
+		m.Time[i] += src.Time[i]
+	}
 	m.AbortSamples += src.AbortSamples
 	for i := range m.AbortCount {
 		m.AbortCount[i] += src.AbortCount[i]
@@ -126,6 +97,43 @@ func (m *Metrics) Merge(src *Metrics) {
 	m.Truncated += src.Truncated
 }
 
+// W returns the work: every cycles sample (Equation 1: W = T + S).
+func (m *Metrics) W() uint64 {
+	var n uint64
+	for _, v := range m.Time {
+		n += v
+	}
+	return n
+}
+
+// T returns the critical-section samples: every mode but ModeNone.
+func (m *Metrics) T() uint64 { return m.W() - m.Time[rtm.ModeNone] }
+
+// TimeIn returns the cycles samples in mode. A base mode counts its
+// elided refinement too: TimeIn(rtm.ModeHTM) covers every hardware
+// transaction, elided or not, as the paper's T_tx does.
+func (m *Metrics) TimeIn(mode rtm.Mode) uint64 {
+	var n uint64
+	for md, v := range m.Time {
+		if rtm.Mode(md) == mode || rtm.Mode(md).Base() == mode {
+			n += v
+		}
+	}
+	return n
+}
+
+// Elided returns the cycles samples in elided-lock critical sections:
+// the modes that rtm.Mode.Base folds onto another.
+func (m *Metrics) Elided() uint64 {
+	var n uint64
+	for md, v := range m.Time {
+		if rtm.Mode(md).Base() != rtm.Mode(md) {
+			n += v
+		}
+	}
+	return n
+}
+
 // AppAborts returns the sampled abort count excluding ambient aborts
 // (profiler-induced interrupts and spurious machine noise) that say
 // nothing about the application.
@@ -137,6 +145,18 @@ func (m *Metrics) AppAborts() uint64 {
 		}
 	}
 	return n
+}
+
+// AppAbortWeight returns the aggregate abort weight of the
+// application aborts AppAborts counts.
+func (m *Metrics) AppAbortWeight() uint64 {
+	var w uint64
+	for c, v := range m.AbortWeight {
+		if !htm.Cause(c).Ambient() {
+			w += v
+		}
+	}
+	return w
 }
 
 // DataQuality summarizes how trustworthy a profile is: how much data
@@ -435,47 +455,11 @@ func (c *Collector) HandleSample(s *machine.Sample) {
 
 	switch s.Event {
 	case pmu.Cycles:
-		// Figure 4: always accumulate work; classify within the
-		// critical section by state word and LBR abort bit.
-		m.W++
-		p.Totals.W++
-		if rtm.IsInCS(s.State) {
-			m.T++
-			p.Totals.T++
-			elided := rtm.IsInElision(s.State)
-			switch {
-			case inTx:
-				m.Ttx++
-				p.Totals.Ttx++
-				if elided {
-					m.TelideHtm++
-					p.Totals.TelideHtm++
-				}
-			case rtm.IsInFlush(s.State):
-				m.Tpersist++
-				p.Totals.Tpersist++
-			case rtm.IsInSTM(s.State):
-				m.Tstm++
-				p.Totals.Tstm++
-				if elided {
-					m.TelideStm++
-					p.Totals.TelideStm++
-				}
-			case rtm.IsInFallback(s.State):
-				m.Tfb++
-				p.Totals.Tfb++
-				if elided {
-					m.TelideLock++
-					p.Totals.TelideLock++
-				}
-			case rtm.IsInLockWaiting(s.State):
-				m.Twait++
-				p.Totals.Twait++
-			default:
-				m.Toh++
-				p.Totals.Toh++
-			}
-		}
+		// Figure 4: every sample is work; its bucket is the execution
+		// mode read off the state word and the LBR abort bit.
+		mode := rtm.ModeOf(s.State, inTx)
+		m.Time[mode]++
+		p.Totals.Time[mode]++
 
 	case pmu.TxAbort:
 		if s.Abort == nil {

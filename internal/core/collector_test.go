@@ -208,15 +208,16 @@ func TestTimeDecompositionPureTx(t *testing.T) {
 	for _, p := range col.Profiles() {
 		tot.Merge(&p.Totals)
 	}
-	if tot.T == 0 {
+	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
-	if tot.Ttx*2 < tot.T {
+	tx, fb := tot.TimeIn(rtm.ModeHTM), tot.TimeIn(rtm.ModeLock)
+	if tx*2 < tot.T() {
 		t.Errorf("Ttx=%d of T=%d: expected transaction path to dominate (fb=%d wait=%d oh=%d)",
-			tot.Ttx, tot.T, tot.Tfb, tot.Twait, tot.Toh)
+			tx, tot.T(), fb, tot.Time[rtm.ModeWaiting], tot.Time[rtm.ModeOverhead])
 	}
-	if tot.Tfb > tot.T/10 {
-		t.Errorf("Tfb=%d of T=%d: low-contention workload should rarely fall back", tot.Tfb, tot.T)
+	if fb > tot.T()/10 {
+		t.Errorf("Tfb=%d of T=%d: low-contention workload should rarely fall back", fb, tot.T())
 	}
 }
 
@@ -246,12 +247,12 @@ func TestTimeDecompositionFallback(t *testing.T) {
 	for _, p := range col.Profiles() {
 		tot.Merge(&p.Totals)
 	}
-	if tot.T == 0 {
+	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
-	if got := tot.Tfb + tot.Twait; got*2 < tot.T {
+	if got := tot.TimeIn(rtm.ModeLock) + tot.Time[rtm.ModeWaiting]; got*2 < tot.T() {
 		t.Errorf("Tfb+Twait=%d of T=%d: fallback workload should be dominated by fallback+wait (tx=%d oh=%d)",
-			got, tot.T, tot.Ttx, tot.Toh)
+			got, tot.T(), tot.TimeIn(rtm.ModeHTM), tot.Time[rtm.ModeOverhead])
 	}
 }
 
@@ -279,11 +280,11 @@ func TestTimeDecompositionOverheadForTinyTx(t *testing.T) {
 	for _, p := range col.Profiles() {
 		tot.Merge(&p.Totals)
 	}
-	if tot.T == 0 {
+	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
-	if tot.Toh*5 < tot.T {
-		t.Errorf("Toh=%d of T=%d: tiny transactions should show substantial overhead share", tot.Toh, tot.T)
+	if oh := tot.Time[rtm.ModeOverhead]; oh*5 < tot.T() {
+		t.Errorf("Toh=%d of T=%d: tiny transactions should show substantial overhead share", oh, tot.T())
 	}
 }
 
@@ -484,8 +485,8 @@ func TestSamplingRateInPaperBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range col.Profiles() {
-		if p.Totals.W < 3 || p.Totals.W > 2000 {
-			t.Errorf("thread %d: %d cycles samples, outside the expected band", p.TID, p.Totals.W)
+		if p.Totals.W() < 3 || p.Totals.W() > 2000 {
+			t.Errorf("thread %d: %d cycles samples, outside the expected band", p.TID, p.Totals.W())
 		}
 	}
 }
@@ -595,8 +596,8 @@ func TestConflictSourceSplit(t *testing.T) {
 }
 
 // TestEquationInvariants: the paper's Equations 1 and 2 hold exactly
-// over sampled metrics: W = T + S and T = Ttx + Tfb + Twait + Toh,
-// at every context and in the totals.
+// over sampled metrics: W = T + S and T = Ttx + Tfb + Twait + Toh
+// (plus the stm and flush modes), at every context and in the totals.
 func TestEquationInvariants(t *testing.T) {
 	m := machine.New(machine.Config{
 		Threads: 6, Seed: 14,
@@ -623,24 +624,34 @@ func TestEquationInvariants(t *testing.T) {
 	}
 	for _, p := range col.Profiles() {
 		tot := p.Totals
-		if tot.T > tot.W {
-			t.Fatalf("thread %d: T=%d > W=%d (Equation 1 violated)", p.TID, tot.T, tot.W)
+		if tot.W() != tot.T()+tot.Time[rtm.ModeNone] {
+			t.Fatalf("thread %d: W=%d != T=%d + S=%d (Equation 1 violated)",
+				p.TID, tot.W(), tot.T(), tot.Time[rtm.ModeNone])
 		}
-		if tot.Ttx+tot.Tfb+tot.Twait+tot.Toh != tot.T {
-			t.Fatalf("thread %d: components %d+%d+%d+%d != T=%d (Equation 2 violated)",
-				p.TID, tot.Ttx, tot.Tfb, tot.Twait, tot.Toh, tot.T)
+		var parts uint64
+		for md := rtm.ModeHTM; md < rtm.NumModes; md++ {
+			if md.Base() == md {
+				parts += tot.TimeIn(md)
+			}
 		}
-		var w, tt, ttx, tfb, twait, toh uint64
+		if parts != tot.T() {
+			t.Fatalf("thread %d: base modes sum to %d != T=%d (Equation 2 violated): %v",
+				p.TID, parts, tot.T(), tot.Time)
+		}
+		if tot.T() == 0 || tot.Time[rtm.ModeNone] == 0 {
+			t.Fatalf("thread %d: degenerate profile %v", p.TID, tot.Time)
+		}
+		var tree [rtm.NumModes]uint64
 		p.Tree.Walk(func(n *Node, _ int) {
-			w += n.Data.W
-			tt += n.Data.T
-			ttx += n.Data.Ttx
-			tfb += n.Data.Tfb
-			twait += n.Data.Twait
-			toh += n.Data.Toh
+			for md, v := range n.Data.Time {
+				tree[md] += v
+			}
 		})
-		if w != tot.W || tt != tot.T || ttx+tfb+twait+toh != tt {
-			t.Fatalf("thread %d: tree sums do not match totals", p.TID)
+		for md, v := range tree {
+			if v != tot.Time[md] {
+				t.Errorf("thread %d: %v samples: tree sums to %d, totals say %d",
+					p.TID, rtm.Mode(md), v, tot.Time[md])
+			}
 		}
 	}
 }

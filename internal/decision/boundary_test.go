@@ -7,6 +7,7 @@ import (
 	"txsampler/internal/cct"
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
+	"txsampler/internal/rtm"
 )
 
 // nw is a sampled abort population: count and accumulated weight.
@@ -25,14 +26,18 @@ type ctxSpec struct {
 // 30/100), and correctly-rounded division makes 29/100, 30/100, 31/100
 // compare exactly against the 0.3 literal — so each branch can be
 // pinned exactly at, one unit below, and one unit above its threshold.
+// As in a real profile, T is the sum of the critical-section buckets:
+// a spec that pins one bucket below T = 100 puts the remainder into
+// buckets that stay below every threshold.
 type spec struct {
-	w, t, ttx, tfb, twait, toh uint64
-	commits                    uint64
-	aborts                     map[htm.Cause]nw
-	trueSh, falseSh            uint64
-	capRead, capWrite          uint64
-	perThread                  []uint64 // sampled commits per thread
-	contexts                   []ctxSpec
+	w                                  uint64
+	ttx, tstm, tfb, twait, toh, tflush uint64
+	commits                            uint64
+	aborts                             map[htm.Cause]nw
+	trueSh, falseSh                    uint64
+	capRead, capWrite                  uint64
+	perThread                          []uint64 // sampled commits per thread
+	contexts                           []ctxSpec
 }
 
 func (s spec) report() *analyzer.Report {
@@ -41,8 +46,11 @@ func (s spec) report() *analyzer.Report {
 		Merged: cct.NewTree[core.Metrics](), Periods: uniform(),
 	}
 	tot := &r.Totals
-	tot.W, tot.T = s.w, s.t
-	tot.Ttx, tot.Tfb, tot.Twait, tot.Toh = s.ttx, s.tfb, s.twait, s.toh
+	tot.Time = [rtm.NumModes]uint64{
+		rtm.ModeHTM: s.ttx, rtm.ModeSTM: s.tstm, rtm.ModeLock: s.tfb,
+		rtm.ModeWaiting: s.twait, rtm.ModeOverhead: s.toh, rtm.ModeFlush: s.tflush,
+	}
+	tot.Time[rtm.ModeNone] = s.w - tot.T()
 	tot.CommitSamples = s.commits
 	tot.TrueSharing, tot.FalseSharing = s.trueSh, s.falseSh
 	tot.CapReadW, tot.CapWriteW = s.capRead, s.capWrite
@@ -76,7 +84,7 @@ func TestRcsBoundary(t *testing.T) {
 		{"one-above proceeds", 21, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := spec{w: 100, t: c.t, ttx: c.t, commits: 10}
+			s := spec{w: 100, ttx: c.t, commits: 10}
 			a := Evaluate(s.report(), Thresholds{})
 			if got := hasSuggestion(a, "No HTM-related"); got != c.stops {
 				t.Fatalf("T=%d: early-stop=%v, want %v:\n%s", c.t, got, c.stops, a)
@@ -99,44 +107,44 @@ func TestThresholdBoundaries(t *testing.T) {
 	// Shorthand specs. All keep rcs at 1.0 so only the branch under
 	// test moves.
 	waits := func(x uint64) spec {
-		return spec{w: 100, t: 100, twait: x, ttx: 100 - x, commits: 10}
+		return spec{w: 100, twait: x, ttx: 100 - x, commits: 10}
 	}
-	fbs := func(x uint64) spec {
-		return spec{w: 100, t: 100, tfb: x, commits: 10}
+	fbs := func(x uint64) spec { // rest of T: stm and flush at 29%, overhead <= 13%
+		return spec{w: 100, tfb: x, tstm: 29, tflush: 29, toh: 42 - x, commits: 10}
 	}
 	ohs := func(x uint64) spec {
-		return spec{w: 100, t: 100, toh: x, ttx: 100 - x, commits: 10}
+		return spec{w: 100, toh: x, ttx: 100 - x, commits: 10}
 	}
 	ratio := func(n uint64) spec { // aborts/commits with 1:1 periods
-		return spec{w: 100, t: 100, ttx: 100, commits: 10,
+		return spec{w: 100, ttx: 100, commits: 10,
 			aborts: map[htm.Cause]nw{htm.Conflict: {n, 100}}}
 	}
-	txdom := func(x uint64) spec {
-		return spec{w: 100, t: 100, ttx: x, commits: 10}
+	txdom := func(x uint64) spec { // rest of T as in fbs
+		return spec{w: 100, ttx: x, tstm: 29, tflush: 29, toh: 42 - x, commits: 10}
 	}
 	cause := func(c htm.Cause, x uint64) spec { // share x/100, rest Explicit
-		return spec{w: 100, t: 100, ttx: 100, commits: 10,
+		return spec{w: 100, ttx: 100, commits: 10,
 			aborts: map[htm.Cause]nw{c: {20, x}, htm.Explicit: {10, 100 - x}}}
 	}
 	falseSh := func(x uint64) spec {
-		return spec{w: 100, t: 100, ttx: 100, commits: 10,
+		return spec{w: 100, ttx: 100, commits: 10,
 			aborts:  map[htm.Cause]nw{htm.Conflict: {20, 100}},
 			trueSh:  100 - x,
 			falseSh: x}
 	}
 	skew := func(per ...uint64) spec {
-		return spec{w: 100, t: 100, ttx: 100, commits: 10,
+		return spec{w: 100, ttx: 100, commits: 10,
 			aborts:    map[htm.Cause]nw{htm.Conflict: {20, 100}},
 			perThread: per}
 	}
 	ctxCap := func(x uint64) spec { // global capacity share 0.1, one context holds x% of cap weight
-		return spec{w: 100, t: 100, ttx: 100, commits: 10, capRead: 100,
+		return spec{w: 100, ttx: 100, commits: 10, capRead: 100,
 			aborts: map[htm.Cause]nw{htm.Conflict: {20, 90}, htm.Capacity: {2, 10}},
 			contexts: []ctxSpec{{path: []string{"main", "hotcap"},
 				aborts: map[htm.Cause]nw{htm.Conflict: {10, 50}}, capRead: x}}}
 	}
 	ctxSync := func(x uint64) spec { // global sync share 0.1, one context locally x%
-		return spec{w: 100, t: 100, ttx: 100, commits: 10,
+		return spec{w: 100, ttx: 100, commits: 10,
 			aborts: map[htm.Cause]nw{htm.Conflict: {20, 90}, htm.Sync: {2, 10}},
 			contexts: []ctxSpec{{path: []string{"main", "syncctx"},
 				aborts: map[htm.Cause]nw{htm.Sync: {5, x}, htm.Conflict: {5, 100 - x}}}}}
@@ -204,7 +212,7 @@ func TestThresholdBoundaries(t *testing.T) {
 		{"ctx-sync exactly-at", ctxSync(30), 6, "unfriendly instructions", "out of the transaction at", true},
 		{"ctx-sync one-above", ctxSync(31), 6, "unfriendly instructions", "out of the transaction at", true},
 		// fall-through: frequent aborts, no dominating cause
-		{"no dominating cause", spec{w: 100, t: 100, ttx: 100, commits: 10,
+		{"no dominating cause", spec{w: 100, ttx: 100, commits: 10,
 			aborts: map[htm.Cause]nw{htm.Explicit: {10, 40}, htm.Conflict: {10, 20},
 				htm.Capacity: {5, 20}, htm.Sync: {5, 20}}},
 			0, "", "no single cause dominates", true},
@@ -231,7 +239,7 @@ func TestThresholdBoundaries(t *testing.T) {
 // paper constants.
 func TestCustomThresholds(t *testing.T) {
 	// Twait = 40% of T: below a 0.5 threshold, at/above a 0.4 one.
-	s := spec{w: 100, t: 100, twait: 40, ttx: 60, commits: 10}
+	s := spec{w: 100, twait: 40, ttx: 60, commits: 10}
 	if a := Evaluate(s.report(), Thresholds{LargeShare: 0.5}); hasStep(a, 2, "high lock waiting") {
 		t.Fatalf("0.40 wait fired at a 0.5 threshold:\n%s", a)
 	}
@@ -239,7 +247,7 @@ func TestCustomThresholds(t *testing.T) {
 		t.Fatalf("0.40 wait missed an exactly-at 0.4 threshold:\n%s", a)
 	}
 	// MinRcs raised above the measured 1.0 rcs stops the walk outright.
-	if a := Evaluate(spec{w: 100, t: 100, ttx: 100, commits: 10}.report(),
+	if a := Evaluate(spec{w: 100, ttx: 100, commits: 10}.report(),
 		Thresholds{MinRcs: 1.5}); !hasSuggestion(a, "No HTM-related") {
 		t.Fatalf("rcs below a raised MinRcs did not stop:\n%s", a)
 	}

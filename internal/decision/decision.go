@@ -12,6 +12,7 @@ import (
 
 	"txsampler/internal/analyzer"
 	"txsampler/internal/htm"
+	"txsampler/internal/rtm"
 )
 
 // Thresholds parameterize the tree's branch tests. Zero values take
@@ -95,7 +96,9 @@ func Evaluate(r *analyzer.Report, th Thresholds) *Advice {
 	}
 
 	// (2) Decompose T.
-	tx, stm, fb, wait, oh, persist := r.TimeShares()
+	sh := r.TimeShares()
+	tx, stm, fb, wait, oh, persist := sh[rtm.ModeHTM], sh[rtm.ModeSTM], sh[rtm.ModeLock],
+		sh[rtm.ModeWaiting], sh[rtm.ModeOverhead], sh[rtm.ModeFlush]
 	a.step(2, "time decomposition", "tx=%.0f%% stm=%.0f%% fb=%.0f%% wait=%.0f%% oh=%.0f%%",
 		100*tx, 100*stm, 100*fb, 100*wait, 100*oh)
 	if stm >= th.LargeShare {
@@ -190,12 +193,7 @@ func Evaluate(r *analyzer.Report, th Thresholds) *Advice {
 	totalCapW := r.Totals.CapReadW + r.Totals.CapWriteW
 	for _, hot := range r.TopAbortWeight(3) {
 		m := hot.Metrics
-		var total uint64
-		for c, w := range m.AbortWeight {
-			if !htm.Cause(c).Ambient() {
-				total += w
-			}
-		}
+		total := m.AppAbortWeight()
 		if total == 0 {
 			continue
 		}

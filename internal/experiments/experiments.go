@@ -24,6 +24,7 @@ import (
 	"txsampler/internal/htm"
 	"txsampler/internal/htmbench"
 	"txsampler/internal/machine"
+	"txsampler/internal/rtm"
 	"txsampler/internal/tsxprof"
 )
 
@@ -237,9 +238,9 @@ func Table1(w io.Writer) {
 // ClompRow is one CLOMP-TM configuration's decompositions (Figure 7).
 type ClompRow struct {
 	Name string
-	// Time shares of total work W: non-CS, HTM, fallback, lock
-	// waiting, overhead.
-	NonCS, Ttx, Tfb, Twait, Toh float64
+	// Share is each execution mode's share of total work W, counted
+	// as core.Metrics.TimeIn does; Share[rtm.ModeNone] is non-CS.
+	Share [rtm.NumModes]float64
 	// Abort counts by cause and their weights.
 	Conflicts, Capacity, Sync    uint64
 	ConflictW, CapacityW, SyncW  uint64
@@ -259,18 +260,12 @@ func Fig7(w io.Writer, threads int, seed int64) ([]ClompRow, error) {
 		}
 		r := res.Report
 		tot := r.Totals
-		wAll := float64(tot.W)
+		wAll := float64(tot.W())
 		if wAll == 0 {
 			wAll = 1
 		}
 		row := ClompRow{
-			Name:  name,
-			NonCS: float64(tot.W-tot.T) / wAll,
-			Ttx:   float64(tot.Ttx) / wAll,
-			Tfb:   float64(tot.Tfb) / wAll,
-			Twait: float64(tot.Twait) / wAll,
-			Toh:   float64(tot.Toh) / wAll,
-
+			Name:      name,
 			Conflicts: tot.AbortCount[htm.Conflict],
 			Capacity:  tot.AbortCount[htm.Capacity],
 			Sync:      tot.AbortCount[htm.Sync],
@@ -281,6 +276,9 @@ func Fig7(w io.Writer, threads int, seed int64) ([]ClompRow, error) {
 			AbortCommitRatio: r.AbortCommitRatio(),
 			MeanWeight:       r.MeanAbortWeight(),
 		}
+		for md := range row.Share {
+			row.Share[md] = float64(tot.TimeIn(rtm.Mode(md))) / wAll
+		}
 		return row, nil
 	})
 	if err != nil {
@@ -288,7 +286,9 @@ func Fig7(w io.Writer, threads int, seed int64) ([]ClompRow, error) {
 	}
 	fmt.Fprintln(w, "-- time decomposition (share of W) --")
 	for _, r := range rows {
-		bar(w, r.Name, []float64{r.NonCS, r.Ttx, r.Tfb, r.Twait, r.Toh},
+		s := r.Share
+		bar(w, r.Name,
+			[]float64{s[rtm.ModeNone], s[rtm.ModeHTM], s[rtm.ModeLock], s[rtm.ModeWaiting], s[rtm.ModeOverhead]},
 			[]string{"nonCS", "HTM", "fallback", "lock_wait", "TX_overhead"})
 	}
 	fmt.Fprintln(w, "-- abort decomposition (sampled counts) --")

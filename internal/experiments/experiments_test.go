@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"txsampler/internal/rtm"
 )
 
 // Tests run the experiments at reduced thread counts to keep runtime
@@ -34,16 +36,17 @@ func TestFig7Shapes(t *testing.T) {
 	}
 	// Small transactions carry more begin/end overhead than large
 	// ones on the conflict-free input.
-	if byName["clomp/small-1"].Toh <= byName["clomp/large-1"].Toh {
-		t.Errorf("small-1 Toh=%.2f should exceed large-1 Toh=%.2f",
-			byName["clomp/small-1"].Toh, byName["clomp/large-1"].Toh)
+	small := byName["clomp/small-1"].Share[rtm.ModeOverhead]
+	large := byName["clomp/large-1"].Share[rtm.ModeOverhead]
+	if small <= large {
+		t.Errorf("small-1 Toh=%.2f should exceed large-1 Toh=%.2f", small, large)
 	}
 	// The high-conflict input serializes large transactions: its lock
 	// waiting dominates every other configuration's.
-	l2 := byName["clomp/large-2"]
+	l2 := byName["clomp/large-2"].Share[rtm.ModeWaiting]
 	for _, r := range rows {
-		if r.Name != "clomp/large-2" && r.Twait > l2.Twait {
-			t.Errorf("%s Twait=%.2f exceeds large-2's %.2f", r.Name, r.Twait, l2.Twait)
+		if wait := r.Share[rtm.ModeWaiting]; r.Name != "clomp/large-2" && wait > l2 {
+			t.Errorf("%s Twait=%.2f exceeds large-2's %.2f", r.Name, wait, l2)
 		}
 	}
 	// Input 2 shows conflict aborts; input 1 shows none.

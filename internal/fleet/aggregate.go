@@ -73,7 +73,7 @@ func mergeNode(dst *cct.Node[core.Metrics], src *profile.Node) {
 	}
 }
 
-// database renders the aggregate as a framed v2 profile database.
+// database renders the aggregate as a framed profile database.
 // Rendering is deterministic: programs sort lexically, threads sort
 // by TID, and CCT children render in the tree's stable frame order.
 func (a *windowAgg) database(window int) *profile.Database {

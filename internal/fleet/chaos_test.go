@@ -209,8 +209,8 @@ func TestRunFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Totals.W == 0 || agg.Totals.W%3 != 0 {
-		t.Errorf("aggregate W = %d, want a positive multiple of 3", agg.Totals.W)
+	if agg.Totals.W() == 0 || agg.Totals.W()%3 != 0 {
+		t.Errorf("aggregate W = %d, want a positive multiple of 3", agg.Totals.W())
 	}
 
 	// Bad config errors.

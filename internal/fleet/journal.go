@@ -1,6 +1,6 @@
 // Package fleet turns the one-shot profiler into a continuous-
 // profiling backend: a long-running daemon (cmd/txsamplerd) ingests
-// framed v2 profile shards over HTTP from many nodes and merges them
+// framed profile shards over HTTP from many nodes and merges them
 // into time-windowed aggregate calling-context trees, and a resilient
 // client (Uploader) ships shards with deadlines, bounded backoff,
 // idempotency keys, and a per-node circuit breaker.
@@ -30,7 +30,7 @@ import (
 const JournalName = "shards.jsonl"
 
 // Record is one journaled shard: its idempotency key, origin node,
-// aggregation window, and the framed v2 profile payload (base64 in
+// aggregation window, and the framed profile payload (base64 in
 // JSON). The payload carries its own CRC32+SHA-256 header, so replay
 // re-verifies integrity end to end.
 type Record struct {

@@ -10,6 +10,7 @@ import (
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
 	"txsampler/internal/profile"
+	"txsampler/internal/rtm"
 	"txsampler/internal/telemetry"
 )
 
@@ -19,8 +20,8 @@ import (
 func wideShardBytes(t testing.TB, window, nodes int) []byte {
 	t.Helper()
 	var leaf core.Metrics
-	leaf.W = 10
-	leaf.T = 4
+	leaf.Time[rtm.ModeNone] = 6
+	leaf.Time[rtm.ModeHTM] = 4
 	leaf.AbortWeight[htm.Conflict] = 1
 	leaf.AbortCount[htm.Conflict] = 1
 	root := &profile.Node{Fn: "<root>"}

@@ -19,7 +19,6 @@ import (
 
 	"txsampler/internal/analyzer"
 	"txsampler/internal/core"
-	"txsampler/internal/htm"
 	"txsampler/internal/profile"
 	"txsampler/internal/telemetry"
 )
@@ -189,7 +188,14 @@ func Open(cfg Config) (*Server, error) {
 	s.gaugeQueue = reg.Gauge("fleet.queue_depth", false)
 	s.gaugeWindows = reg.Gauge("fleet.windows", false)
 
+	// stale is the first shard another profile format version wrote.
+	// Such a journal is intact, not torn: it is refused whole, so its
+	// acknowledged lines must not reach the torn-tail truncation.
+	var stale error
 	log, err := OpenShardLog(filepath.Join(cfg.Dir, JournalName), func(rec Record) error {
+		if stale != nil {
+			return nil
+		}
 		if _, dup := s.accepted[rec.Key]; dup {
 			// A crash between fsync and ack can journal a shard whose
 			// client retried it later; the second copy merges to
@@ -197,6 +203,11 @@ func Open(cfg Config) (*Server, error) {
 			return nil
 		}
 		db, err := profile.Read(bytes.NewReader(rec.Payload))
+		var ve *profile.VersionError
+		if errors.As(err, &ve) {
+			stale = fmt.Errorf("fleet: replay %s: %w", rec.Key, err)
+			return nil
+		}
 		if err != nil {
 			// An undecodable payload can only be the torn tail (the
 			// frame is checksummed); let the log truncate from here.
@@ -216,6 +227,10 @@ func Open(cfg Config) (*Server, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if stale != nil {
+		log.Close()
+		return nil, stale
 	}
 	s.log = log
 	s.appended = uint64(len(s.accepted))
@@ -434,7 +449,7 @@ func (s *Server) Close() error {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /ingest    framed v2 profile bytes (X-Fleet-Key/-Node/-Window)
+//	POST /ingest    framed profile bytes (X-Fleet-Key/-Node/-Window)
 //	GET  /profile   ?window=N -> framed aggregate database
 //	GET  /top       ?window=N&by=aborts|sharing|time&k=K -> text ranking
 //	GET  /stats     JSON admission/merge/window statistics
@@ -671,21 +686,13 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		hot = rep.TopAbortWeight(k)
 		// Display the same app-abort weight the ranking sorts by
 		// (ambient causes excluded).
-		value = func(m *core.Metrics) uint64 {
-			var sum uint64
-			for c, v := range m.AbortWeight {
-				if !htm.Cause(c).Ambient() {
-					sum += v
-				}
-			}
-			return sum
-		}
+		value = (*core.Metrics).AppAbortWeight
 	case "sharing":
 		hot = rep.TopFalseSharing(k)
 		value = func(m *core.Metrics) uint64 { return m.FalseSharing }
 	case "time":
 		hot = rep.TopTime(k)
-		value = func(m *core.Metrics) uint64 { return m.T }
+		value = (*core.Metrics).T
 	default:
 		http.Error(w, fmt.Sprintf("bad by %q (want aborts, sharing, or time)", by), http.StatusBadRequest)
 		return

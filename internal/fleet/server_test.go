@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,17 +16,18 @@ import (
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
 	"txsampler/internal/profile"
+	"txsampler/internal/rtm"
 	"txsampler/internal/telemetry"
 )
 
-// shardBytes builds a small, valid framed v2 database whose contents
+// shardBytes builds a small, valid framed database whose contents
 // are a function of program and weight, so tests can craft distinct
 // shards cheaply.
 func shardBytes(t testing.TB, program string, tid int, weight uint64) []byte {
 	t.Helper()
 	var leaf core.Metrics
-	leaf.W = 10 * weight
-	leaf.T = 4 * weight
+	leaf.Time[rtm.ModeNone] = 6 * weight
+	leaf.Time[rtm.ModeHTM] = 4 * weight
 	leaf.AbortWeight[htm.Conflict] = weight
 	leaf.AbortCount[htm.Conflict] = 1
 	leaf.FalseSharing = weight / 2
@@ -457,5 +459,48 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	defer ts2.Close()
 	if resp, body := ingest(t, ts2.URL, shardBytes(t, "micro/low-abort", 1, 3), "fresh", 0); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-truncation ingest: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestReplayRefusesOtherFormatVersion: a journal whose shards another
+// profile format version wrote is intact, not torn. Open refuses it
+// with the version error and leaves every acknowledged line in place
+// instead of truncating them as a torn tail.
+func TestReplayRefusesOtherFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, JournalName)
+	log, err := OpenShardLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf("txprofdb %d ", profile.FormatVersion)
+	old := fmt.Sprintf("txprofdb %d ", profile.FormatVersion-1)
+	for i, key := range []string{"old-1", "old-2"} {
+		payload := bytes.Replace(shardBytes(t, "micro/low-abort", i, 5), []byte(cur), []byte(old), 1)
+		if _, err := log.Append(Record{Key: key, Window: 0, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := Open(Config{Dir: dir})
+	var ve *profile.VersionError
+	if err == nil {
+		srv.Close()
+		t.Fatalf("Open accepted a journal of version-%d shards", profile.FormatVersion-1)
+	}
+	if !errors.As(err, &ve) || ve.Got != profile.FormatVersion-1 || !strings.Contains(err.Error(), "fleet: replay old-1:") {
+		t.Fatalf("Open: %v, want the version error of shard old-1", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused journal was rewritten: %d bytes -> %d", len(before), len(after))
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// Shard is one profile upload: the framed v2 database bytes plus the
+// Shard is one profile upload: the framed database bytes plus the
 // identity that makes retries safe (Key) and aggregation meaningful
 // (Node, Window).
 type Shard struct {
@@ -26,7 +26,7 @@ type Shard struct {
 	Node string
 	// Window is the logical aggregation window ordinal.
 	Window int
-	// Payload is a framed v2 profile database (profile.Database.Write).
+	// Payload is a framed profile database (profile.Database.Write).
 	Payload []byte
 }
 

@@ -7,7 +7,7 @@ import (
 	"txsampler/internal/mem"
 )
 
-// Undo-log wire format. Like the v2 profile format, every record is
+// Undo-log wire format. Like the framed profile format, every record is
 // CRC-framed so recovery can tell a torn tail from a complete log: a
 // crash mid-append leaves a partial frame whose checksum cannot match.
 //

@@ -28,6 +28,11 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.String())
+	var all bytes.Buffer
+	if err := FromReport(allModesReport(f)).Write(&all); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(all.String())
 	f.Add(`{"version":1}`)
 	f.Add(`{"version":1,"cct":{"fn":"x","children":[{"fn":"y"}]}}`)
 	f.Add(`not json at all`)

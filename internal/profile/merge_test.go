@@ -7,14 +7,15 @@ import (
 
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
+	"txsampler/internal/rtm"
 )
 
 // testDB builds a small database whose contents are a function of the
 // arguments, with deliberately unsorted CCT children.
 func testDB(program string, tid int, weight uint64) *Database {
 	var leaf core.Metrics
-	leaf.W = 10 * weight
-	leaf.T = 4 * weight
+	leaf.Time[rtm.ModeNone] = 6 * weight
+	leaf.Time[rtm.ModeHTM] = 4 * weight
 	leaf.AbortWeight[htm.Conflict] = weight
 	leaf.AbortCount[htm.Conflict] = 1
 	leaf.FalseSharing = weight / 2
@@ -92,8 +93,8 @@ func TestMergeCommutes(t *testing.T) {
 	if alpha == nil || len(alpha.Children) != 2 {
 		t.Fatalf("alpha children not merged: %+v", alpha)
 	}
-	if alpha.Metrics.W != 10*10+10*3 {
-		t.Errorf("alpha W = %d, want %d", alpha.Metrics.W, 10*10+10*3)
+	if alpha.Metrics.W() != 10*10+10*3 {
+		t.Errorf("alpha W = %d, want %d", alpha.Metrics.W(), 10*10+10*3)
 	}
 }
 

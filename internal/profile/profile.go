@@ -15,10 +15,13 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// FormatVersion identifies the database layout. Version 2 frames the
-// JSON payload with a checksummed header (see storage.go) and adds the
-// Partial stamp; version 1 was bare JSON with no integrity protection.
-const FormatVersion = 2
+// FormatVersion identifies the database layout. Version 3 stores each
+// context's time as core.Metrics.Time, one bucket per rtm.Mode, in
+// place of version 2's named per-feature buckets. Version 2 framed the
+// JSON payload with a checksummed header (see storage.go) and added
+// the Partial stamp; version 1 was bare JSON with no integrity
+// protection. Read refuses both with *VersionError.
+const FormatVersion = 3
 
 // Node is one serialized calling context.
 type Node struct {

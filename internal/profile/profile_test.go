@@ -145,7 +145,7 @@ func TestQuickTreeRoundTrip(t *testing.T) {
 		}
 		// Same node count and same per-node T sums.
 		sum := func(rr *analyzer.Report) (n int, total uint64) {
-			rr.Merged.Walk(func(node *core.Node, _ int) { n++; total += node.Data.T })
+			rr.Merged.Walk(func(node *core.Node, _ int) { n++; total += node.Data.T() })
 			return
 		}
 		n1, t1 := sum(r)

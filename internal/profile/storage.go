@@ -1,7 +1,6 @@
 package profile
 
-// Crash-consistent on-disk storage. A version-2 database is a framed
-// file:
+// Crash-consistent on-disk storage. A database is a framed file:
 //
 //	txprofdb <version> len=<payload bytes> crc32=<hex8> sha256=<hex64>\n
 //	<payload: indented JSON, exactly len bytes>

@@ -2,7 +2,11 @@ package profile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,12 +58,34 @@ func TestReadFailureTaxonomy(t *testing.T) {
 	}
 }
 
+// frame wraps payload in a database header claiming version.
+func frame(version int, payload string) string {
+	sum := sha256.Sum256([]byte(payload))
+	return fmt.Sprintf("%s %d len=%d crc32=%08x sha256=%s\n%s", magic, version,
+		len(payload), crc32.ChecksumIEEE([]byte(payload)), hex.EncodeToString(sum[:]), payload)
+}
+
 func TestReadVersionMismatch(t *testing.T) {
-	// A framed database from a future format version.
-	future := strings.Replace(string(saved(t)), magic+" 2 ", magic+" 3 ", 1)
 	var ve *VersionError
-	if _, err := Read(strings.NewReader(future)); !errors.As(err, &ve) || ve.Got != 3 {
-		t.Fatalf("future version: got %v, want *VersionError{Got:3}", err)
+	// A framed database from a future format version: the current
+	// database with its header's version field bumped.
+	good := string(saved(t))
+	cur := fmt.Sprintf("%s %d ", magic, FormatVersion)
+	if !strings.HasPrefix(good, cur) {
+		t.Fatalf("header %q does not start with %q", good[:strings.IndexByte(good, '\n')], cur)
+	}
+	future := fmt.Sprintf("%s %d ", magic, FormatVersion+1) + good[len(cur):]
+	if _, err := Read(strings.NewReader(future)); !errors.As(err, &ve) || ve.Got != FormatVersion+1 || ve.Want != FormatVersion {
+		t.Fatalf("future version: got %v, want *VersionError{Got:%d}", err, FormatVersion+1)
+	}
+	// A complete, checksummed version-2 database (named per-feature
+	// time buckets) is a version mismatch too: no v2 decode path.
+	v2 := frame(2, `{"version": 2, "program": "old", "threads": 1,
+  "totals": {"W": 10, "T": 4, "Ttx": 3, "Tstm": 0, "Tfb": 1, "Twait": 0, "Toh": 0},
+  "cct": {"fn": "", "metrics": {"W": 10, "T": 4, "Ttx": 3, "Tstm": 0, "Tfb": 1, "Twait": 0, "Toh": 0}}}
+`)
+	if _, err := Read(strings.NewReader(v2)); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != FormatVersion {
+		t.Fatalf("framed v2: got %v, want *VersionError{Got:2}", err)
 	}
 	// A headerless version-1 file (the seed format) is a version
 	// mismatch, not corruption: the bytes are fine, the format is old.
@@ -239,7 +265,7 @@ func TestReadHeaderFieldDamage(t *testing.T) {
 	}{
 		{"missing field", strings.Join(fields[:4], " ")},
 		{"extra field", header + " extra=1"},
-		{"non-numeric version", strings.Replace(header, magic+" 2", magic+" two", 1)},
+		{"non-numeric version", strings.Replace(header, magic+" "+fields[1]+" ", magic+" two ", 1)},
 		{"field without equals", strings.Replace(header, fields[2], "len", 1)},
 		{"non-numeric len", strings.Replace(header, fields[2], "len=xyz", 1)},
 		{"bad crc hex", strings.Replace(header, fields[3], "crc32=zzzzzzzz", 1)},
@@ -254,8 +280,14 @@ func TestReadHeaderFieldDamage(t *testing.T) {
 			}
 		})
 	}
-	if got := (&VersionError{Got: 3, Want: 2}).Error(); !strings.Contains(got, "3") || !strings.Contains(got, "2") {
-		t.Fatalf("VersionError.Error() = %q", got)
+	for _, tc := range cases {
+		if tc.header == header {
+			t.Errorf("case %q left the header intact", tc.name)
+		}
+	}
+	want := fmt.Sprintf("profile: unsupported version %d (want %d)", FormatVersion+1, FormatVersion)
+	if got := (&VersionError{Got: FormatVersion + 1, Want: FormatVersion}).Error(); got != want {
+		t.Fatalf("VersionError.Error() = %q, want %q", got, want)
 	}
 }
 

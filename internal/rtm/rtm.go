@@ -88,7 +88,8 @@ func IsInElision(s uint32) bool { return s&InElision != 0 }
 
 // Mode is the execution-mode classification of one cycles sample
 // under hybrid TM: the paper's Figure 4 buckets extended with the
-// instrumented software path. ModeHTM is only observable through the
+// instrumented software path, the pmem persist epilogue, and the
+// elided-lock refinements. ModeHTM is only observable through the
 // LBR abort bit (the state word's InHTM bit rolls back); every other
 // mode reads directly off the live state word.
 type Mode uint8
@@ -122,7 +123,8 @@ const (
 	// the speculation ladder and actually acquired the lock.
 	ModeElidedLock
 
-	// NumModes sizes confusion matrices over Mode.
+	// NumModes sizes per-mode tables: the profile's time buckets and
+	// the accuracy probe's confusion matrix.
 	NumModes
 )
 
@@ -140,22 +142,39 @@ func (m Mode) String() string {
 	return modeNames[m]
 }
 
-// ModeOf classifies a sampled state word. inTx is the evidence that
-// the sample interrupted a hardware transaction: the LBR abort bit
-// for the profiler, the machine's ground truth for the validator.
-// Order matters and mirrors the collector's Figure 4 switch: hardware
+// Base folds an elided mode onto the mode it refines: elided-htm is
+// htm, elided-stm is stm, elided-lock is lock. Every other mode is
+// its own base.
+func (m Mode) Base() Mode {
+	switch m {
+	case ModeElidedHTM:
+		return ModeHTM
+	case ModeElidedSTM:
+		return ModeSTM
+	case ModeElidedLock:
+		return ModeLock
+	}
+	return m
+}
+
+// ModeOf classifies a sampled state word by the paper's Figure 4:
+// the one rule that fills the profile's time buckets and that the
+// accuracy probe scores. inTx is the evidence that the sample
+// interrupted a hardware transaction: the LBR abort bit for the
+// profiler, the machine's ground truth for the validator. A sample
+// outside any critical section is ModeNone; inside one, hardware
 // evidence wins (the rolled-back state word cannot show InHTM), then
 // the live software bits.
 func ModeOf(state uint32, inTx bool) Mode {
 	elided := IsInElision(state)
 	switch {
+	case !IsInCS(state):
+		return ModeNone
 	case inTx:
 		if elided {
 			return ModeElidedHTM
 		}
 		return ModeHTM
-	case !IsInCS(state):
-		return ModeNone
 	case IsInFlush(state):
 		return ModeFlush
 	case IsInSTM(state):

@@ -14,6 +14,7 @@ import (
 	"txsampler/internal/pmu"
 	"txsampler/internal/profile"
 	"txsampler/internal/progen"
+	"txsampler/internal/rtm"
 )
 
 // Metamorphic invariant bounds. A generated program has no reference
@@ -295,19 +296,16 @@ func fingerprint(r *analyzer.Report) map[string]core.Metrics {
 // each time-decomposition share must stay within faultDriftBound of
 // the fault-free run.
 func faultDrift(clean, faulted *analyzer.Report) []string {
-	cTx, cStm, cFb, cWait, cOh, cPersist := clean.TimeShares()
-	fTx, fStm, fFb, fWait, fOh, fPersist := faulted.TimeShares()
-	checks := []struct {
+	type check struct {
 		name        string
 		clean, with float64
-	}{
-		{"r_cs", clean.Rcs(), faulted.Rcs()},
-		{"tx-share", cTx, fTx},
-		{"stm-share", cStm, fStm},
-		{"fallback-share", cFb, fFb},
-		{"wait-share", cWait, fWait},
-		{"overhead-share", cOh, fOh},
-		{"persist-share", cPersist, fPersist},
+	}
+	checks := []check{{"r_cs", clean.Rcs(), faulted.Rcs()}}
+	cs, fs := clean.TimeShares(), faulted.TimeShares()
+	for md := rtm.ModeHTM; md < rtm.NumModes; md++ {
+		if md.Base() == md {
+			checks = append(checks, check{md.String() + "-share", cs[md], fs[md]})
+		}
 	}
 	var violations []string
 	for _, c := range checks {

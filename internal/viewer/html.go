@@ -6,20 +6,11 @@ import (
 	"io"
 
 	"txsampler/internal/analyzer"
-	"txsampler/internal/core"
 	"txsampler/internal/decision"
 	"txsampler/internal/htm"
 	"txsampler/internal/pmu"
+	"txsampler/internal/rtm"
 )
-
-// htmlNode is one row of the HTML calling-context view.
-type htmlNode struct {
-	Depth    int
-	Label    string
-	TShare   float64 // % of critical-section samples (inclusive)
-	AWShare  float64 // % of application abort weight (inclusive)
-	CapShare float64 // % of capacity abort weight (inclusive)
-}
 
 type htmlThread struct {
 	TID             int
@@ -34,11 +25,9 @@ type htmlReport struct {
 	Rcs      float64
 	Tx, Fb   float64
 	Wait, Oh float64
-	Stm      float64
+	Stm      float64 // zero (and its line hidden) without software transactions
 	StmRatio float64 // instrumentation overhead: stm cycles / htm cycles
-	HasStm   bool
-	Persist  float64 // persistence-stall share of CS time
-	HasPmem  bool
+	Persist  float64 // persistence-stall share of CS time; zero without pmem
 	Elision  []htmlElisionSite
 	RatioAC  float64
 	Conflict float64
@@ -46,7 +35,7 @@ type htmlReport struct {
 	Sync     float64
 	Category string
 
-	Nodes     []htmlNode
+	Nodes     []contextRow
 	PerThread []htmlThread
 	Steps     []decision.Step
 	Advice    []string
@@ -88,9 +77,9 @@ li { margin: 2px 0; }
 <p class="meta">r_cs = {{printf "%.1f" .Rcs}}% &middot; in CS: tx {{printf "%.1f" .Tx}}%,
 fallback {{printf "%.1f" .Fb}}%, lock-wait {{printf "%.1f" .Wait}}%, overhead {{printf "%.1f" .Oh}}%
 &middot; abort/commit = {{printf "%.3f" .RatioAC}} &middot; {{.Category}}</p>
-{{if .HasStm}}<p class="meta">hybrid: stm {{printf "%.1f" .Stm}}% of CS &middot;
+{{if .Stm}}<p class="meta">hybrid: stm {{printf "%.1f" .Stm}}% of CS &middot;
 instrumentation overhead stm/htm = {{printf "%.2f" .StmRatio}}</p>{{end}}
-{{if .HasPmem}}<p class="meta">pmem: persist {{printf "%.1f" .Persist}}% of CS
+{{if .Persist}}<p class="meta">pmem: persist {{printf "%.1f" .Persist}}% of CS
 (persistence stalls: flush + fence + commit record)</p>{{end}}
 {{if .Elision}}<h2>Lock elision: would it win?</h2>
 <table><tr><th>lock site</th><th>htm</th><th>stm</th><th>lock</th>
@@ -129,27 +118,24 @@ capacity {{printf "%.1f" .Capacity}}%, sync {{printf "%.1f" .Sync}}%</p>
 // calling-context view, the per-thread histogram, and the decision
 // tree's advice — the paper's GUI deliverable as a single file.
 func HTML(w io.Writer, r *analyzer.Report, advice *decision.Advice, opt TreeOptions) error {
-	opt = opt.withDefaults()
+	sh := r.TimeShares()
 	data := &htmlReport{
 		Program:  r.Program,
 		Threads:  r.Threads,
 		Rcs:      100 * r.Rcs(),
+		Tx:       100 * sh[rtm.ModeHTM],
+		Fb:       100 * sh[rtm.ModeLock],
+		Wait:     100 * sh[rtm.ModeWaiting],
+		Oh:       100 * sh[rtm.ModeOverhead],
+		Stm:      100 * sh[rtm.ModeSTM],
+		StmRatio: r.StmOverhead(),
+		Persist:  100 * sh[rtm.ModeFlush],
 		RatioAC:  r.AbortCommitRatio(),
 		Conflict: 100 * r.CauseShare(htm.Conflict),
 		Capacity: 100 * r.CauseShare(htm.Capacity),
 		Sync:     100 * r.CauseShare(htm.Sync),
 		Category: r.Categorize().String(),
-	}
-	tx, stm, fb, wait, oh, persist := r.TimeShares()
-	data.Tx, data.Fb, data.Wait, data.Oh = 100*tx, 100*fb, 100*wait, 100*oh
-	if r.Totals.Tstm > 0 {
-		data.HasStm = true
-		data.Stm = 100 * stm
-		data.StmRatio = r.StmOverhead()
-	}
-	if r.Totals.Tpersist > 0 {
-		data.HasPmem = true
-		data.Persist = 100 * persist
+		Nodes:    contextRows(r, opt),
 	}
 	for _, s := range r.ElisionSites() {
 		data.Elision = append(data.Elision, htmlElisionSite{
@@ -159,51 +145,6 @@ func HTML(w io.Writer, r *analyzer.Report, advice *decision.Advice, opt TreeOpti
 			Verdict:    s.Verdict(),
 		})
 	}
-
-	totalT := float64(r.Totals.T)
-	var totalAW float64
-	for c, v := range r.Totals.AbortWeight {
-		if !htm.Cause(c).Ambient() {
-			totalAW += float64(v)
-		}
-	}
-	totalCap := float64(r.Totals.CapReadW + r.Totals.CapWriteW)
-	var rec func(n *core.Node, depth int)
-	rec = func(n *core.Node, depth int) {
-		if opt.MaxDepth > 0 && depth > opt.MaxDepth {
-			return
-		}
-		inc := subtreeMetrics(n)
-		var aw float64
-		for c, v := range inc.AbortWeight {
-			if !htm.Cause(c).Ambient() {
-				aw += float64(v)
-			}
-		}
-		tShare := share(float64(inc.T), totalT)
-		awShare := share(aw, totalAW)
-		if depth > 0 && tShare < opt.MinShare && awShare < opt.MinShare {
-			return
-		}
-		label := n.Frame.String()
-		if depth == 0 {
-			label = "<thread root>"
-		}
-		indent := ""
-		for i := 0; i < depth; i++ {
-			indent += "  "
-		}
-		data.Nodes = append(data.Nodes, htmlNode{
-			Depth: depth, Label: indent + label,
-			TShare:   100 * tShare,
-			AWShare:  100 * awShare,
-			CapShare: 100 * share(float64(inc.CapReadW+inc.CapWriteW), totalCap),
-		})
-		for _, c := range n.Children() {
-			rec(c, depth+1)
-		}
-	}
-	rec(r.Merged.Root, 0)
 
 	var maxN uint64 = 1
 	for _, t := range r.PerThread {

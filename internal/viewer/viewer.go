@@ -11,7 +11,6 @@ import (
 
 	"txsampler/internal/analyzer"
 	"txsampler/internal/core"
-	"txsampler/internal/htm"
 	"txsampler/internal/lbr"
 	"txsampler/internal/telemetry"
 )
@@ -32,23 +31,26 @@ func (o TreeOptions) withDefaults() TreeOptions {
 	return o
 }
 
-// Tree writes the calling-context view: every context's share of
-// critical-section time, abort weight, and capacity abort weight —
-// the columns of the paper's Figure 9 screenshot.
-func Tree(w io.Writer, r *analyzer.Report, opt TreeOptions) {
+// contextRow is one line of the calling-context view: a context's
+// inclusive (subtree) shares of the profile's critical-section time,
+// application abort weight, and capacity abort weight, in percent.
+type contextRow struct {
+	Label    string // indented frame label
+	TShare   float64
+	AWShare  float64
+	CapShare float64
+}
+
+// contextRows walks the merged calling context tree into the rows
+// that Tree and HTML render. It prunes contexts deeper than
+// opt.MaxDepth and those below opt.MinShare of both critical-section
+// time and abort weight.
+func contextRows(r *analyzer.Report, opt TreeOptions) []contextRow {
 	opt = opt.withDefaults()
-	totalT := float64(r.Totals.T)
-	var totalAW float64
-	for c, v := range r.Totals.AbortWeight {
-		if !htm.Cause(c).Ambient() {
-			totalAW += float64(v)
-		}
-	}
+	totalT := float64(r.Totals.T())
+	totalAW := float64(r.Totals.AppAbortWeight())
 	totalCap := float64(r.Totals.CapReadW + r.Totals.CapWriteW)
-
-	fmt.Fprintf(w, "%-64s %9s %12s %14s\n", "scope", "CS time", "abort weight", "capacity abort")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 102))
-
+	var rows []contextRow
 	var rec func(n *core.Node, depth int)
 	rec = func(n *core.Node, depth int) {
 		if opt.MaxDepth > 0 && depth > opt.MaxDepth {
@@ -56,16 +58,8 @@ func Tree(w io.Writer, r *analyzer.Report, opt TreeOptions) {
 		}
 		// Inclusive metrics: sum over the subtree.
 		inc := subtreeMetrics(n)
-		var aw float64
-		for c, v := range inc.AbortWeight {
-			if !htm.Cause(c).Ambient() {
-				aw += float64(v)
-			}
-		}
-		capW := float64(inc.CapReadW + inc.CapWriteW)
-		tShare := share(float64(inc.T), totalT)
-		awShare := share(aw, totalAW)
-		capShare := share(capW, totalCap)
+		tShare := share(float64(inc.T()), totalT)
+		awShare := share(float64(inc.AppAbortWeight()), totalAW)
 		if depth > 0 && tShare < opt.MinShare && awShare < opt.MinShare {
 			return
 		}
@@ -73,13 +67,29 @@ func Tree(w io.Writer, r *analyzer.Report, opt TreeOptions) {
 		if depth == 0 {
 			label = "<thread root>"
 		}
-		fmt.Fprintf(w, "%-64s %8.1f%% %11.1f%% %13.1f%%\n",
-			strings.Repeat("  ", depth)+label, 100*tShare, 100*awShare, 100*capShare)
+		rows = append(rows, contextRow{
+			Label:    strings.Repeat("  ", depth) + label,
+			TShare:   100 * tShare,
+			AWShare:  100 * awShare,
+			CapShare: 100 * share(float64(inc.CapReadW+inc.CapWriteW), totalCap),
+		})
 		for _, c := range n.Children() {
 			rec(c, depth+1)
 		}
 	}
 	rec(r.Merged.Root, 0)
+	return rows
+}
+
+// Tree writes the calling-context view: every context's share of
+// critical-section time, abort weight, and capacity abort weight —
+// the columns of the paper's Figure 9 screenshot.
+func Tree(w io.Writer, r *analyzer.Report, opt TreeOptions) {
+	fmt.Fprintf(w, "%-64s %9s %12s %14s\n", "scope", "CS time", "abort weight", "capacity abort")
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 102))
+	for _, row := range contextRows(r, opt) {
+		fmt.Fprintf(w, "%-64s %8.1f%% %11.1f%% %13.1f%%\n", row.Label, row.TShare, row.AWShare, row.CapShare)
+	}
 }
 
 func share(v, total float64) float64 {

@@ -116,7 +116,7 @@ func TestContextHistogram(t *testing.T) {
 	r := report(t)
 	var b strings.Builder
 	path := []lbr.IP{{Fn: "thread_root"}}
-	ContextHistogram(&b, r, path, "T", func(m *core.Metrics) uint64 { return m.T })
+	ContextHistogram(&b, r, path, "T", (*core.Metrics).T)
 	out := b.String()
 	if !strings.Contains(out, "T of thread_root across threads") {
 		t.Fatalf("header missing:\n%s", out)
@@ -129,7 +129,7 @@ func TestContextHistogram(t *testing.T) {
 func TestContextHistogramUnknownPath(t *testing.T) {
 	r := report(t)
 	var b strings.Builder
-	ContextHistogram(&b, r, []lbr.IP{{Fn: "nope"}}, "T", func(m *core.Metrics) uint64 { return m.T })
+	ContextHistogram(&b, r, []lbr.IP{{Fn: "nope"}}, "T", (*core.Metrics).T)
 	if !strings.Contains(b.String(), "t00 0") {
 		t.Fatalf("unknown path should plot zeros:\n%s", b.String())
 	}
@@ -138,7 +138,7 @@ func TestContextHistogramUnknownPath(t *testing.T) {
 func TestContextHistogramLoadedProfile(t *testing.T) {
 	r := &analyzer.Report{Program: "loaded"} // no Profiles
 	var b strings.Builder
-	ContextHistogram(&b, r, nil, "T", func(m *core.Metrics) uint64 { return m.T })
+	ContextHistogram(&b, r, nil, "T", (*core.Metrics).T)
 	if !strings.Contains(b.String(), "unavailable") {
 		t.Fatal("missing unavailable notice")
 	}

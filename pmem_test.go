@@ -16,6 +16,7 @@ import (
 	"txsampler/internal/htmbench"
 	"txsampler/internal/machine"
 	"txsampler/internal/pmem"
+	"txsampler/internal/rtm"
 )
 
 const pmemTestThreads = 4
@@ -137,15 +138,15 @@ func TestPmemProfileAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Totals.Tpersist == 0 {
+	if res.Report.Totals.Time[rtm.ModeFlush] == 0 {
 		t.Fatal("profiled pmem run recorded no persistence-stall samples")
 	}
-	if share := res.Report.PersistOverhead(); share <= 0 || share > 1 {
-		t.Fatalf("PersistOverhead = %v, want in (0, 1]", share)
+	if share := res.Report.TimeShares()[rtm.ModeFlush]; share <= 0 || share > 1 {
+		t.Fatalf("flush share = %v, want in (0, 1]", share)
 	}
-	hot := res.Report.TopPersist(3)
+	hot := res.Report.TopMode(3, rtm.ModeFlush)
 	if len(hot) == 0 {
-		t.Fatal("no flush-site contexts ranked by TopPersist")
+		t.Fatal("no flush-site contexts ranked by TopMode")
 	}
 	foundSite := false
 	for _, h := range hot {
@@ -156,7 +157,7 @@ func TestPmemProfileAttribution(t *testing.T) {
 		}
 	}
 	if !foundSite {
-		t.Errorf("no TopPersist context passes through the pmem_persist frame: %+v", hot)
+		t.Errorf("no TopMode(flush) context passes through the pmem_persist frame: %+v", hot)
 	}
 	var buf bytes.Buffer
 	res.Report.Render(&buf)
@@ -176,8 +177,8 @@ func TestPmemOffProfileHasNoPersistBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Totals.Tpersist != 0 {
-		t.Fatalf("Tpersist = %d without the pmem tier", res.Report.Totals.Tpersist)
+	if n := res.Report.Totals.Time[rtm.ModeFlush]; n != 0 {
+		t.Fatalf("flush samples = %d without the pmem tier", n)
 	}
 	var buf bytes.Buffer
 	res.Report.Render(&buf)

@@ -55,7 +55,7 @@ func TestRunProfiled(t *testing.T) {
 	if res.Report == nil || res.Advice == nil {
 		t.Fatal("profiled run produced no report/advice")
 	}
-	if res.Report.Totals.W == 0 {
+	if res.Report.Totals.W() == 0 {
 		t.Fatal("no cycles samples collected")
 	}
 	if res.CollectorBytes <= 0 {
