@@ -4,8 +4,9 @@
 // workload×seed shard is profiled and saved atomically to the
 // directory (name: workload with / -> _, _s<seed>.json) under an
 // append-only campaign.jsonl manifest, so a killed campaign resumes
-// with -resume, skipping shards whose artifacts verify — the CI
-// determinism and crash-recovery jobs diff those artifacts across
+// with -resume, skipping shards whose artifacts verify; a manifest
+// damaged other than by a torn final append, or written by an earlier
+// version, fails with exit 1, untouched. CI diffs the artifacts across
 // runs, worker counts, quanta, and kill points. SIGINT/SIGTERM stop
 // the current runs at a quantum boundary and exit 130.
 //

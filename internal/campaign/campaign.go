@@ -2,7 +2,7 @@
 // resumable. A campaign is an ordered set of shards — one fully
 // deterministic machine run each, identified by
 // workload/threads/seed/config-hash — whose progress is journaled to
-// an append-only JSONL manifest next to the artifacts. After a crash,
+// an append-only manifest of checksummed frames next to the artifacts. After a crash,
 // a kill, or a torn write, re-running the campaign with resume replays
 // the journal, skips shards whose artifacts verify, and re-runs the
 // failed or interrupted ones; because every shard is a pure function

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"txsampler/internal/record"
 	"txsampler/internal/telemetry"
 )
 
@@ -42,36 +44,122 @@ func TestJournalReplayLastWins(t *testing.T) {
 	}
 }
 
-func TestJournalTornTailTruncated(t *testing.T) {
+// journalOf writes a journal of one entry per key and returns its path
+// and the offset each entry's frame starts at, with the journal's
+// length last.
+func journalOf(t *testing.T, keys ...string) (string, []int64) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "c.jsonl")
-	j, _ := OpenJournal(path, false)
-	j.Record(Entry{Key: "a", Status: StatusDone})
-	j.Close()
-	// Simulate a crash mid-append: a torn, newline-less JSON prefix.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	f.WriteString(`{"key":"b","sta`)
-	f.Close()
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var offs []int64
+	for _, k := range append(keys, "") {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, st.Size())
+		if k != "" {
+			if err := j.Record(Entry{Key: k, Status: StatusDone}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return path, offs
+}
 
-	j2, err := OpenJournal(path, true)
+// TestJournalTornTailTruncated simulates crashes mid-append: the final
+// frame cut at every byte offset, a zero-filled tail, and a crash while
+// the journal's magic line was being written. Each resumes with every
+// earlier entry, and a new append lands on a frame boundary.
+func TestJournalTornTailTruncated(t *testing.T) {
+	path, offs := journalOf(t, "a", "b")
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Len() != 1 {
-		t.Fatalf("torn tail replayed: %d keys", j2.Len())
+	type image struct {
+		data []byte
+		keys int
 	}
-	// The torn bytes are gone; a new append lands on a clean line.
-	j2.Record(Entry{Key: "c", Status: StatusDone})
-	j2.Close()
-	j3, err := OpenJournal(path, true)
+	var images []image
+	for cut := offs[1] + 1; cut < offs[2]; cut++ {
+		images = append(images, image{whole[:cut], 1})
+	}
+	images = append(images,
+		image{append(bytes.Clone(whole), make([]byte, 512)...), 2},
+		image{whole[:offs[0]/2], 0})
+	for _, im := range images {
+		if err := os.WriteFile(path, im.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, true)
+		if err != nil {
+			t.Fatalf("%d-byte image: %v", len(im.data), err)
+		}
+		if j.Len() != im.keys {
+			t.Fatalf("%d-byte image replayed %d keys, want %d", len(im.data), j.Len(), im.keys)
+		}
+		j.Record(Entry{Key: "c", Status: StatusDone})
+		j.Close()
+		j, err = OpenJournal(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := j.State("c"); !ok || j.Len() != im.keys+1 {
+			t.Fatalf("%d-byte image: entry appended after the truncation lost (%d keys)", len(im.data), j.Len())
+		}
+		j.Close()
+	}
+}
+
+// TestJournalRefusesDamage: damage that is not a torn final append
+// fails the resume with the journal byte-identical. A journal the
+// earlier JSONL format wrote is refused the same way, so an upgraded
+// binary never starts over on top of it.
+func TestJournalRefusesDamage(t *testing.T) {
+	path, offs := journalOf(t, "a", "b", "c")
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.Close()
-	if j3.Len() != 2 {
-		t.Fatalf("post-truncate journal has %d keys", j3.Len())
+	zero := func(i int64) []byte {
+		b := bytes.Clone(whole)
+		b[i] = 0
+		return b
 	}
-	if _, ok := j3.State("c"); !ok {
-		t.Fatal("appended entry lost")
+	for _, tc := range []struct {
+		name  string
+		image []byte
+	}{
+		{"byte inside record 2", zero((offs[1] + offs[2]) / 2)},
+		{"record 2 length field", zero(offs[1])},
+		{"JSONL journal", []byte(`{"key":"a","status":"done"}` + "\n" +
+			`{"key":"b","status":"done"}` + "\n" + `{"key":"c","status":"done"}` + "\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path, true)
+			if err == nil {
+				j.Close()
+				t.Fatalf("resume accepted the journal with %d keys", j.Len())
+			}
+			if !errors.Is(err, record.ErrCorrupt) {
+				t.Fatalf("resume: %v, want record.ErrCorrupt", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, tc.image) {
+				t.Fatalf("refused journal rewritten: %d bytes -> %d", len(tc.image), len(after))
+			}
+		})
 	}
 }
 

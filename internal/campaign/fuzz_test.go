@@ -1,24 +1,38 @@
 package campaign
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"txsampler/internal/record"
 )
 
-// FuzzJournalReplay hardens the crash-recovery journal parser against
-// arbitrary on-disk state: resuming from any byte sequence — torn
-// lines, binary garbage, duplicate keys — must never panic, and a
-// journal that resumes must still accept appends and survive a second
-// resume with the appended entry intact (the crash-safety contract).
+// FuzzJournalReplay hardens the crash-recovery journal replay against
+// arbitrary on-disk state: resuming from any byte sequence — torn or
+// damaged frames, binary garbage, foreign formats, duplicate keys —
+// must never panic, a refused journal must be left byte-identical, and
+// a journal that resumes must still accept appends and survive a
+// second resume with the appended entry intact (the crash-safety
+// contract).
 func FuzzJournalReplay(f *testing.F) {
+	framed := func(entries ...string) []byte {
+		b := record.Header(journalMagic, journalVersion)
+		for _, e := range entries {
+			b, _ = record.AppendFrame(b, []byte(e))
+		}
+		return b
+	}
+	two := framed(`{"key":"s1","status":"started"}`, `{"key":"s2","status":"done"}`)
 	f.Add([]byte(""))
-	f.Add([]byte(`{"key":"s1","status":"done","artifact":"a.pb"}` + "\n"))
-	f.Add([]byte(`{"key":"s1","status":"started"}` + "\n" + `{"key":"s1","status":"done"}` + "\n"))
-	f.Add([]byte(`{"key":"s1","status":"started"}` + "\n" + `{"key":"s2","status":`)) // torn tail
-	f.Add([]byte("not json\n"))
-	f.Add([]byte(`{"key":""}` + "\n")) // empty key: treated as garbage
-	f.Add([]byte("{\"key\":\"s1\"}\n\x00\xff\xfe"))
+	f.Add(framed(`{"key":"s1","status":"done","artifact":"a.pb"}`))
+	f.Add(framed(`{"key":"s1","status":"started"}`, `{"key":"s1","status":"done"}`))
+	f.Add(two[:len(two)-5])                                                   // torn tail
+	f.Add(framed("not json"))                                                 // refused
+	f.Add(framed(`{"key":""}`))                                               // empty key: refused
+	f.Add(append(framed(`{"key":"s1"}`), 0x00, 0xff, 0xfe))                   // garbage tail
+	f.Add([]byte(`{"key":"s1","status":"done"}` + "\n" + `{"key":"s2","sta`)) // JSONL: refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -27,7 +41,11 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		j, err := OpenJournal(path, true)
 		if err != nil {
-			return // rejected: fine
+			after, rerr := os.ReadFile(path)
+			if rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused journal rewritten (%v): %d bytes -> %d", rerr, len(data), len(after))
+			}
+			return
 		}
 		replayed := j.Len()
 		// The journal must stay appendable after replaying arbitrary

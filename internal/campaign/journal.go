@@ -2,8 +2,12 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
+	"io/fs"
+	"os"
 	"sync"
+
+	"txsampler/internal/record"
 )
 
 // Shard statuses as journaled.
@@ -13,9 +17,13 @@ const (
 	StatusFailed  = "failed"  // attempt ended in an error (may be retried)
 )
 
-// Entry is one journal line. The journal is append-only: a shard's
-// current state is its last entry. No wall-clock timestamps — journals
-// from identical campaigns stay byte-identical.
+// journalMagic and journalVersion name the journal's record format.
+const journalMagic, journalVersion = "txcampaign", 1
+
+// Entry is one journal record, stored as JSON in one frame. The
+// journal is append-only: a shard's current state is its last entry.
+// No wall-clock timestamps — journals from identical campaigns stay
+// byte-identical.
 type Entry struct {
 	Key      string `json:"key"`
 	Status   string `json:"status"`
@@ -24,30 +32,34 @@ type Entry struct {
 	Err      string `json:"err,omitempty"`
 }
 
-// Journal is the append-only JSONL manifest of a campaign, built on
-// AppendLog: appends are fsynced line-by-line, so the journal never
-// claims more than the disk holds; a crash can at worst tear the
-// final line, which OpenJournal truncates away on resume.
+// Journal is the append-only manifest of a campaign, a record.Log of
+// fsynced frames: a crash can at worst tear the final one.
 type Journal struct {
 	mu    sync.Mutex
-	log   *AppendLog
+	log   *record.Log
 	state map[string]Entry
 }
 
 // OpenJournal opens (resume=true) or recreates (resume=false) the
 // journal at path. On resume, existing entries are replayed into the
-// in-memory state — last entry per key wins — and a torn final line
-// (crash mid-append) is discarded and truncated so later appends start
-// on a clean boundary.
+// in-memory state — last entry per key wins — and a torn final frame
+// is truncated. Any other damage, an entry that does not decode, and a
+// journal of another format (earlier versions' JSONL included) fail
+// the open and leave the file as it was.
 func OpenJournal(path string, resume bool) (*Journal, error) {
+	if !resume {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+	}
 	j := &Journal{state: make(map[string]Entry)}
-	log, err := OpenAppendLog(path, resume, func(line []byte) error {
+	log, err := record.Open(path, journalMagic, journalVersion, func(p []byte) error {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
+		if err := json.Unmarshal(p, &e); err != nil {
 			return err
 		}
 		if e.Key == "" {
-			return fmt.Errorf("campaign: journal line without key")
+			return errors.New("campaign: journal entry without key")
 		}
 		j.state[e.Key] = e
 		return nil
@@ -78,14 +90,14 @@ func (j *Journal) Len() int {
 // but the in-memory state is updated regardless, so a campaign on a
 // full disk still runs to completion and reports correctly.
 func (j *Journal) Record(e Entry) error {
-	line, err := json.Marshal(e)
+	p, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state[e.Key] = e
-	_, err = j.log.Append(line)
+	_, err = j.log.Append(p)
 	return err
 }
 

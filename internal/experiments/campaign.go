@@ -74,11 +74,11 @@ func artifactName(workload string, seed int64) string {
 // from the crash-safe store and must not be a partial (interrupted)
 // profile.
 func VerifyArtifact(path string) error {
-	info, err := profile.Verify(path)
+	db, err := profile.Load(path)
 	if err != nil {
 		return err
 	}
-	if info.Partial {
+	if db.Partial {
 		return fmt.Errorf("%s: partial profile (interrupted run)", path)
 	}
 	return nil

@@ -18,10 +18,10 @@ import (
 
 // benchRecords pre-builds n distinct already-validated shard records
 // so the benchmark loop measures only the merge pipeline.
-func benchRecords(b *testing.B, n int) []Record {
-	recs := make([]Record, n)
+func benchRecords(b *testing.B, n int) []Shard {
+	recs := make([]Shard, n)
 	for i := range recs {
-		recs[i] = Record{
+		recs[i] = Shard{
 			Key:     fmt.Sprintf("bench-%d", i),
 			Window:  0,
 			Payload: wideShardBytes(b, 0, 200),

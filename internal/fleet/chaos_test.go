@@ -42,9 +42,9 @@ func uploadAll(t *testing.T, baseURL string, shards []Shard, plan faults.NetPlan
 // TestCrashRestartByteIdenticalUnderFaultStorm is the acceptance
 // scenario run in-process: shards flow to a daemon through a seeded
 // network fault storm (drops, duplicates, resets mid-body); the daemon
-// is "killed" at an arbitrary journal byte (a copied journal prefix
-// plus torn garbage is exactly the disk image kill -9 leaves, because
-// every ack follows an fsynced append); the restarted daemon replays,
+// is "killed" mid-append (a copied journal plus a torn frame is
+// exactly the disk image kill -9 leaves, because every ack follows an
+// fsynced append); the restarted daemon replays,
 // the clients re-send everything, and the final aggregate is
 // byte-identical to a fault-free reference run.
 func TestCrashRestartByteIdenticalUnderFaultStorm(t *testing.T) {
@@ -88,7 +88,10 @@ func TestCrashRestartByteIdenticalUnderFaultStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashDir := t.TempDir()
-	image := append(bytes.Clone(journal), []byte(`{"key":"torn-by-kill-9","window":0,"pay`)...)
+	// A kill -9 mid-append leaves a prefix of the next record's frame:
+	// here, a torn copy of the first one.
+	first := journal[bytes.IndexByte(journal, '\n')+1:]
+	image := append(bytes.Clone(journal), first[:64]...)
 	if err := os.WriteFile(filepath.Join(crashDir, JournalName), image, 0o644); err != nil {
 		t.Fatal(err)
 	}

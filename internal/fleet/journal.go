@@ -16,115 +16,59 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
+	"encoding/binary"
+	"errors"
+	"math"
 
-	"txsampler/internal/campaign"
+	"txsampler/internal/record"
 )
 
 // JournalName is the shard journal's filename inside the daemon's
 // state directory.
 const JournalName = "shards.jsonl"
 
-// Record is one journaled shard: its idempotency key, origin node,
-// aggregation window, and the framed profile payload (base64 in
-// JSON). The payload carries its own CRC32+SHA-256 header, so replay
-// re-verifies integrity end to end.
-type Record struct {
-	Key     string `json:"key"`
-	Node    string `json:"node,omitempty"`
-	Window  int    `json:"window"`
-	Payload []byte `json:"payload"`
+// journalMagic and journalVersion name the journal's record format.
+const journalMagic, journalVersion = "txshards", 1
+
+// encodeShard lays sh out as one journal frame's payload: key and
+// node, each behind its uvarint length, the window as a uvarint, then
+// the profile bytes verbatim. The profile comes last so its own frame
+// ends where the journal's does: a torn journal frame never holds an
+// intact frame, which would make replay refuse the journal instead of
+// truncating the tear.
+func encodeShard(sh Shard) []byte {
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(sh.Key)+len(sh.Node)+len(sh.Payload))
+	b = append(binary.AppendUvarint(b, uint64(len(sh.Key))), sh.Key...)
+	b = append(binary.AppendUvarint(b, uint64(len(sh.Node))), sh.Node...)
+	return append(binary.AppendUvarint(b, uint64(sh.Window)), sh.Payload...)
 }
 
-// ShardLog is the daemon's append-only shard journal, built on the
-// campaign package's torn-tail-truncating JSONL machinery. Appends
-// are fsynced before the ingest API acknowledges, so an acknowledged
-// shard is never lost; a crash can at worst tear the final line,
-// which OpenShardLog truncates away on restart.
-type ShardLog struct {
-	log *campaign.AppendLog
+var errBadShard = errors.New("fleet: malformed journal record")
+
+// decodeShard inverts encodeShard. The payload aliases b.
+func decodeShard(b []byte) (Shard, error) {
+	var s [2]string
+	for i := range s {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return Shard{}, errBadShard
+		}
+		s[i], b = string(b[k:k+int(n)]), b[k+int(n):]
+	}
+	w, k := binary.Uvarint(b)
+	if k <= 0 || w > math.MaxInt || s[0] == "" {
+		return Shard{}, errBadShard
+	}
+	return Shard{Key: s[0], Node: s[1], Window: int(w), Payload: b[k:]}, nil
 }
 
-// OpenShardLog opens the journal at path, creating it if missing, and
-// replays every intact record through replay in append order. A line
-// that does not decode is the torn tail of a crashed append — it is
-// truncated so the log ends on a clean boundary.
-func OpenShardLog(path string, replay func(rec Record) error) (*ShardLog, error) {
-	log, err := campaign.OpenAppendLog(path, true, func(line []byte) error {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		if rec.Key == "" {
-			return fmt.Errorf("fleet: journal record without key")
-		}
-		if replay != nil {
-			return replay(rec)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// readShards re-reads the shards journaled in [from, to), bounds that
+// Append or Size returned, for the journal-now-merge-later catch-up.
+func readShards(log *record.Log, from, to int64) ([]Shard, error) {
+	payloads, err := log.ReadRange(from, to)
+	shards := make([]Shard, len(payloads))
+	for i := 0; err == nil && i < len(payloads); i++ {
+		shards[i], err = decodeShard(payloads[i])
 	}
-	return &ShardLog{log: log}, nil
-}
-
-// Append journals one record and fsyncs it, returning the byte offset
-// the record starts at (the catch-up reader's cursor unit).
-func (l *ShardLog) Append(rec Record) (offset int64, err error) {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return l.log.Size(), err
-	}
-	return l.log.Append(line)
-}
-
-// Size returns the journal's current intact byte length.
-func (l *ShardLog) Size() int64 { return l.log.Size() }
-
-// Path returns the journal file path.
-func (l *ShardLog) Path() string { return l.log.Path() }
-
-// Close closes the journal file.
-func (l *ShardLog) Close() error { return l.log.Close() }
-
-// ReadRange re-reads the records in the byte range [from, to) of the
-// journal at path. The daemon's journal-now-merge-later catch-up uses
-// it to merge deferred shards from disk instead of holding their
-// payloads in memory; both bounds must lie on record boundaries
-// (offsets returned by Append and Size).
-func ReadRange(path string, from, to int64) ([]Record, error) {
-	if to <= from {
-		return nil, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, to-from)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, fmt.Errorf("fleet: journal range [%d,%d): %w", from, to, err)
-	}
-	var recs []Record
-	for len(buf) > 0 {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			return nil, fmt.Errorf("fleet: journal range [%d,%d) does not end on a record boundary", from, to)
-		}
-		var rec Record
-		if err := json.Unmarshal(buf[:nl], &rec); err != nil {
-			return nil, fmt.Errorf("fleet: journal record at offset %d: %w", to-int64(len(buf)), err)
-		}
-		recs = append(recs, rec)
-		buf = buf[nl+1:]
-	}
-	return recs, nil
+	return shards, err
 }

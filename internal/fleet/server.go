@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -20,6 +19,7 @@ import (
 	"txsampler/internal/analyzer"
 	"txsampler/internal/core"
 	"txsampler/internal/profile"
+	"txsampler/internal/record"
 	"txsampler/internal/telemetry"
 )
 
@@ -115,12 +115,11 @@ type Server struct {
 	// too: the journal is the ordering authority, and admission
 	// decisions must see a consistent (accepted, appended, mode) "
 	// snapshot against it.
-	mu         sync.Mutex
-	log        *ShardLog
-	accepted   map[string]struct{}
-	appended   uint64 // shards journaled (replay included)
-	mode       int
-	catchupEnd int64 // catch-up read cursor target bookkeeping (diagnostics)
+	mu       sync.Mutex
+	log      *record.Log
+	accepted map[string]struct{}
+	appended uint64 // shards journaled (replay included)
+	mode     int
 
 	merged   atomic.Uint64 // shards merged into aggregates (replay included)
 	replayed uint64        // shards rebuilt from the journal at startup
@@ -137,7 +136,7 @@ type Server struct {
 	// same horizon by the same appends.
 	compactedBelow int
 
-	queue  chan Record
+	queue  chan Shard
 	closed chan struct{}
 	wg     sync.WaitGroup
 
@@ -161,7 +160,8 @@ type Server struct {
 // idempotency key — rebuilds the window aggregates, and starts the
 // merge pipeline. After a kill -9 the rebuilt aggregates are
 // byte-identical to what an uninterrupted daemon would hold for the
-// same accepted shard set.
+// same accepted shard set. Damage other than a torn final append fails
+// Open with the journal left as it was.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -171,7 +171,7 @@ func Open(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		accepted: make(map[string]struct{}),
 		windows:  make(map[int]*windowAgg),
-		queue:    make(chan Record, cfg.QueueCap),
+		queue:    make(chan Shard, cfg.QueueCap),
 		closed:   make(chan struct{}),
 	}
 	reg := cfg.Metrics
@@ -188,13 +188,10 @@ func Open(cfg Config) (*Server, error) {
 	s.gaugeQueue = reg.Gauge("fleet.queue_depth", false)
 	s.gaugeWindows = reg.Gauge("fleet.windows", false)
 
-	// stale is the first shard another profile format version wrote.
-	// Such a journal is intact, not torn: it is refused whole, so its
-	// acknowledged lines must not reach the torn-tail truncation.
-	var stale error
-	log, err := OpenShardLog(filepath.Join(cfg.Dir, JournalName), func(rec Record) error {
-		if stale != nil {
-			return nil
+	log, err := record.Open(filepath.Join(cfg.Dir, JournalName), journalMagic, journalVersion, func(p []byte) error {
+		rec, err := decodeShard(p)
+		if err != nil {
+			return err
 		}
 		if _, dup := s.accepted[rec.Key]; dup {
 			// A crash between fsync and ack can journal a shard whose
@@ -202,15 +199,8 @@ func Open(cfg Config) (*Server, error) {
 			// nothing.
 			return nil
 		}
-		db, err := profile.Read(bytes.NewReader(rec.Payload))
-		var ve *profile.VersionError
-		if errors.As(err, &ve) {
-			stale = fmt.Errorf("fleet: replay %s: %w", rec.Key, err)
-			return nil
-		}
+		db, err := profile.Decode(rec.Payload)
 		if err != nil {
-			// An undecodable payload can only be the torn tail (the
-			// frame is checksummed); let the log truncate from here.
 			return fmt.Errorf("fleet: replay %s: %w", rec.Key, err)
 		}
 		s.accepted[rec.Key] = struct{}{}
@@ -227,10 +217,6 @@ func Open(cfg Config) (*Server, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if stale != nil {
-		log.Close()
-		return nil, stale
 	}
 	s.log = log
 	s.appended = uint64(len(s.accepted))
@@ -344,11 +330,11 @@ func (s *Server) merger() {
 	}
 }
 
-func (s *Server) merge(rec Record) {
+func (s *Server) merge(rec Shard) {
 	if s.cfg.MergeGate != nil {
 		s.cfg.MergeGate()
 	}
-	db, err := profile.Read(bytes.NewReader(rec.Payload))
+	db, err := profile.Decode(rec.Payload)
 	if err != nil {
 		// Verified at ingest and checksummed on disk; reaching here
 		// means in-memory corruption. Count it, never crash the
@@ -400,11 +386,9 @@ func (s *Server) catchup(from int64) {
 			s.logf("fleet: caught up; back to live mode")
 			return
 		}
-		s.catchupEnd = end
-		path := s.log.Path()
 		s.mu.Unlock()
 
-		recs, err := ReadRange(path, pos, end)
+		recs, err := readShards(s.log, pos, end)
 		if err != nil {
 			// Disk-level trouble: stay in lag mode and report; the
 			// journal is still the durable truth for the next open.
@@ -503,10 +487,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading shard body: %v", err), http.StatusBadRequest)
 		return
 	}
-	// The framed header's CRC32+SHA-256 double as the wire integrity
-	// check: a payload truncated by a mid-body connection reset or
-	// corrupted in flight never reaches the journal.
-	if _, err := profile.Read(bytes.NewReader(data)); err != nil {
+	// The database's frame CRC32 and SHA-256 double as the wire
+	// integrity check: a payload truncated by a mid-body connection
+	// reset or corrupted in flight never reaches the journal.
+	if _, err := profile.Decode(data); err != nil {
 		s.ctrRejected.Add(1)
 		http.Error(w, fmt.Sprintf("shard payload: %v", err), http.StatusBadRequest)
 		return
@@ -525,7 +509,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rec := Record{Key: key, Node: r.Header.Get(HeaderNode), Window: window, Payload: data}
+	rec := Shard{Key: key, Node: r.Header.Get(HeaderNode), Window: window, Payload: data}
 
 	s.mu.Lock()
 	if _, dup := s.accepted[key]; dup {
@@ -546,7 +530,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Journal before acknowledging: the fsynced append is the commit
 	// point. A kill -9 after this line loses nothing; a kill before
 	// it loses only an unacknowledged shard the client will retry.
-	off, err := s.log.Append(rec)
+	off, err := s.log.Append(encodeShard(rec))
 	if err != nil {
 		s.mu.Unlock()
 		s.ctrRejected.Add(1)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
 	"txsampler/internal/profile"
+	"txsampler/internal/record"
 	"txsampler/internal/rtm"
 	"txsampler/internal/telemetry"
 )
@@ -422,62 +424,150 @@ func TestRestartReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayTruncatesTornTail simulates a kill -9 mid-append: a
-// half-written journal line is discarded on restart and every intact
-// record before it survives.
-func TestReplayTruncatesTornTail(t *testing.T) {
+// ackedJournal runs a daemon that acknowledges one shard per key,
+// stops it, and returns its directory and the journal offset each
+// shard's record starts at, with the journal's length last.
+func ackedJournal(t *testing.T, keys ...string) (string, []int64) {
+	t.Helper()
 	dir := t.TempDir()
 	srv, ts := openTestServer(t, Config{Dir: dir})
-	payload := shardBytes(t, "micro/low-abort", 0, 9)
-	if resp, _ := ingest(t, ts.URL, payload, "intact", 0); resp.StatusCode != http.StatusOK {
-		t.Fatal("ingest failed")
+	path := filepath.Join(dir, JournalName)
+	var offs []int64
+	for i, key := range append(keys, "") {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, st.Size())
+		if key != "" {
+			if resp, body := ingest(t, ts.URL, shardBytes(t, "micro/low-abort", i, uint64(3+i)), key, 0); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest %s: status %d: %s", key, resp.StatusCode, body)
+			}
+		}
 	}
 	waitLagZero(t, srv)
 	ts.Close()
-	srv.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, offs
+}
 
+// TestReplayTruncatesTornTail simulates a kill -9 mid-append: a torn
+// final record, or a zero-filled tail, is discarded on restart and
+// every intact record before it survives.
+func TestReplayTruncatesTornTail(t *testing.T) {
+	dir, offs := ackedJournal(t, "intact", "torn")
 	path := filepath.Join(dir, JournalName)
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"torn","window":0,"payload":"aGFsZi13cml0`); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		image    []byte
+		replayed uint64
+	}{
+		{whole[:(offs[1]+offs[2])/2], 1},
+		{whole[:offs[2]-1], 1},
+		{append(bytes.Clone(whole), make([]byte, 4096)...), 2},
+	} {
+		if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, ts := openTestServer(t, Config{Dir: dir})
+		if srv.Replayed() != tc.replayed {
+			t.Errorf("%d-byte journal: replayed %d, want %d", len(tc.image), srv.Replayed(), tc.replayed)
+		}
+		// The torn bytes are gone: the journal accepts new appends cleanly.
+		if resp, body := ingest(t, ts.URL, shardBytes(t, "micro/low-abort", 1, 3), "fresh", 0); resp.StatusCode != http.StatusOK {
+			t.Fatalf("post-truncation ingest: status %d: %s", resp.StatusCode, body)
+		}
+		waitLagZero(t, srv)
+		ts.Close()
+		srv.Close()
+		srv, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.Replayed() != tc.replayed+1 {
+			t.Errorf("%d-byte journal: replayed %d after an append, want %d", len(tc.image), srv.Replayed(), tc.replayed+1)
+		}
+		srv.Close()
 	}
-	f.Close()
+}
 
-	srv2, err := Open(Config{Dir: dir})
+// TestReplayRefusesDamage: damage other than a torn final append makes
+// Open fail with the journal byte-identical, keeping every acknowledged
+// shard for an operator to recover. So does a journal the earlier
+// JSON-lines format wrote: an upgraded daemon refuses it instead of
+// starting empty beside it.
+func TestReplayRefusesDamage(t *testing.T) {
+	dir, offs := ackedJournal(t, "k1", "k2", "k3")
+	path := filepath.Join(dir, JournalName)
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
-	if srv2.Replayed() != 1 {
-		t.Errorf("replayed %d, want 1 (torn tail dropped)", srv2.Replayed())
+	zero := func(i int64) []byte {
+		b := bytes.Clone(whole)
+		b[i] = 0
+		return b
 	}
-	// The torn bytes are gone: the journal accepts new appends cleanly.
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	if resp, body := ingest(t, ts2.URL, shardBytes(t, "micro/low-abort", 1, 3), "fresh", 0); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-truncation ingest: status %d: %s", resp.StatusCode, body)
+	var jsonl []byte
+	for i, key := range []string{"k1", "k2", "k3"} {
+		line, err := json.Marshal(map[string]any{"key": key, "window": 0, "payload": shardBytes(t, "micro/low-abort", i, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl = append(append(jsonl, line...), '\n')
+	}
+	for _, tc := range []struct {
+		name  string
+		image []byte
+	}{
+		{"byte inside record 2", zero((offs[1] + offs[2]) / 2)},
+		{"record 2 length field", zero(offs[1])},
+		{"JSONL journal", jsonl},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Open(Config{Dir: dir})
+			if err == nil {
+				srv.Close()
+				t.Fatalf("Open accepted the journal, replayed %d shards", srv.Replayed())
+			}
+			if !errors.Is(err, record.ErrCorrupt) {
+				t.Fatalf("Open: %v, want record.ErrCorrupt", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, tc.image) {
+				t.Fatalf("refused journal rewritten: %d bytes -> %d", len(tc.image), len(after))
+			}
+		})
 	}
 }
 
 // TestReplayRefusesOtherFormatVersion: a journal whose shards another
 // profile format version wrote is intact, not torn. Open refuses it
-// with the version error and leaves every acknowledged line in place
-// instead of truncating them as a torn tail.
+// with the version error and leaves every acknowledged record in
+// place.
 func TestReplayRefusesOtherFormatVersion(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, JournalName)
-	log, err := OpenShardLog(path, nil)
+	log, err := record.Open(path, journalMagic, journalVersion, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := fmt.Sprintf("txprofdb %d ", profile.FormatVersion)
-	old := fmt.Sprintf("txprofdb %d ", profile.FormatVersion-1)
+	cur := fmt.Sprintf("txprofdb %d\n", profile.FormatVersion)
+	old := fmt.Sprintf("txprofdb %d\n", profile.FormatVersion-1)
 	for i, key := range []string{"old-1", "old-2"} {
 		payload := bytes.Replace(shardBytes(t, "micro/low-abort", i, 5), []byte(cur), []byte(old), 1)
-		if _, err := log.Append(Record{Key: key, Window: 0, Payload: payload}); err != nil {
+		if _, err := log.Append(encodeShard(Shard{Key: key, Window: 0, Payload: payload})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,13 +15,14 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// FormatVersion identifies the database layout. Version 3 stores each
-// context's time as core.Metrics.Time, one bucket per rtm.Mode, in
-// place of version 2's named per-feature buckets. Version 2 framed the
-// JSON payload with a checksummed header (see storage.go) and added
-// the Partial stamp; version 1 was bare JSON with no integrity
-// protection. Read refuses both with *VersionError.
-const FormatVersion = 3
+// FormatVersion identifies the database layout. Version 4 frames the
+// JSON and its SHA-256 as one record (see storage.go) in place of the
+// text header of versions 2 and 3. Version 3 stores each context's
+// time as core.Metrics.Time, one bucket per rtm.Mode, in place of
+// version 2's named per-feature buckets; version 2 added the Partial
+// stamp; version 1 was bare JSON. Read refuses all three with
+// *VersionError.
+const FormatVersion = 4
 
 // Node is one serialized calling context.
 type Node struct {

@@ -1,62 +1,42 @@
 package profile
 
-// Crash-consistent on-disk storage. A database is a framed file:
-//
-//	txprofdb <version> len=<payload bytes> crc32=<hex8> sha256=<hex64>\n
-//	<payload: indented JSON, exactly len bytes>
-//
-// The header carries both a CRC32 (cheap first-line check) and a
-// SHA-256 (strong integrity) over the payload, so Load can distinguish
-// a torn write (payload shorter than the header claims: ErrTruncated)
-// from bit rot or trailing garbage (ErrCorrupt) from a format change
-// (*VersionError). Save is atomic: the payload is written to a
-// temporary file in the same directory, fsynced, renamed over the
-// destination, and the directory is fsynced — a crash at any write
-// offset leaves either the old complete database or a torn temp file
-// that Fsck removes, never a half-new database under the real name.
+// Crash-consistent on-disk storage. A database is a record file (see
+// internal/record) of one frame: "txprofdb <version>\n", then length,
+// CRC32, and the payload — the JSON's SHA-256, then indented JSON.
+// Load tells a torn write (record.ErrTruncated) from bit rot or
+// trailing garbage (record.ErrCorrupt) from a format change
+// (*VersionError): re-running the producer fixes the first two, the
+// third needs a different reader. Save is atomic: the payload is
+// written to a temporary file in the same directory, fsynced, renamed
+// over the destination, and the directory is fsynced — a crash at any
+// write offset leaves either the old complete database or a torn temp
+// file that Fsck removes, never a half-new database under the real
+// name.
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"txsampler/internal/faults"
+	"txsampler/internal/record"
 )
 
-// magic is the first header token of a framed database.
+// magic names the database format on its magic line.
 const magic = "txprofdb"
 
 // TmpSuffix is appended to the temporary file Save writes before the
 // atomic rename. A file with this suffix is always garbage: either a
 // save in progress or the debris of a crash mid-write.
 const TmpSuffix = ".tmp"
-
-// Typed load failures. Load and Read wrap exactly one of these (or a
-// plain I/O error) so callers can triage a damaged database:
-// re-running the producer fixes a truncated or corrupt file, while a
-// version mismatch needs a different reader.
-var (
-	// ErrTruncated marks a database cut short mid-write: the payload
-	// is shorter than the header claims, or the header itself is
-	// incomplete.
-	ErrTruncated = errors.New("truncated profile database")
-	// ErrCorrupt marks a database whose bytes are all present but
-	// wrong: checksum mismatch, trailing garbage, or undecodable
-	// payload.
-	ErrCorrupt = errors.New("corrupt profile database")
-)
 
 // VersionError reports a database written by an incompatible format
 // version (including headerless version-1 files).
@@ -68,19 +48,20 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("profile: unsupported version %d (want %d)", e.Got, e.Want)
 }
 
-// encode renders the framed representation: header line + payload.
+// encode renders the framed representation: the magic line, then one
+// frame holding the JSON's SHA-256 and the JSON.
 func (db *Database) encode() ([]byte, error) {
 	var payload bytes.Buffer
+	payload.Write(make([]byte, sha256.Size))
 	enc := json.NewEncoder(&payload)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(db); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	p := payload.Bytes()
-	sum := sha256.Sum256(p)
-	header := fmt.Sprintf("%s %d len=%d crc32=%08x sha256=%s\n",
-		magic, db.Version, len(p), crc32.ChecksumIEEE(p), hex.EncodeToString(sum[:]))
-	return append([]byte(header), p...), nil
+	sum := sha256.Sum256(p[sha256.Size:])
+	copy(p, sum[:])
+	return record.AppendFrame(record.Header(magic, db.Version), p)
 }
 
 // Write serializes the database in the framed format.
@@ -93,100 +74,51 @@ func (db *Database) Write(w io.Writer) error {
 	return err
 }
 
-// header is the parsed first line of a framed database.
-type header struct {
-	version int
-	length  int
-	crc     uint32
-	sha     string
-}
-
-func parseHeader(line string) (header, error) {
-	var h header
-	fields := strings.Fields(line)
-	if len(fields) != 5 || fields[0] != magic {
-		return h, fmt.Errorf("profile: %w: bad header", ErrCorrupt)
-	}
-	var err error
-	if h.version, err = strconv.Atoi(fields[1]); err != nil {
-		return h, fmt.Errorf("profile: %w: bad header version", ErrCorrupt)
-	}
-	for _, f := range fields[2:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return h, fmt.Errorf("profile: %w: bad header field %q", ErrCorrupt, f)
-		}
-		switch key {
-		case "len":
-			h.length, err = strconv.Atoi(val)
-		case "crc32":
-			var v uint64
-			v, err = strconv.ParseUint(val, 16, 32)
-			h.crc = uint32(v)
-		case "sha256":
-			h.sha = val
-		default:
-			return h, fmt.Errorf("profile: %w: unknown header field %q", ErrCorrupt, key)
-		}
-		if err != nil {
-			return h, fmt.Errorf("profile: %w: bad header field %q", ErrCorrupt, f)
-		}
-	}
-	if h.length < 0 || len(h.sha) != 2*sha256.Size {
-		return h, fmt.Errorf("profile: %w: bad header", ErrCorrupt)
-	}
-	return h, nil
-}
-
-// Read parses a framed database, verifying length, checksums, and
-// version. Failures wrap ErrTruncated, ErrCorrupt, or *VersionError.
+// Read parses a framed database, verifying the frame, the checksums,
+// and the version. Failures wrap record.ErrTruncated,
+// record.ErrCorrupt, or *VersionError.
 func Read(r io.Reader) (*Database, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("profile: %w: empty database", ErrTruncated)
+		return nil, fmt.Errorf("profile: %w", err)
 	}
-	if first[0] == '{' {
+	return Decode(data)
+}
+
+// Decode is Read of a database already in memory.
+func Decode(data []byte) (*Database, error) {
+	if len(data) > 0 && data[0] == '{' {
 		// Headerless version-1 file (bare JSON, no integrity check).
 		var db Database
-		if err := json.NewDecoder(br).Decode(&db); err != nil {
-			return nil, fmt.Errorf("profile: %w: headerless and undecodable", ErrCorrupt)
+		if err := json.Unmarshal(data, &db); err != nil {
+			return nil, fmt.Errorf("profile: %w: headerless and undecodable", record.ErrCorrupt)
 		}
 		return nil, &VersionError{Got: db.Version, Want: FormatVersion}
 	}
-	if pre, err := br.Peek(len(magic) + 1); err != nil || string(pre) != magic+" " {
-		return nil, fmt.Errorf("profile: %w: bad magic", ErrCorrupt)
+	frames, err := record.ParseHeader(data, magic, FormatVersion)
+	var ve *record.VersionError
+	if errors.As(err, &ve) {
+		return nil, &VersionError{Got: ve.Got, Want: ve.Want}
 	}
-	line, err := br.ReadString('\n')
 	if err != nil {
-		return nil, fmt.Errorf("profile: %w: unterminated header", ErrTruncated)
+		return nil, fmt.Errorf("profile: %w", err)
 	}
-	h, err := parseHeader(line)
+	p, rest, err := record.Next(frames)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("profile: %w: bad payload frame", err)
 	}
-	if h.version != FormatVersion {
-		return nil, &VersionError{Got: h.version, Want: FormatVersion}
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("profile: %w: trailing garbage after payload", record.ErrCorrupt)
 	}
-	payload := make([]byte, h.length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("profile: %w: payload has fewer than the %d header-declared bytes", ErrTruncated, h.length)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("profile: %w: trailing garbage after payload", ErrCorrupt)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != h.crc {
-		return nil, fmt.Errorf("profile: %w: crc32 %08x does not match header %08x", ErrCorrupt, got, h.crc)
-	}
-	if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != h.sha {
-		return nil, fmt.Errorf("profile: %w: sha256 mismatch", ErrCorrupt)
+	if len(p) < sha256.Size || sha256.Sum256(p[sha256.Size:]) != [sha256.Size]byte(p[:sha256.Size]) {
+		return nil, fmt.Errorf("profile: %w: sha256 mismatch", record.ErrCorrupt)
 	}
 	var db Database
-	if err := json.Unmarshal(payload, &db); err != nil {
-		return nil, fmt.Errorf("profile: %w: checksummed payload is not valid JSON: %v", ErrCorrupt, err)
+	if err := json.Unmarshal(p[sha256.Size:], &db); err != nil {
+		return nil, fmt.Errorf("profile: %w: checksummed payload is not valid JSON: %v", record.ErrCorrupt, err)
 	}
-	if db.Version != h.version {
-		return nil, fmt.Errorf("profile: %w: payload version %d contradicts header version %d", ErrCorrupt, db.Version, h.version)
+	if db.Version != FormatVersion {
+		return nil, fmt.Errorf("profile: %w: payload version %d contradicts header version %d", record.ErrCorrupt, db.Version, FormatVersion)
 	}
 	return &db, nil
 }
@@ -266,33 +198,14 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Load reads a database from path. Failures wrap ErrTruncated,
-// ErrCorrupt, or *VersionError (besides plain I/O errors).
+// Load reads a database from path. Failures wrap record.ErrTruncated,
+// record.ErrCorrupt, or *VersionError (besides plain I/O errors).
 func Load(path string) (*Database, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Info summarizes a verified database.
-type Info struct {
-	Version int
-	Partial bool
-	Program string
-}
-
-// Verify fully checks one database: header, payload length, both
-// checksums, version, and JSON decodability. The returned Info is
-// valid only when err is nil.
-func Verify(path string) (Info, error) {
-	db, err := Load(path)
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{Version: db.Version, Partial: db.Partial, Program: db.Program}, nil
+	return Decode(data)
 }
 
 // FsckResult summarizes one Fsck pass.
@@ -355,9 +268,9 @@ func Fsck(w io.Writer, paths []string, repair bool) (FsckResult, error) {
 	sort.Strings(orphans)
 	for _, path := range files {
 		res.Scanned++
-		info, err := Verify(path)
+		db, err := Load(path)
 		switch {
-		case err == nil && info.Partial:
+		case err == nil && db.Partial:
 			res.Clean++
 			res.Partial++
 			fmt.Fprintf(w, "%s: ok (partial: flushed by a canceled run)\n", path)

@@ -2,17 +2,15 @@ package profile
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"txsampler/internal/faults"
+	"txsampler/internal/record"
 )
 
 // saved writes a small valid database and returns its bytes.
@@ -33,20 +31,31 @@ func TestReadFailureTaxonomy(t *testing.T) {
 	headerEnd := bytes.IndexByte(good, '\n') + 1
 	bitflip := append([]byte(nil), good...)
 	bitflip[headerEnd+len(bitflip[headerEnd:])/2] ^= 0x20
+	crcflip := append([]byte(nil), good...)
+	crcflip[headerEnd+5] ^= 0x01
+	// An intact frame around a payload whose SHA-256 does not match.
+	payload := bytes.Clone(good[headerEnd+8:])
+	payload[0] ^= 0x01
+	shaflip, err := record.AppendFrame(good[:headerEnd:headerEnd], payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"empty file", nil, ErrTruncated},
-		{"header cut short", good[:headerEnd/2], ErrTruncated},
-		{"payload cut short", good[:headerEnd+(len(good)-headerEnd)/2], ErrTruncated},
-		{"missing last byte", good[:len(good)-1], ErrTruncated},
-		{"trailing garbage", append(append([]byte(nil), good...), "junk"...), ErrCorrupt},
-		{"bit-flipped payload", bitflip, ErrCorrupt},
-		{"bad magic", append([]byte("xxprofdb"), good[len(magic):]...), ErrCorrupt},
-		{"headerless junk", []byte("not a database"), ErrCorrupt},
+		{"empty file", nil, record.ErrTruncated},
+		{"header cut short", good[:headerEnd/2], record.ErrTruncated},
+		{"payload cut short", good[:headerEnd+(len(good)-headerEnd)/2], record.ErrTruncated},
+		{"missing last byte", good[:len(good)-1], record.ErrTruncated},
+		{"trailing garbage", append(append([]byte(nil), good...), "junk"...), record.ErrCorrupt},
+		{"bit-flipped payload", bitflip, record.ErrCorrupt},
+		{"damaged crc field", crcflip, record.ErrCorrupt},
+		{"sha256 mismatch", shaflip, record.ErrCorrupt},
+		{"bad magic", append([]byte("xxprofdb"), good[len(magic):]...), record.ErrCorrupt},
+		{"headerless junk", []byte("not a database"), record.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,34 +67,35 @@ func TestReadFailureTaxonomy(t *testing.T) {
 	}
 }
 
-// frame wraps payload in a database header claiming version.
-func frame(version int, payload string) string {
-	sum := sha256.Sum256([]byte(payload))
-	return fmt.Sprintf("%s %d len=%d crc32=%08x sha256=%s\n%s", magic, version,
-		len(payload), crc32.ChecksumIEEE([]byte(payload)), hex.EncodeToString(sum[:]), payload)
-}
-
 func TestReadVersionMismatch(t *testing.T) {
 	var ve *VersionError
 	// A framed database from a future format version: the current
-	// database with its header's version field bumped.
+	// database with its magic line's version bumped.
 	good := string(saved(t))
-	cur := fmt.Sprintf("%s %d ", magic, FormatVersion)
+	cur := string(record.Header(magic, FormatVersion))
 	if !strings.HasPrefix(good, cur) {
-		t.Fatalf("header %q does not start with %q", good[:strings.IndexByte(good, '\n')], cur)
+		t.Fatalf("database does not start with %q", cur)
 	}
-	future := fmt.Sprintf("%s %d ", magic, FormatVersion+1) + good[len(cur):]
+	future := string(record.Header(magic, FormatVersion+1)) + good[len(cur):]
 	if _, err := Read(strings.NewReader(future)); !errors.As(err, &ve) || ve.Got != FormatVersion+1 || ve.Want != FormatVersion {
 		t.Fatalf("future version: got %v, want *VersionError{Got:%d}", err, FormatVersion+1)
 	}
-	// A complete, checksummed version-2 database (named per-feature
-	// time buckets) is a version mismatch too: no v2 decode path.
-	v2 := frame(2, `{"version": 2, "program": "old", "threads": 1,
-  "totals": {"W": 10, "T": 4, "Ttx": 3, "Tstm": 0, "Tfb": 1, "Twait": 0, "Toh": 0},
-  "cct": {"fn": "", "metrics": {"W": 10, "T": 4, "Ttx": 3, "Tstm": 0, "Tfb": 1, "Twait": 0, "Toh": 0}}}
-`)
-	if _, err := Read(strings.NewReader(v2)); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != FormatVersion {
-		t.Fatalf("framed v2: got %v, want *VersionError{Got:2}", err)
+	// Complete, checksummed databases the v2 and v3 writers produced
+	// (text header with len, crc32 and sha256 fields) are version
+	// mismatches too: no decode path for them.
+	for _, v := range []int{2, 3} {
+		f, err := os.Open(fmt.Sprintf("testdata/v%d.json", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Read(f)
+		f.Close()
+		if !errors.As(err, &ve) || ve.Got != v || ve.Want != FormatVersion {
+			t.Fatalf("framed v%d: got %v, want *VersionError{Got:%d}", v, err, v)
+		}
+		if want := fmt.Sprintf("profile: unsupported version %d (want %d)", v, FormatVersion); err.Error() != want {
+			t.Fatalf("framed v%d: error %q, want %q", v, err, want)
+		}
 	}
 	// A headerless version-1 file (the seed format) is a version
 	// mismatch, not corruption: the bytes are fine, the format is old.
@@ -115,12 +125,12 @@ func TestSaveAtomic(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "p.json" {
 		t.Fatalf("directory not clean after save: %v", entries)
 	}
-	info, err := Verify(path)
+	db, err = Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != FormatVersion || info.Partial || info.Program != "test/prog" {
-		t.Fatalf("verify info = %+v", info)
+	if db.Version != FormatVersion || db.Partial || db.Program != "test/prog" {
+		t.Fatalf("loaded version %d, partial %v, program %q", db.Version, db.Partial, db.Program)
 	}
 }
 
@@ -143,7 +153,7 @@ func TestSaveCrashTornFileDetected(t *testing.T) {
 		if got := uint64(st.Size()); got != offset {
 			t.Fatalf("offset %d: torn file has %d bytes", offset, got)
 		}
-		if _, lerr := Load(path); !errors.Is(lerr, ErrTruncated) && !errors.Is(lerr, ErrCorrupt) {
+		if _, lerr := Load(path); !errors.Is(lerr, record.ErrTruncated) && !errors.Is(lerr, record.ErrCorrupt) {
 			t.Fatalf("offset %d: torn file loaded as %v", offset, lerr)
 		}
 	}
@@ -160,16 +170,12 @@ func TestPartialRoundTrip(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Verify(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Partial {
-		t.Fatal("Partial lost on disk")
-	}
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !got.Partial {
+		t.Fatal("Partial lost on disk")
 	}
 	if !got.Report().Partial {
 		t.Fatal("Partial lost in report reconstruction")
@@ -249,7 +255,7 @@ func TestFsckSingleFile(t *testing.T) {
 	}
 }
 
-// TestReadHeaderFieldDamage exercises the header parser's field-level
+// TestReadHeaderFieldDamage exercises the magic line's field-level
 // validation: every malformed field is corruption, never a crash or a
 // silent default.
 func TestReadHeaderFieldDamage(t *testing.T) {
@@ -257,26 +263,21 @@ func TestReadHeaderFieldDamage(t *testing.T) {
 	headerEnd := strings.IndexByte(good, '\n') + 1
 	header := good[:headerEnd-1]
 	payload := good[headerEnd:]
-	fields := strings.Fields(header) // magic version len=, crc32=, sha256=
+	fields := strings.Fields(header) // magic version
 
 	cases := []struct {
 		name   string
 		header string
 	}{
-		{"missing field", strings.Join(fields[:4], " ")},
+		{"missing field", fields[0]},
 		{"extra field", header + " extra=1"},
-		{"non-numeric version", strings.Replace(header, magic+" "+fields[1]+" ", magic+" two ", 1)},
-		{"field without equals", strings.Replace(header, fields[2], "len", 1)},
-		{"non-numeric len", strings.Replace(header, fields[2], "len=xyz", 1)},
-		{"bad crc hex", strings.Replace(header, fields[3], "crc32=zzzzzzzz", 1)},
-		{"unknown key", strings.Replace(header, fields[2], "bytes=10", 1)},
-		{"short sha", strings.Replace(header, fields[4], "sha256=abcd", 1)},
+		{"non-numeric version", magic + " two"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Read(strings.NewReader(tc.header + "\n" + payload))
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("got %v, want ErrCorrupt", err)
+			if !errors.Is(err, record.ErrCorrupt) {
+				t.Fatalf("got %v, want record.ErrCorrupt", err)
 			}
 		})
 	}

@@ -217,7 +217,7 @@ func TestCancellationChaosNeverTearsDatabase(t *testing.T) {
 		if err := profile.FromReport(res.Report).Save(path); err != nil {
 			t.Fatalf("delay %v: save: %v", delay, err)
 		}
-		info, err := profile.Verify(path)
+		info, err := profile.Load(path)
 		if err != nil {
 			t.Fatalf("delay %v: flushed database does not verify: %v", delay, err)
 		}
