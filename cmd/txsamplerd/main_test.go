@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"txsampler/internal/core"
+	"txsampler/internal/fleet"
 	"txsampler/internal/profile"
 	"txsampler/internal/rtm"
 )
@@ -69,6 +71,9 @@ func TestRunServesIngestAndDrains(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest: status %d", resp.StatusCode)
 		}
+		// The ack means journaled, not merged: the merge is asynchronous,
+		// so wait for /stats to report no merge lag before querying.
+		waitMerged(t, addr)
 		for _, path := range []string{"/stats", "/healthz", "/readyz", "/profile?window=0"} {
 			resp, err := http.Get("http://" + addr + path)
 			if err != nil {
@@ -98,6 +103,31 @@ func TestRunServesIngestAndDrains(t *testing.T) {
 	boot("replayed 0 shards")
 	// Second boot replays the journaled shard.
 	boot("replayed 1 shards")
+}
+
+// waitMerged polls /stats until every journaled shard is merged.
+func waitMerged(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st fleet.Stats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("/stats: %v", err)
+		}
+		if st.Lag == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("merge lag still %d after 10s", st.Lag)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestRunFlagErrors(t *testing.T) {

@@ -6,6 +6,7 @@
 //
 //	txvalidate -n 100 -seed 1                       # report to stdout
 //	txvalidate -n 200 -seed 1 -baseline VALIDATE_baseline.json
+//	txvalidate -n 40 -mix pmem+elide -baseline VALIDATE_baseline.json
 //
 // The report is deterministic: equal flags produce byte-identical
 // output. With -baseline, the exit status is non-zero when any
@@ -20,6 +21,7 @@ import (
 	"strings"
 
 	"txsampler/internal/machine"
+	"txsampler/internal/progen"
 	"txsampler/internal/validate"
 )
 
@@ -31,15 +33,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("txvalidate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n         = fs.Int("n", 100, "number of generated programs")
-		seed      = fs.Int64("seed", 1, "first generation seed (program i uses seed+i)")
-		threads   = fs.Int("threads", 0, "thread count override (0 = per-program generated count)")
-		out       = fs.String("o", "", "write the JSON report to this file (default stdout)")
-		baseline  = fs.String("baseline", "", "check the aggregate against this baseline file")
-		hybrid    = fs.String("hybrid-policy", "lock-only", "slow-path execution mode: "+strings.Join(machine.HybridPolicies(), ", "))
-		stmBias   = fs.Bool("stm-bias", false, "generate slow-path-forcing programs (hybrid-mode classification validation)")
-		pmemBias  = fs.Bool("pmem-bias", false, "generate durable-region programs with the pmem tier enabled (persistence-stall classification validation)")
-		elideBias = fs.Bool("elision-bias", false, "generate elidable-lock programs with elision on (per-site verdict accuracy validation)")
+		n        = fs.Int("n", 100, "number of generated programs")
+		seed     = fs.Int64("seed", 1, "first generation seed (program i uses seed+i)")
+		threads  = fs.Int("threads", 0, "thread count override (0 = per-program generated count)")
+		out      = fs.String("o", "", "write the JSON report to this file (default stdout)")
+		baseline = fs.String("baseline", "", "check the aggregate against this baseline file")
+		hybrid   = fs.String("hybrid-policy", "lock-only", "slow-path execution mode: "+strings.Join(machine.HybridPolicies(), ", "))
+		mixName  = fs.String("mix", "default", "generation mix: "+strings.Join(progen.Mixes(), ", ")+" (stm: slow-path-forcing regions; pmem: durable regions, pmem tier on; elide: elidable locks, elision on)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,8 +53,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "txvalidate:", err)
 		return 2
 	}
+	mix, err := progen.ParseMix(*mixName)
+	if err != nil {
+		fmt.Fprintln(stderr, "txvalidate:", err)
+		return 2
+	}
 
-	rep, err := validate.Campaign(*n, *seed, validate.Options{Threads: *threads, Hybrid: hpol, StmBias: *stmBias, PmemBias: *pmemBias, ElisionBias: *elideBias})
+	rep, err := validate.Campaign(*n, *seed, validate.Options{Threads: *threads, Hybrid: hpol, Mix: mix})
 	if err != nil {
 		fmt.Fprintln(stderr, "txvalidate:", err)
 		return 1

@@ -95,6 +95,20 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-definitely-not-a-flag"}, discard(t), &errb); code != 2 {
 		t.Fatalf("unknown flag exit %d, want 2", code)
 	}
+	// -mix is the only generation knob: per-feature bias flags are
+	// unknown flags.
+	for _, gone := range []string{"-stm-bias", "-pmem-bias", "-elision-bias"} {
+		if code := run([]string{gone}, discard(t), &errb); code != 2 {
+			t.Fatalf("%s exit %d, want 2", gone, code)
+		}
+	}
+	errb.Reset()
+	if code := run([]string{"-mix", "bogus"}, discard(t), &errb); code != 2 {
+		t.Fatalf("-mix bogus exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "default, stm, pmem, stm+pmem, elide, stm+elide, pmem+elide, stm+pmem+elide") {
+		t.Fatalf("-mix bogus does not name the valid mixes: %s", errb.String())
+	}
 	if code := run([]string{"-o", filepath.Join(t.TempDir(), "no", "such", "dir", "r.json"), "-n", "1"}, discard(t), &errb); code != 1 {
 		t.Fatalf("uncreatable -o exit %d, want 1", code)
 	}

@@ -22,6 +22,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,7 +34,8 @@ import (
 
 // Kind enumerates the region templates the generator composes
 // programs from. Each kind is designed to provoke one documented
-// profiler-visible behaviour with a known ground truth.
+// profiler-visible behaviour with a known ground truth; the kinds
+// table holds each one's ground truth.
 type Kind uint8
 
 const (
@@ -63,52 +65,43 @@ const (
 	// non-speculatively under the held lock.
 	KindNested
 
-	// NumKinds is the number of region kinds in the default random
-	// mix. The STM-biased templates below sit past it so the default
-	// mix (and every existing seed's program) is unchanged.
-	NumKinds = iota
-)
+	// The stm mix's templates force the slow path with an unfriendly
+	// instruction, so that under a software-capable hybrid policy the
+	// region executes as a software transaction (and under lock-only,
+	// under the global lock) — the workloads the four-way
+	// mode-classification validation runs on.
 
-// STM-biased templates, selected only under Config.StmBias: each one
-// forces the slow path with an unfriendly instruction so that, under a
-// software-capable hybrid policy, the region executes as a software
-// transaction (and under lock-only, under the global lock) — the
-// workloads the four-way mode-classification validation runs on.
-const (
 	// KindStmConflict forces the slow path and holds a wide
 	// read-compute-write window over one contended word: software
 	// validation failures, undo-log rollbacks, and retries.
-	KindStmConflict Kind = NumKinds + iota
+	KindStmConflict
 	// KindStmCapacity forces the slow path and writes a strided
 	// multi-line footprint: large read/write sets, long validation
 	// scans, and many per-word locks held at once.
 	KindStmCapacity
-)
 
-// Pmem-biased templates, selected only under Config.PmemBias: durable
-// regions registered with the machine's persistent-memory tier, so
-// every committed section runs the durable-commit persist epilogue —
-// the workloads the persistence-stall classification validation runs
-// on. Durable lines are strictly thread-private, keeping generated
-// programs sound under crash injection and section re-execution.
-const (
+	// The pmem mix's templates are durable regions registered with the
+	// machine's persistent-memory tier, so every committed section runs
+	// the durable-commit persist epilogue — the workloads the
+	// persistence-stall classification validation runs on. Durable
+	// lines are strictly thread-private, keeping generated programs
+	// sound under crash injection and section re-execution.
+
 	// KindPmemKV read-modify-writes one durable per-thread line, as a
 	// persistent key-value store's put path would.
-	KindPmemKV Kind = KindStmCapacity + 1 + iota
+	KindPmemKV
 	// KindPmemLog appends to a durable per-thread log and bumps a
 	// durable cursor: two persistent lines per commit.
 	KindPmemLog
-)
 
-// Elision-biased templates, selected only under Config.ElisionBias:
-// each region runs under its own rtm.ElidedLock (not the program's
-// global lock), and each kind is built so the elision verdict is
-// unambiguous by construction — ShouldElide is the ground truth the
-// verdict validation scores against.
-const (
+	// The elide mix's templates each run under their own
+	// rtm.ElidedLock (not the program's global lock), built so the
+	// elision verdict is unambiguous by construction — ElideVerdict is
+	// the ground truth the verdict validation scores against.
+
 	// KindElideWin updates a short per-thread private counter: the
 	// speculative path essentially always commits, so elision wins.
-	KindElideWin Kind = KindPmemLog + 1 + iota
+	KindElideWin
 	// KindElideRead reads a never-written shared line and bumps a
 	// private counter — the RWMutex read-mostly shape. No conflicts,
 	// so elision wins.
@@ -123,53 +116,160 @@ const (
 	KindElideCapacity
 )
 
-// ElideVerdict returns the by-construction ground truth for an
-// elision-biased kind: ok=false for non-elision kinds, otherwise
-// shouldWin says whether a profiler's per-site verdict must be "win".
-func (k Kind) ElideVerdict() (shouldWin, ok bool) {
-	switch k {
-	case KindElideWin, KindElideRead:
-		return true, true
-	case KindElideSyscall, KindElideCapacity:
-		return false, true
-	}
-	return false, false
+// kindSpec is one region template's row: its name and the ground
+// truth its construction fixes.
+type kindSpec struct {
+	name string
+	// Sites of same-word or same-line/different-word cross-thread
+	// accesses.
+	trueShare, falseShare bool
+	// elided regions run under their own rtm.ElidedLock; wins is the
+	// by-construction elision verdict.
+	elided, wins bool
+	// durable regions register their lines with the pmem tier.
+	durable bool
+	// unstable regions break the period-stability invariant's premise
+	// that the sampling grid only moves the observation points: on the
+	// slow path, behind the persist epilogue's canonical commit order,
+	// or on the elision ladder, shifted interrupt timing reshapes the
+	// conflict interleaving itself.
+	unstable bool
+	// lines draws the strided footprint of a capacity template.
+	lines func(rng *rand.Rand, ways int) int
 }
 
+var kinds = [...]kindSpec{
+	KindPrivate:    {name: "private"},
+	KindTrueShare:  {name: "true-share", trueShare: true},
+	KindFalseShare: {name: "false-share", falseShare: true},
+	// Around the associativity edge: Ways-1 (always fits), Ways
+	// (exactly at capacity), or Ways+1..Ways+2 (overflows), so profiles
+	// see both sides of the edge.
+	KindCapacity:    {name: "capacity", lines: func(rng *rand.Rand, ways int) int { return ways - 1 + rng.Intn(4) }},
+	KindSyscall:     {name: "syscall"},
+	KindExplicit:    {name: "explicit"},
+	KindNested:      {name: "nested"},
+	KindStmConflict: {name: "stm-conflict", trueShare: true, unstable: true},
+	// The slow path has no associativity limit; the footprint just
+	// sizes the software read/write sets.
+	KindStmCapacity:  {name: "stm-capacity", unstable: true, lines: func(rng *rand.Rand, _ int) int { return 2 + rng.Intn(3) }},
+	KindPmemKV:       {name: "pmem-kv", durable: true, unstable: true},
+	KindPmemLog:      {name: "pmem-log", durable: true, unstable: true},
+	KindElideWin:     {name: "elide-win", elided: true, wins: true, unstable: true},
+	KindElideRead:    {name: "elide-read", elided: true, wins: true, unstable: true},
+	KindElideSyscall: {name: "elide-syscall", elided: true, unstable: true},
+	// Always past the associativity edge: every speculative attempt
+	// overflows, so the lose verdict is unambiguous.
+	KindElideCapacity: {name: "elide-capacity", elided: true, unstable: true, lines: func(rng *rand.Rand, ways int) int { return ways + 1 + rng.Intn(2) }},
+}
+
+// ElideVerdict returns the by-construction ground truth for an
+// elide-mix kind: ok=false for kinds under the program's global lock,
+// otherwise shouldWin says whether a profiler's per-site verdict must
+// be "win".
+func (k Kind) ElideVerdict() (shouldWin, ok bool) { return kinds[k].wins, kinds[k].elided }
+
 func (k Kind) String() string {
-	switch k {
-	case KindPrivate:
-		return "private"
-	case KindTrueShare:
-		return "true-share"
-	case KindFalseShare:
-		return "false-share"
-	case KindCapacity:
-		return "capacity"
-	case KindSyscall:
-		return "syscall"
-	case KindExplicit:
-		return "explicit"
-	case KindNested:
-		return "nested"
-	case KindStmConflict:
-		return "stm-conflict"
-	case KindStmCapacity:
-		return "stm-capacity"
-	case KindPmemKV:
-		return "pmem-kv"
-	case KindPmemLog:
-		return "pmem-log"
-	case KindElideWin:
-		return "elide-win"
-	case KindElideRead:
-		return "elide-read"
-	case KindElideSyscall:
-		return "elide-syscall"
-	case KindElideCapacity:
-		return "elide-capacity"
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// Mix selects the region templates programs are generated from: a set
+// over the stm, pmem and elide mixes. The zero value is the default
+// mix. A combined set joins its members' pinned regions (in stm, pmem,
+// elide order) and draw pools, so features meet in one program.
+type Mix uint8
+
+// The feature mixes a Mix combines.
+const (
+	MixSTM   Mix = 1 << iota // slow-path-forcing regions
+	MixPmem                  // durable regions
+	MixElide                 // regions under their own elidable locks
+	numMixes = 1 << iota
+)
+
+// mixRow is one mix's templates: the choices pinned to its first
+// regions and the pool every further region draws from. A choice of
+// several kinds draws one; a single kind costs no draw.
+type mixRow struct {
+	mix  Mix
+	name string
+	pins [][]Kind
+	pool []Kind
+}
+
+// in reports whether the row is part of mix m: the default row of the
+// zero mix, a feature row of every mix that includes it.
+func (r mixRow) in(m Mix) bool { return r.mix == m || r.mix&m != 0 }
+
+var mixRows = [...]mixRow{
+	// One contended and one private region, so every program has both
+	// a known sharing site and a low-abort baseline.
+	{0, "default", [][]Kind{{KindTrueShare, KindFalseShare}, {KindPrivate}},
+		[]Kind{KindPrivate, KindTrueShare, KindFalseShare, KindCapacity, KindSyscall, KindExplicit, KindNested}},
+	// A conflict-heavy and a capacity-heavy slow-path region, then
+	// templates that spend time in every execution mode (software
+	// path, lock path, waiting, and the hardware path of the unforced
+	// kinds).
+	{MixSTM, "stm", [][]Kind{{KindStmConflict}, {KindStmCapacity}},
+		[]Kind{KindStmConflict, KindStmCapacity, KindPrivate, KindTrueShare, KindSyscall}},
+	// Both durable templates, then templates that also spend time in
+	// the other execution modes, so persistence stalls compete with
+	// real transactional work.
+	{MixPmem, "pmem", [][]Kind{{KindPmemKV}, {KindPmemLog}},
+		[]Kind{KindPmemKV, KindPmemLog, KindPrivate, KindTrueShare, KindSyscall}},
+	// Only verdict-graded templates; one pinned winner and one pinned
+	// loser guarantee both verdicts appear.
+	{MixElide, "elide", [][]Kind{{KindElideWin}, {KindElideSyscall}},
+		[]Kind{KindElideWin, KindElideRead, KindElideSyscall, KindElideCapacity}},
+}
+
+// templates returns the mix's pinned choices and draw pool.
+func (m Mix) templates() (pins [][]Kind, pool []Kind) {
+	for _, row := range mixRows {
+		if !row.in(m) {
+			continue
+		}
+		pins = append(pins, row.pins...)
+		for _, k := range row.pool {
+			if !slices.Contains(pool, k) {
+				pool = append(pool, k)
+			}
+		}
+	}
+	return pins, pool
+}
+
+func (m Mix) String() string {
+	var names []string
+	for _, row := range mixRows {
+		if row.in(m) {
+			names = append(names, row.name)
+		}
+	}
+	return strings.Join(names, "+")
+}
+
+// Mixes lists every spelling ParseMix accepts.
+func Mixes() []string {
+	out := make([]string, numMixes)
+	for m := range out {
+		out[m] = Mix(m).String()
+	}
+	return out
+}
+
+// ParseMix parses a flag spelling: "default", or stm, pmem and elide
+// joined by "+" in that order ("pmem+elide").
+func ParseMix(s string) (Mix, error) {
+	for m := Mix(0); m < numMixes; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("progen: unknown mix %q (want one of %s)", s, strings.Join(Mixes(), ", "))
 }
 
 // Region is one generated critical-section template. All threads visit
@@ -190,8 +290,8 @@ type Region struct {
 	// the access — LBR churn that the §3.4 pairing must replay and
 	// discard without corrupting the open-frame reconstruction.
 	Fanout int
-	// Lines is the strided footprint of a KindCapacity region; with
-	// the benchmark cache's 4-way L1 sets, Lines > 4 overflows.
+	// Lines is the strided footprint of a capacity region; with the
+	// benchmark cache's 4-way L1 sets, Lines > 4 overflows.
 	Lines int
 	// Compute is in-transaction compute padding in cycles, widening
 	// the conflict window.
@@ -228,13 +328,37 @@ type Program struct {
 	FalseSites []string
 }
 
+// Durable reports whether the program has durable regions: its runs
+// need the persistent-memory tier.
+func (p *Program) Durable() bool { return p.any(func(s kindSpec) bool { return s.durable }) }
+
+// Elides reports whether the program has elidable lock sites: its runs
+// turn elision on.
+func (p *Program) Elides() bool { return p.any(func(s kindSpec) bool { return s.elided }) }
+
+// PeriodStable reports whether the program's abort hot spots are
+// properties of the program rather than of the sampling grid, so the
+// period-stability invariant applies to it.
+func (p *Program) PeriodStable() bool { return !p.any(func(s kindSpec) bool { return s.unstable }) }
+
+func (p *Program) any(f func(kindSpec) bool) bool {
+	for _, r := range p.Regions {
+		if f(kinds[r.Kind]) {
+			return true
+		}
+	}
+	return false
+}
+
 // Config parameterizes generation. The zero value of every field
 // selects a seed-deterministic random choice (or a documented
 // default), so Config{Seed: s} is the common call.
 type Config struct {
 	Seed    int64
 	Threads int // 0 = random in [2,6]
-	Regions int // 0 = random in [3,6]
+	// Regions is the region count (0 = random in [3,6]); a combined
+	// mix adds one region per pinned template beyond the first two.
+	Regions int
 	Iters   int // 0 = random in [30,70]
 	// LBRBudget bounds the in-transaction branches a region's clean
 	// attempt records (0 = 12, under the default 16-deep LBR so
@@ -244,26 +368,8 @@ type Config struct {
 	// Ways is the L1 associativity capacity regions overflow against
 	// (0 = 4, matching txsampler.BenchCache).
 	Ways int
-	// StmBias switches generation to the slow-path-forcing template
-	// mix (KindStmConflict/KindStmCapacity plus the contended base
-	// kinds) for hybrid-mode validation. It does not change how
-	// non-biased programs generate: with StmBias false the draw
-	// sequence is byte-identical to earlier versions.
-	StmBias bool
-	// PmemBias switches generation to the durable template mix
-	// (KindPmemKV/KindPmemLog plus base kinds) for persistence-stall
-	// validation; the program's workload registers its durable regions
-	// with machine.PmemTrack at build time. Mutually exclusive with
-	// StmBias (PmemBias wins). With PmemBias false the draw sequence
-	// is byte-identical to earlier versions.
-	PmemBias bool
-	// ElisionBias switches generation to the elidable-lock template
-	// mix (the KindElide* kinds): every region runs under a per-region
-	// rtm.ElidedLock whose win/lose verdict is known by construction —
-	// the workloads the verdict validation runs on. PmemBias wins over
-	// it; it wins over StmBias. With ElisionBias false the draw
-	// sequence is byte-identical to earlier versions.
-	ElisionBias bool
+	// Mix selects the region templates (zero = the default mix).
+	Mix Mix
 }
 
 func (c Config) withDefaults(rng *rand.Rand) Config {
@@ -290,18 +396,13 @@ func (c Config) withDefaults(rng *rand.Rand) Config {
 func Generate(cfg Config) *Program {
 	rng := rand.New(rand.NewSource(cfg.Seed*0x5deece66d + 0xb))
 	cfg = cfg.withDefaults(rng)
+	pins, pool := cfg.Mix.templates()
+	// Each mix row pins two regions; a combined mix adds its further
+	// pins, so it keeps the same pool draws as a single mix.
+	cfg.Regions += len(pins) - len(mixRows[0].pins)
 	name := fmt.Sprintf("progen/s%d", cfg.Seed)
-	if cfg.StmBias {
-		name = fmt.Sprintf("progen/stm-s%d", cfg.Seed)
-	}
-	if cfg.ElisionBias {
-		cfg.StmBias = false
-		name = fmt.Sprintf("progen/elide-s%d", cfg.Seed)
-	}
-	if cfg.PmemBias {
-		cfg.StmBias = false
-		cfg.ElisionBias = false
-		name = fmt.Sprintf("progen/pmem-s%d", cfg.Seed)
+	if cfg.Mix != 0 {
+		name = fmt.Sprintf("progen/%s-s%d", cfg.Mix, cfg.Seed)
 	}
 	p := &Program{
 		Name:    name,
@@ -309,53 +410,14 @@ func Generate(cfg Config) *Program {
 		Threads: cfg.Threads,
 		Iters:   cfg.Iters,
 	}
-	// The STM-biased mix pins a conflict-heavy and a capacity-heavy
-	// slow-path region, then draws from the templates that spend time
-	// in every execution mode (software path, lock path, waiting, and
-	// the hardware path of the unforced kinds).
-	stmMix := []Kind{KindStmConflict, KindStmCapacity, KindPrivate, KindTrueShare, KindSyscall}
-	// The pmem mix pins both durable templates, then draws from
-	// templates that also spend time in the other execution modes so
-	// persistence stalls compete with real transactional work.
-	pmemMix := []Kind{KindPmemKV, KindPmemLog, KindPrivate, KindTrueShare, KindSyscall}
-	// The elision mix draws only from the verdict-graded templates:
-	// every region is an elidable lock site, and pinning one winner and
-	// one loser guarantees both verdicts appear in every program.
-	elideMix := []Kind{KindElideWin, KindElideRead, KindElideSyscall, KindElideCapacity}
-	// The first two regions always pin down one contended and one
-	// private template so every program has both a known sharing site
-	// and a low-abort baseline; the rest draw from the full mix.
 	for i := 0; i < cfg.Regions; i++ {
-		var kind Kind
-		switch {
-		case cfg.PmemBias && i == 0:
-			kind = KindPmemKV
-		case cfg.PmemBias && i == 1:
-			kind = KindPmemLog
-		case cfg.PmemBias:
-			kind = pmemMix[rng.Intn(len(pmemMix))]
-		case cfg.ElisionBias && i == 0:
-			kind = KindElideWin
-		case cfg.ElisionBias && i == 1:
-			kind = KindElideSyscall
-		case cfg.ElisionBias:
-			kind = elideMix[rng.Intn(len(elideMix))]
-		case cfg.StmBias && i == 0:
-			kind = KindStmConflict
-		case cfg.StmBias && i == 1:
-			kind = KindStmCapacity
-		case cfg.StmBias:
-			kind = stmMix[rng.Intn(len(stmMix))]
-		case i == 0:
-			if rng.Intn(2) == 0 {
-				kind = KindTrueShare
-			} else {
-				kind = KindFalseShare
-			}
-		case i == 1:
-			kind = KindPrivate
-		default:
-			kind = Kind(rng.Intn(NumKinds))
+		choices := pool
+		if i < len(pins) {
+			choices = pins[i]
+		}
+		kind := choices[0]
+		if len(choices) > 1 {
+			kind = choices[rng.Intn(len(choices))]
 		}
 		r := Region{
 			Kind:      kind,
@@ -373,27 +435,15 @@ func Generate(cfg Config) *Program {
 		for r.branches() > cfg.LBRBudget && r.Depth > 0 {
 			r.Depth--
 		}
-		if kind == KindCapacity {
-			// Around the associativity edge: Ways-1 (always fits),
-			// Ways (exactly at capacity), or Ways+1..Ways+2
-			// (overflows), so profiles see both sides of the edge.
-			r.Lines = cfg.Ways - 1 + rng.Intn(4)
-		}
-		if kind == KindStmCapacity {
-			// The slow path has no associativity limit; the footprint
-			// just sizes the software read/write sets.
-			r.Lines = 2 + rng.Intn(3)
-		}
-		if kind == KindElideCapacity {
-			// Always past the associativity edge: every speculative
-			// attempt overflows, so the lose verdict is unambiguous.
-			r.Lines = cfg.Ways + 1 + rng.Intn(2)
+		spec := kinds[kind]
+		if spec.lines != nil {
+			r.Lines = spec.lines(rng, cfg.Ways)
 		}
 		r.Site = fmt.Sprintf("r%d_%s", r.ID, r.Kind)
-		switch kind {
-		case KindTrueShare, KindStmConflict:
+		if spec.trueShare {
 			p.TrueSites = append(p.TrueSites, r.Site)
-		case KindFalseShare:
+		}
+		if spec.falseShare {
 			p.FalseSites = append(p.FalseSites, r.Site)
 		}
 		p.Regions = append(p.Regions, r)
@@ -455,7 +505,7 @@ func (p *Program) build(ctx *htmbench.Ctx) *htmbench.Instance {
 		elocks:   make([]*rtm.ElidedLock, len(p.Regions)),
 	}
 	for i, r := range p.Regions {
-		if _, elide := r.Kind.ElideVerdict(); elide {
+		if kinds[r.Kind].elided {
 			lay.elocks[i] = rtm.NewElidedLock(m, r.Site)
 		}
 		switch r.Kind {
@@ -469,17 +519,7 @@ func (p *Program) build(ctx *htmbench.Ctx) *htmbench.Instance {
 			for tid := 0; tid < ctx.Threads; tid++ {
 				lay.private[i][tid] = m.Mem.AllocLines(1)
 			}
-		case KindElideCapacity:
-			lay.capacity[i] = make([][]mem.Addr, ctx.Threads)
-			for tid := 0; tid < ctx.Threads; tid++ {
-				base := m.Mem.AllocLines(1 + (r.Lines-1)*sets)
-				lines := make([]mem.Addr, r.Lines)
-				for j := 0; j < r.Lines; j++ {
-					lines[j] = base.Offset(j * sets * mem.WordsPerLine)
-				}
-				lay.capacity[i][tid] = lines
-			}
-		case KindCapacity, KindStmCapacity:
+		case KindCapacity, KindStmCapacity, KindElideCapacity:
 			lay.capacity[i] = make([][]mem.Addr, ctx.Threads)
 			for tid := 0; tid < ctx.Threads; tid++ {
 				// A strided footprint through one cache set: line j
@@ -598,7 +638,7 @@ func (p *Program) access(lay *layout, r *Region, t *machine.Thread, tid, it int)
 		v := t.Load(slot)
 		t.Compute(r.Compute)
 		t.Store(slot, v+1)
-	case KindCapacity:
+	case KindCapacity, KindElideCapacity:
 		t.Compute(r.Compute)
 		for _, line := range lay.capacity[i][tid] {
 			t.Store(line, mem.Word(it)+1)
@@ -668,11 +708,6 @@ func (p *Program) access(lay *layout, r *Region, t *machine.Thread, tid, it int)
 		t.Add(lay.private[i][tid], 1)
 		t.Syscall("elide_serial")
 		t.Compute(r.Compute)
-	case KindElideCapacity:
-		t.Compute(r.Compute)
-		for _, line := range lay.capacity[i][tid] {
-			t.Store(line, mem.Word(it)+1)
-		}
 	case KindNested:
 		t.Compute(r.Compute)
 		// A nested transaction: in the speculative path it flattens
@@ -724,11 +759,6 @@ func (p *Program) check(threads int, lay *layout) func(m *machine.Machine) error
 				if got := m.Mem.Load(lay.shared[i]); got != 0 {
 					return fmt.Errorf("progen: region %d (%s): read-only line = %d, want 0", i, r.Kind, got)
 				}
-				for tid := 0; tid < threads; tid++ {
-					if got := m.Mem.Load(lay.private[i][tid]); got != iters {
-						return fmt.Errorf("progen: region %d (%s): thread %d counter = %d, want %d", i, r.Kind, tid, got, iters)
-					}
-				}
 			case KindCapacity, KindStmCapacity, KindElideCapacity:
 				for tid := 0; tid < threads; tid++ {
 					for j, line := range lay.capacity[i][tid] {
@@ -739,9 +769,6 @@ func (p *Program) check(threads int, lay *layout) func(m *machine.Machine) error
 				}
 			case KindPmemLog:
 				for tid := 0; tid < threads; tid++ {
-					if got := m.Mem.Load(lay.private[i][tid]); got != iters {
-						return fmt.Errorf("progen: region %d (%s): thread %d cursor = %d, want %d", i, r.Kind, tid, got, iters)
-					}
 					lines := lay.capacity[i][tid]
 					for j := 0; j < p.Iters; j++ {
 						a := lines[j/mem.WordsPerLine].Offset(j % mem.WordsPerLine)
@@ -750,11 +777,12 @@ func (p *Program) check(threads int, lay *layout) func(m *machine.Machine) error
 						}
 					}
 				}
-			default:
-				for tid := 0; tid < threads; tid++ {
-					if got := m.Mem.Load(lay.private[i][tid]); got != iters {
-						return fmt.Errorf("progen: region %d (%s): thread %d counter = %d, want %d", i, r.Kind, tid, got, iters)
-					}
+			}
+			// Every per-thread private word (a counter, or the log's
+			// cursor) takes one increment per iteration.
+			for tid, a := range lay.private[i] {
+				if got := m.Mem.Load(a); got != iters {
+					return fmt.Errorf("progen: region %d (%s): thread %d counter = %d, want %d", i, r.Kind, tid, got, iters)
 				}
 			}
 		}

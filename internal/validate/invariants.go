@@ -65,9 +65,9 @@ func periodVariant() pmu.Periods {
 
 // checkInvariants runs the metamorphic invariant suite against the
 // base profiled run. It returns the violations (nil when all hold)
-// and performs three further machine runs: a period variant, a
+// and performs up to three further machine runs: a period variant, a
 // quantum-1 variant, and a low-fault variant.
-func checkInvariants(p *progen.Program, base txsampler.Options, res *txsampler.Result, o Options) ([]string, error) {
+func checkInvariants(p *progen.Program, base txsampler.Options, res *txsampler.Result) ([]string, error) {
 	var violations []string
 	w := p.Workload
 
@@ -76,19 +76,12 @@ func checkInvariants(p *progen.Program, base txsampler.Options, res *txsampler.R
 	// abort contexts beyond the drift bound (the hot spots are
 	// properties of the program, not of the sampling grid). The
 	// invariant's premise is that the grid only moves the observation
-	// points; slow-path-forcing (stm-bias) programs break it — most
-	// sections execute in software, where interrupt handler overhead
-	// shifts the STM read windows and so the conflict pattern itself —
-	// so the check is skipped for them. Durable (pmem-bias) programs
-	// break it the same way: persist epilogues serialize on the
-	// canonical durable-commit order, so shifting interrupt timing
-	// reshapes the conflict interleaving of the few contended regions
-	// rather than just the observation points. The remaining
-	// invariants (permutation, quantum identity, fault drift) still
-	// apply to both. Elision-bias programs break it too: the lose
-	// templates sync-abort every attempt, and shifting interrupt
-	// timing moves which ladder rung each retry lands on.
-	if !o.StmBias && !o.PmemBias && !o.ElisionBias {
+	// points, so it is skipped for programs whose templates break it
+	// (slow-path-forcing, durable, and elided regions; see
+	// progen.Program.PeriodStable). The remaining invariants
+	// (permutation, quantum identity, fault drift) apply to every
+	// program.
+	if p.PeriodStable() {
 		perOpts := base
 		perOpts.Periods = periodVariant()
 		per, err := txsampler.RunWorkload(w(), perOpts)
@@ -190,8 +183,8 @@ func driftBound(na, nb uint64) float64 {
 // with an unfriendly instruction aborts on every single attempt, so
 // its abort events form a deterministic periodic comb, and sampling a
 // periodic comb with a periodic counter aliases — the sampled share
-// then depends on the grid phase, not on program behavior. (The
-// slow-path-forcing stm-bias programs are built entirely from such
+// then depends on the grid phase, not on program behavior. (The stm
+// mix's slow-path-forcing templates are built entirely from such
 // sections.) Conflict and capacity aborts remain genuinely
 // timing-dependent and are held to the drift bound.
 func statistical(c htm.Cause) bool {

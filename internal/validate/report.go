@@ -61,13 +61,11 @@ type Aggregate struct {
 type Report struct {
 	// N and Seed reproduce the campaign: program i uses generation
 	// seed Seed+i.
-	N           int    `json:"n"`
-	Seed        int64  `json:"seed"`
-	Threads     int    `json:"threads,omitempty"`
-	Hybrid      string `json:"hybrid_policy,omitempty"`
-	StmBias     bool   `json:"stm_bias,omitempty"`
-	PmemBias    bool   `json:"pmem_bias,omitempty"`
-	ElisionBias bool   `json:"elision_bias,omitempty"`
+	N       int    `json:"n"`
+	Seed    int64  `json:"seed"`
+	Threads int    `json:"threads,omitempty"`
+	Hybrid  string `json:"hybrid_policy,omitempty"`
+	Mix     string `json:"mix,omitempty"`
 
 	Aggregate Aggregate        `json:"aggregate"`
 	Programs  []*ProgramResult `json:"programs"`
@@ -77,12 +75,15 @@ type Report struct {
 // seed..seed+n-1. It is deterministic: equal (n, seed, o) yield
 // byte-identical reports.
 func Campaign(n int, seed int64, o Options) (*Report, error) {
-	r := &Report{N: n, Seed: seed, Threads: o.Threads, StmBias: o.StmBias, PmemBias: o.PmemBias, ElisionBias: o.ElisionBias}
+	r := &Report{N: n, Seed: seed, Threads: o.Threads}
 	if o.Hybrid != machine.HybridLockOnly {
 		r.Hybrid = o.Hybrid.String()
 	}
+	if o.Mix != 0 {
+		r.Mix = o.Mix.String()
+	}
 	for i := 0; i < n; i++ {
-		p := progen.Generate(progen.Config{Seed: seed + int64(i), Threads: o.Threads, StmBias: o.StmBias, PmemBias: o.PmemBias, ElisionBias: o.ElisionBias})
+		p := progen.Generate(progen.Config{Seed: seed + int64(i), Threads: o.Threads, Mix: o.Mix})
 		pr, err := Program(p, o)
 		if err != nil {
 			return nil, err
@@ -183,12 +184,12 @@ type Baseline struct {
 	// machine's ground truth).
 	MinModeAccuracy float64 `json:"min_mode_accuracy"`
 	// MinPmemAccuracy floors the persistence-stall classification
-	// accuracy on pmem-bias campaigns (vacuously satisfied by
-	// campaigns without durable regions).
+	// accuracy on pmem-mix campaigns (vacuously satisfied by campaigns
+	// without durable regions).
 	MinPmemAccuracy float64 `json:"min_pmem_accuracy"`
 	// MinElisionAccuracy floors the per-site elision-verdict accuracy
-	// on elision-bias campaigns (vacuously satisfied by campaigns
-	// without elidable locks).
+	// on elide-mix campaigns (vacuously satisfied by campaigns without
+	// elidable locks).
 	MinElisionAccuracy float64 `json:"min_elision_accuracy"`
 }
 

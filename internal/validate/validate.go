@@ -160,34 +160,29 @@ type Options struct {
 	// Hybrid selects the slow-path execution mode of the generated
 	// programs' global lock (zero = lock-only).
 	Hybrid machine.HybridPolicy
-	// StmBias switches generation to progen's slow-path-forcing
-	// template mix, so software-transaction samples dominate the mode
-	// classification population.
-	StmBias bool
-	// PmemBias switches generation to progen's durable template mix
-	// and enables the machine's persistent-memory tier, so the
-	// persistence-stall bucket carries real sample mass for the
-	// classification-accuracy gate.
-	PmemBias bool
-	// ElisionBias switches generation to progen's elidable-lock
-	// template mix and turns elision on, so the per-site "would elision
-	// win?" verdict can be scored against the by-construction truth.
-	ElisionBias bool
+	// Mix selects the campaign's generation mix (zero = the default):
+	// stm makes software-transaction samples dominate the mode
+	// classification population, pmem gives the persistence-stall
+	// bucket real sample mass, and elide grades per-site "would elision
+	// win?" verdicts against the by-construction truth.
+	Mix progen.Mix
 }
 
 // Program validates one generated program: the base profiled run with
 // the accuracy probe, the §7.2 metric extraction, and the metamorphic
-// invariant suite (three further machine runs).
+// invariant suite (two or three further machine runs). Durable
+// programs run with the persistent-memory tier on, and programs with
+// elidable locks with elision on.
 func Program(p *progen.Program, o Options) (*ProgramResult, error) {
 	w := p.Workload()
 	base := txsampler.Options{
 		Threads: o.Threads, Seed: p.Seed, Profile: true,
 		Periods: Periods(), Quantum: o.Quantum, Hybrid: o.Hybrid,
 	}
-	if o.PmemBias {
+	if p.Durable() {
 		base.Pmem = pmem.Config{Enabled: true}
 	}
-	if o.ElisionBias {
+	if p.Elides() {
 		base.Elision = machine.ElisionOn
 	}
 	res, acc, err := txsampler.RunWorkloadWithAccuracy(w, base)
@@ -218,7 +213,7 @@ func Program(p *progen.Program, o Options) (*ProgramResult, error) {
 	pr.PersistSamples, pr.PersistCorrect, pr.PersistAccuracy = persistScore(&acc.Modes)
 	pr.ElideSites, pr.ElideCorrect, pr.ElideMatrix = elisionScore(p, res)
 	pr.ElideAccuracy = ratioOr1(pr.ElideCorrect, pr.ElideSites)
-	pr.Violations, err = checkInvariants(p, base, res, o)
+	pr.Violations, err = checkInvariants(p, base, res)
 	if err != nil {
 		return nil, fmt.Errorf("validate %s: %w", p.Name, err)
 	}

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"txsampler/internal/machine"
 	"txsampler/internal/progen"
+	"txsampler/internal/rtm"
 )
 
 // TestProgramHealthy: a fault-free generated program must validate
@@ -184,5 +186,77 @@ func TestFrameRegion(t *testing.T) {
 		if ok != c.ok || (ok && id != c.id) {
 			t.Errorf("FrameRegion(%q) = (%d, %v), want (%d, %v)", c.fn, id, ok, c.id, c.ok)
 		}
+	}
+}
+
+// knownMisses are the baseline failures of a mix's small campaign that
+// are recorded as open items in ROADMAP.md. Each must keep failing
+// exactly so: when a fix lands, its entry goes.
+var knownMisses = map[string]string{
+	// r0_stm-conflict of progen/stm+pmem+elide-s3 is sampled but never
+	// classified true sharing, under lock-only too, and also with the
+	// STM abort's stale frames unwound; the same family as
+	// progen/pmem-s12's r3_true-share miss.
+	"stm+pmem+elide": "accuracy regression: true_sharing_recall 0.7500 below baseline 0.9500",
+}
+
+// TestCampaignEveryMix runs a small campaign of each generation mix
+// (stm mixes under stm-fallback, as CI gates them) against the
+// checked-in baseline. Each must also see the population its features
+// add — software-transaction mode samples, persistence-stall samples,
+// graded elision sites — so a vacuous 1.0 can never pass.
+func TestCampaignEveryMix(t *testing.T) {
+	b, err := LoadBaseline("../../VALIDATE_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range progen.Mixes() {
+		mix, err := progen.ParseMix(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			o := Options{Mix: mix}
+			if mix&progen.MixSTM != 0 {
+				o.Hybrid = machine.HybridStmFallback
+			}
+			r, err := Campaign(3, 1, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := r.Aggregate
+			if r.Mix != strings.TrimPrefix(name, "default") {
+				t.Errorf("report header mix %q, want %q", r.Mix, name)
+			}
+			err = b.Check(a)
+			if miss, known := knownMisses[name]; known {
+				if err == nil || err.Error() != miss {
+					t.Errorf("known miss %q changed: baseline check now says %v", miss, err)
+				}
+			} else if err != nil {
+				t.Error(err)
+			}
+			if a.InTxSamples == 0 || a.ModeSamples == 0 {
+				t.Errorf("no in-transaction or mode samples: %+v", a)
+			}
+			var stm uint64
+			for _, p := range r.Programs {
+				for _, c := range p.ModeMatrix {
+					if c.Truth == rtm.ModeSTM.String() {
+						stm += c.Count
+					}
+				}
+			}
+			if (stm > 0) != (mix&progen.MixSTM != 0) {
+				t.Errorf("%d stm-mode samples, want them iff the mix forces the slow path", stm)
+			}
+			if (a.PersistSamples > 0) != (mix&progen.MixPmem != 0) {
+				t.Errorf("%d persist samples, want them iff the mix has durable regions", a.PersistSamples)
+			}
+			if (a.ElideSites > 0) != (mix&progen.MixElide != 0) {
+				t.Errorf("%d graded elision sites, want them iff the mix has elidable locks", a.ElideSites)
+			}
+		})
 	}
 }

@@ -144,10 +144,11 @@ func TestPmemRecoveryReplayEquivalence(t *testing.T) {
 		{"torn-tail-storm", faults.Plan{PmemCrashPoint: faults.PmemCrashTornTail, PmemCrashEvery: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, w := range pmemWorkloads(t) {
+			for _, p := range workloads(t, 13, 4, "pmem/kv", "pmem/log") {
+				w := p.w
 				m := machine.New(machine.Config{
-					Threads: pmemTestThreads, Cache: txsampler.BenchCache(),
-					Seed: 13, StartSkew: 1024, Faults: tc.plan,
+					Threads: p.threads, Cache: txsampler.BenchCache(),
+					Seed: p.seed, StartSkew: 1024, Faults: tc.plan,
 					Pmem: pmem.Config{Enabled: true},
 				})
 				inst := w.BuildInstance(m, nil)

@@ -162,6 +162,12 @@ func Run(name string, o Options) (*Result, error) {
 
 // RunWorkload builds and executes a workload (registered or not).
 func RunWorkload(w *htmbench.Workload, o Options) (*Result, error) {
+	return runWorkload(w, o, nil)
+}
+
+// runWorkload is RunWorkload; a non-nil probe, on a profiled run,
+// wraps the collector as the machine's sample handler.
+func runWorkload(w *htmbench.Workload, o Options, probe *core.AccuracyProbe) (*Result, error) {
 	threads := o.Threads
 	if threads == 0 {
 		threads = w.DefaultThreads
@@ -198,6 +204,10 @@ func RunWorkload(w *htmbench.Workload, o Options) (*Result, error) {
 	var col *core.Collector
 	if o.Profile {
 		col = core.Attach(m)
+		if probe != nil {
+			probe.Collector = col
+			m.SetHandler(probe)
+		}
 	}
 	inst := w.BuildInstance(m, o.Policy)
 	o.Trace.BeginPhase("run")
@@ -273,54 +283,11 @@ func RunWithAccuracy(name string, o Options) (*Result, Accuracy, error) {
 // run itself is bit-identical to an ordinary profiled run with the
 // same options (the probe only observes).
 func RunWorkloadWithAccuracy(w *htmbench.Workload, o Options) (*Result, Accuracy, error) {
-	threads := o.Threads
-	if threads == 0 {
-		threads = w.DefaultThreads
-	}
-	cacheCfg := o.Cache
-	if cacheCfg == (cache.Config{}) {
-		cacheCfg = BenchCache()
-	}
-	cfg := machine.Config{
-		Threads: threads, Cache: cacheCfg, LBRDepth: o.LBRDepth,
-		Seed: o.Seed, HandlerCost: o.HandlerCost, StartSkew: 1024,
-		Periods: o.Periods, Faults: o.Faults, Pmem: o.Pmem,
-		Quantum: o.Quantum, Trace: o.Trace, Hybrid: o.Hybrid,
-		Elision: o.Elision, Context: o.Context,
-	}
-	if !cfg.Sampling() {
-		cfg.Periods = DefaultPeriods()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, Accuracy{}, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	m := machine.New(cfg)
-	col := core.NewCollector(threads, cfg.Periods, 0)
-	probe := core.NewAccuracyProbe(col)
-	m.SetHandler(probe)
-	inst := w.BuildInstance(m, o.Policy)
-	if err := m.Run(inst.Bodies...); err != nil {
-		return nil, Accuracy{}, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	if inst.Check != nil && !o.SkipCheck {
-		if cerr := inst.Check(m); cerr != nil {
-			return nil, Accuracy{}, fmt.Errorf("%s: result check failed: %w", w.Name, cerr)
-		}
-	}
-	res := &Result{
-		Workload: w.Name, Threads: threads,
-		ElapsedCycles: m.Elapsed(), TotalCycles: m.TotalCycles(),
-		GroundTruth: m.GroundTruth(),
-	}
-	res.Report = analyzer.AnalyzeInstrumented(w.Name, col, o.Trace, o.Metrics)
-	res.Report.Quality.Injected = m.FaultStats()
-	res.Advice = decision.Evaluate(res.Report, o.Thresholds)
-	res.CollectorBytes = col.MemoryFootprint()
-	res.Collector = col
-	if o.Metrics != nil {
-		m.PublishMetrics(o.Metrics)
-		col.PublishMetrics(o.Metrics)
-		res.Report.Self = o.Metrics.Snapshot(true)
+	o.Profile = true
+	probe := &core.AccuracyProbe{}
+	res, err := runWorkload(w, o, probe)
+	if err != nil {
+		return nil, Accuracy{}, err
 	}
 	return res, probe.Accuracy, nil
 }
