@@ -14,6 +14,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"txsampler/internal/mem"
 )
@@ -122,11 +123,12 @@ func (c *l1) invalidate(set int, line mem.Addr) {
 	}
 }
 
-// dirEntry tracks which cores hold a line. owner >= 0 means that core
-// has the line Modified; otherwise sharers holds the Shared copies.
+// dirEntry tracks which cores hold a line. A nonzero owner means core
+// owner-1 has the line Modified; otherwise sharers holds the Shared
+// copies. The zero entry is an untracked line.
 type dirEntry struct {
 	sharers uint64 // bitmask of cores with a shared copy
-	owner   int    // core with modified copy, or -1
+	owner   uint8  // 1 + the core with the modified copy, or 0
 }
 
 // AccessResult reports the outcome of one cache access.
@@ -142,7 +144,7 @@ type AccessResult struct {
 type Hierarchy struct {
 	cfg   Config
 	cores []*l1
-	dir   map[mem.Addr]*dirEntry
+	dir   mem.Table[dirEntry]
 
 	// Stats, cumulative across all cores.
 	Hits, Misses, Invalidations, Evictions uint64
@@ -156,7 +158,7 @@ func New(n int, cfg Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	h := &Hierarchy{cfg: cfg, dir: make(map[mem.Addr]*dirEntry)}
+	h := &Hierarchy{cfg: cfg}
 	for i := 0; i < n; i++ {
 		h.cores = append(h.cores, newL1(cfg))
 	}
@@ -165,15 +167,6 @@ func New(n int, cfg Config) *Hierarchy {
 
 // Config returns the geometry the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-func (h *Hierarchy) entry(line mem.Addr) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		h.dir[line] = e
-	}
-	return e
-}
 
 // Access performs a load (write=false) or store (write=true) by core to
 // the cache line containing a, updating coherence state, and returns
@@ -185,23 +178,24 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	line := a.Line()
 	set := h.cfg.SetIndex(line)
 	c := h.cores[core]
-	e := h.entry(line)
 	w := c.lookup(set, line)
+	if !write && w != nil {
+		c.touch(w)
+		h.Hits++
+		return AccessResult{Latency: h.cfg.HitLatency, Hit: true}
+	}
+	e := h.dir.At(line)
+	self := uint8(core + 1)
 
 	var res AccessResult
 	if !write {
-		if w != nil {
-			c.touch(w)
-			h.Hits++
-			return AccessResult{Latency: h.cfg.HitLatency, Hit: true}
-		}
 		// Read miss: downgrade a remote M copy if present.
 		h.Misses++
 		res.Latency = h.cfg.MissLatency
-		if e.owner >= 0 && e.owner != core {
+		if e.owner != 0 && e.owner != self {
 			res.Latency = h.cfg.RemoteLatency
-			e.sharers |= 1 << uint(e.owner)
-			e.owner = -1
+			e.sharers |= 1 << (e.owner - 1)
+			e.owner = 0
 		}
 		e.sharers |= 1 << uint(core)
 		res.EvictedLine, res.Evicted = c.insert(set, line, false)
@@ -212,7 +206,7 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	}
 
 	// Write.
-	if w != nil && e.owner == core {
+	if w != nil && e.owner == self {
 		c.touch(w)
 		w.dirty = true
 		h.Hits++
@@ -221,21 +215,19 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	h.Misses++
 	res.Latency = h.cfg.MissLatency
 	// Invalidate every other copy.
-	if e.owner >= 0 && e.owner != core {
+	if e.owner != 0 && e.owner != self {
 		res.Latency = h.cfg.RemoteLatency
-		h.invalidateAt(e.owner, line)
-		res.Invalidated |= 1 << uint(e.owner)
+		h.invalidateAt(int(e.owner-1), line)
+		res.Invalidated |= 1 << (e.owner - 1)
 	}
-	for other := 0; other < len(h.cores); other++ {
-		if other == core || e.sharers&(1<<uint(other)) == 0 {
-			continue
-		}
+	for others := e.sharers &^ (1 << uint(core)); others != 0; others &= others - 1 {
+		other := bits.TrailingZeros64(others)
 		res.Latency = h.cfg.RemoteLatency
 		h.invalidateAt(other, line)
 		res.Invalidated |= 1 << uint(other)
 	}
 	e.sharers = 0
-	e.owner = core
+	e.owner = self
 	if w != nil {
 		// Upgrade in place: no fill needed.
 		c.touch(w)
@@ -255,19 +247,14 @@ func (h *Hierarchy) invalidateAt(core int, line mem.Addr) {
 }
 
 // evictFrom updates directory state after core silently evicted line.
+// An entry left with no holder is the zero entry: untracked.
 func (h *Hierarchy) evictFrom(core int, line mem.Addr) {
 	h.Evictions++
-	e := h.dir[line]
-	if e == nil {
-		return
-	}
-	if e.owner == core {
-		e.owner = -1
+	e := h.dir.At(line)
+	if e.owner == uint8(core+1) {
+		e.owner = 0
 	}
 	e.sharers &^= 1 << uint(core)
-	if e.owner < 0 && e.sharers == 0 {
-		delete(h.dir, line)
-	}
 }
 
 // Holds reports whether core currently caches the line containing a.

@@ -116,6 +116,24 @@ func TestEvictionClearsDirectory(t *testing.T) {
 	}
 }
 
+// Directory entries live in per-page tables: once a line's page exists,
+// an access allocates nothing, even for a line an eviction untracked.
+func TestAccessAllocatesNothing(t *testing.T) {
+	c := Config{Sets: 2, Ways: 1, HitLatency: 1, MissLatency: 10, RemoteLatency: 20}
+	h := New(2, c)
+	a, b := mem.Addr(0x10000), mem.Addr(0x10000+2*64) // one page, one set
+	h.Access(0, a, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Access(1, a, true)  // invalidates core 0's copy
+		h.Access(0, b, true)  // fills core 0's free way
+		h.Access(0, a, false) // evicts b, downgrades core 1
+		h.Access(0, a, false) // hit
+	})
+	if allocs != 0 {
+		t.Fatalf("Access allocated %v times per run, want 0", allocs)
+	}
+}
+
 func TestDistinctLinesNoInterference(t *testing.T) {
 	h := New(2, cfg())
 	a, b := mem.Addr(0x1000), mem.Addr(0x1040) // adjacent lines

@@ -17,6 +17,7 @@ package htm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"txsampler/internal/mem"
 )
@@ -195,8 +196,14 @@ func (k CapacityKind) String() string {
 	}
 }
 
+// MaxThreads bounds the thread IDs the engine tracks: a line records
+// its transactional readers as one bit per thread.
+const MaxThreads = 64
+
 // Tx is one hardware transaction attempt. Fields are read-only for
-// callers; the engine mutates them.
+// callers; the engine mutates them. The engine keeps one Tx per thread
+// and reuses it: the *Tx that Begin returns, and the stores Commit
+// returns, are valid until the thread's next Begin.
 type Tx struct {
 	ID  uint64
 	TID int // simulated thread owning the transaction
@@ -216,31 +223,53 @@ type Tx struct {
 
 	StartCycle uint64 // thread clock at XBEGIN, for abort-weight accounting
 
-	readSet  map[mem.Addr]struct{}
-	writeSet map[mem.Addr]struct{}
-	occBySet []uint16 // distinct tracked lines (read or write) per L1 set
-	writeBuf map[mem.Addr]mem.Word
+	live     bool        // begun, neither committed nor doomed: its lines are tracked
+	reads    []mem.Addr  // read-set lines, in first-touch order
+	writes   []writeLine // write-set lines with their buffered stores, in first-touch order
+	occBySet []uint16    // distinct tracked lines (read or write) per L1 set
+	stores   []Store     // Commit's result
+}
+
+// writeLine is one write-set line and the stores buffered on it.
+type writeLine struct {
+	line  mem.Addr
+	mask  uint8 // bit i: words[i] holds a buffered store
+	words [mem.WordsPerLine]mem.Word
+}
+
+// Store is one buffered transactional store.
+type Store struct {
+	Addr mem.Addr
+	Val  mem.Word
 }
 
 // ReadSetLines and WriteSetLines report the current footprint.
-func (t *Tx) ReadSetLines() int  { return len(t.readSet) }
-func (t *Tx) WriteSetLines() int { return len(t.writeSet) }
+func (t *Tx) ReadSetLines() int  { return len(t.reads) }
+func (t *Tx) WriteSetLines() int { return len(t.writes) }
+
+// lineTrack is the engine's per-line record of the live transactions
+// tracking a line, kept per line as TSX keeps its tracking bits in the
+// L1 line itself. The zero record is an untracked line.
+type lineTrack struct {
+	readers uint64 // bit t: thread t's transaction has the line in its read set
+	writer  uint8  // 1 + the thread whose transaction has it in its write set, or 0
+	slot    uint32 // the line's index in that transaction's write set
+}
 
 // Engine tracks all in-flight transactions on the machine.
 type Engine struct {
 	cfg    Config
 	nextID uint64
 
-	// readers maps a line to the transactions tracking it in their
-	// read set; writers maps a line to the single transaction holding
-	// it in its write set. Doomed transactions are removed eagerly,
-	// as hardware stops tracking an aborted transaction's lines.
-	readers map[mem.Addr]map[*Tx]struct{}
-	writers map[mem.Addr]*Tx
+	// lines records which transactions track each line. Doomed
+	// transactions are untracked eagerly, as hardware stops tracking
+	// an aborted transaction's lines.
+	lines mem.Table[lineTrack]
+	txs   [MaxThreads]*Tx // each thread's reused transaction
 
 	// Stats.
 	Commits uint64
-	Aborts  map[Cause]uint64
+	Aborts  [NumCauses]uint64
 }
 
 // NewEngine returns an engine for the given tracking geometry. Direct
@@ -250,28 +279,34 @@ func NewEngine(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Engine{
-		cfg:     cfg,
-		readers: make(map[mem.Addr]map[*Tx]struct{}),
-		writers: make(map[mem.Addr]*Tx),
-		Aborts:  make(map[Cause]uint64),
-	}
+	return &Engine{cfg: cfg}
 }
 
-// Begin starts a transaction for thread tid whose clock reads
-// startCycle.
+// Begin starts a transaction for thread tid (in [0, MaxThreads)) whose
+// clock reads startCycle. The thread's previous transaction, if any,
+// must have committed or been doomed.
 func (e *Engine) Begin(tid int, startCycle uint64) *Tx {
+	tx := e.txs[tid]
+	if tx == nil {
+		tx = &Tx{occBySet: make([]uint16, e.cfg.Sets)}
+		e.txs[tid] = tx
+	} else if tx.live {
+		panic(fmt.Sprintf("htm: Begin for thread %d while its transaction %d is in flight", tid, tx.ID))
+	}
+	clear(tx.occBySet)
 	e.nextID++
-	return &Tx{
+	*tx = Tx{
 		ID:         e.nextID,
 		TID:        tid,
 		AbortedBy:  -1,
 		StartCycle: startCycle,
-		readSet:    make(map[mem.Addr]struct{}),
-		writeSet:   make(map[mem.Addr]struct{}),
-		occBySet:   make([]uint16, e.cfg.Sets),
-		writeBuf:   make(map[mem.Addr]mem.Word),
+		live:       true,
+		reads:      tx.reads[:0],
+		writes:     tx.writes[:0],
+		occBySet:   tx.occBySet,
+		stores:     tx.stores[:0],
 	}
+	return tx
 }
 
 // Doom marks tx aborted with the given cause and untracks its lines.
@@ -295,20 +330,42 @@ func (e *Engine) doom(tx *Tx, cause Cause, byTID int, line mem.Addr, byTx bool) 
 	e.untrack(tx)
 }
 
+// doomReaders dooms the transactions of the threads in the bitmask
+// readers with a conflict on line caused by thread byTID.
+func (e *Engine) doomReaders(readers uint64, byTID int, line mem.Addr, byTx bool) {
+	for ; readers != 0; readers &= readers - 1 {
+		e.doom(e.txs[bits.TrailingZeros64(readers)], Conflict, byTID, line, byTx)
+	}
+}
+
+// untrack clears tx's marks from its lines. A live transaction owns
+// every line of its write set: a second writer dooms the first.
 func (e *Engine) untrack(tx *Tx) {
-	for line := range tx.readSet {
-		if rs := e.readers[line]; rs != nil {
-			delete(rs, tx)
-			if len(rs) == 0 {
-				delete(e.readers, line)
-			}
-		}
+	if !tx.live {
+		return
 	}
-	for line := range tx.writeSet {
-		if e.writers[line] == tx {
-			delete(e.writers, line)
-		}
+	tx.live = false
+	bit := uint64(1) << tx.TID
+	for _, line := range tx.reads {
+		e.lines.At(line).readers &^= bit
 	}
+	for i := range tx.writes {
+		e.lines.At(tx.writes[i].line).writer = 0
+	}
+}
+
+// track counts a line new to tx's footprint against its L1 set,
+// dooming tx with a capacity abort of the given kind when the set is
+// full. It reports whether the line fits.
+func (e *Engine) track(tx *Tx, line mem.Addr, kind CapacityKind) bool {
+	set := int(line.LineIndex() % uint64(e.cfg.Sets))
+	if int(tx.occBySet[set]) >= e.cfg.Ways {
+		tx.CapKind = kind
+		e.Doom(tx, Capacity, -1, line)
+		return false
+	}
+	tx.occBySet[set]++
+	return true
 }
 
 // Read performs a transactional load of the word at a. It returns the
@@ -318,20 +375,25 @@ func (e *Engine) untrack(tx *Tx) {
 // writer, requester-wins), and the transaction may doom itself with a
 // capacity abort. Callers must check tx.Doomed afterwards.
 func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
-	if tx.Doomed {
+	if !tx.live {
 		return 0, false
 	}
-	if v, ok := tx.writeBuf[a]; ok {
-		return v, true
-	}
 	line := a.Line()
-	// Requester wins: a remote transaction holding the line in its
-	// write set receives our share request and aborts.
-	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+	lt := e.lines.At(line)
+	self := uint8(tx.TID + 1)
+	if lt.writer == self {
+		wl := &tx.writes[lt.slot]
+		if i := a % mem.LineSize / mem.WordSize; wl.mask&(1<<i) != 0 {
+			return wl.words[i], true
+		}
+	} else if lt.writer != 0 {
+		// Requester wins: a remote transaction holding the line in its
+		// write set receives our share request and aborts.
+		e.doom(e.txs[lt.writer-1], Conflict, tx.TID, line, true)
 	}
-	if _, tracked := tx.readSet[line]; !tracked {
-		if len(tx.readSet) >= e.cfg.maxRead() {
+	bit := uint64(1) << tx.TID
+	if lt.readers&bit == 0 {
+		if len(tx.reads) >= e.cfg.maxRead() {
 			tx.CapKind = CapacityRead
 			e.Doom(tx, Capacity, -1, line)
 			return 0, false
@@ -340,22 +402,11 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 		// tracked lines exceed the associativity cannot hold the
 		// footprint, and the transaction aborts (TSX read-set
 		// evictions behave this way on the modelled parts).
-		if _, written := tx.writeSet[line]; !written {
-			set := int(line.LineIndex() % uint64(e.cfg.Sets))
-			if int(tx.occBySet[set]) >= e.cfg.Ways {
-				tx.CapKind = CapacityRead
-				e.Doom(tx, Capacity, -1, line)
-				return 0, false
-			}
-			tx.occBySet[set]++
+		if lt.writer != self && !e.track(tx, line, CapacityRead) {
+			return 0, false
 		}
-		tx.readSet[line] = struct{}{}
-		rs := e.readers[line]
-		if rs == nil {
-			rs = make(map[*Tx]struct{})
-			e.readers[line] = rs
-		}
-		rs[tx] = struct{}{}
+		tx.reads = append(tx.reads, line)
+		lt.readers |= bit
 	}
 	return 0, false
 }
@@ -366,34 +417,31 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 // abort if the write set overflows its L1 set. Callers must check
 // tx.Doomed afterwards.
 func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
-	if tx.Doomed {
+	if !tx.live {
 		return
 	}
 	line := a.Line()
-	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+	lt := e.lines.At(line)
+	self := uint8(tx.TID + 1)
+	if lt.writer != 0 && lt.writer != self {
+		e.doom(e.txs[lt.writer-1], Conflict, tx.TID, line, true)
 	}
-	for r := range e.readers[line] {
-		if r != tx {
-			e.doom(r, Conflict, tx.TID, line, true)
-		}
-	}
-	if _, tracked := tx.writeSet[line]; !tracked {
+	bit := uint64(1) << tx.TID
+	e.doomReaders(lt.readers&^bit, tx.TID, line, true)
+	if lt.writer != self {
 		// A line already in the read set is already tracked in its L1
 		// set; only new lines consume a way.
-		if _, read := tx.readSet[line]; !read {
-			set := int(line.LineIndex() % uint64(e.cfg.Sets))
-			if int(tx.occBySet[set]) >= e.cfg.Ways {
-				tx.CapKind = CapacityWrite
-				e.Doom(tx, Capacity, -1, line)
-				return
-			}
-			tx.occBySet[set]++
+		if lt.readers&bit == 0 && !e.track(tx, line, CapacityWrite) {
+			return
 		}
-		tx.writeSet[line] = struct{}{}
-		e.writers[line] = tx
+		lt.writer = self
+		lt.slot = uint32(len(tx.writes))
+		tx.writes = append(tx.writes, writeLine{line: line})
 	}
-	tx.writeBuf[a] = v
+	wl := &tx.writes[lt.slot]
+	i := a % mem.LineSize / mem.WordSize
+	wl.words[i] = v
+	wl.mask |= 1 << i
 }
 
 // NonTxAccess notifies the engine of a non-transactional access by
@@ -402,32 +450,48 @@ func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
 // non-transactional read conflicts with remote write sets.
 func (e *Engine) NonTxAccess(tid int, a mem.Addr, write bool) {
 	line := a.Line()
-	if w := e.writers[line]; w != nil && w.TID != tid {
-		e.Doom(w, Conflict, tid, line)
+	lt := e.lines.Get(line)
+	if lt == nil {
+		return
+	}
+	if lt.writer != 0 && int(lt.writer) != tid+1 {
+		e.Doom(e.txs[lt.writer-1], Conflict, tid, line)
 	}
 	if write {
-		for r := range e.readers[line] {
-			if r.TID != tid {
-				e.Doom(r, Conflict, tid, line)
-			}
-		}
+		e.doomReaders(lt.readers&^(1<<uint(tid)), tid, line, false)
 	}
 }
 
 // Commit attempts to commit tx. On success it returns the buffered
-// stores for the machine to apply to memory and records the commit; if
-// the transaction was doomed it returns nil and false.
-func (e *Engine) Commit(tx *Tx) (stores map[mem.Addr]mem.Word, ok bool) {
+// stores, one per written word, for the machine to apply to memory and
+// records the commit; if the transaction was doomed it returns nil and
+// false.
+func (e *Engine) Commit(tx *Tx) (stores []Store, ok bool) {
 	if tx.Doomed {
 		return nil, false
 	}
 	e.untrack(tx)
 	e.Commits++
-	return tx.writeBuf, true
+	for i := range tx.writes {
+		wl := &tx.writes[i]
+		for m := wl.mask; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros8(m)
+			tx.stores = append(tx.stores, Store{wl.line.Offset(j), wl.words[j]})
+		}
+	}
+	return tx.stores, true
 }
 
 // InFlight reports how many lines are globally tracked; used by tests
 // to verify no leaks after commits and aborts.
 func (e *Engine) InFlight() (readLines, writeLines int) {
-	return len(e.readers), len(e.writers)
+	e.lines.Range(func(_ mem.Addr, lt *lineTrack) {
+		if lt.readers != 0 {
+			readLines++
+		}
+		if lt.writer != 0 {
+			writeLines++
+		}
+	})
+	return readLines, writeLines
 }

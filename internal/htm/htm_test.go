@@ -9,6 +9,15 @@ import (
 
 func eng() *Engine { return NewEngine(Config{Sets: 8, Ways: 2, MaxReadLines: 32}) }
 
+// storeSet returns Commit's stores as an address -> value set.
+func storeSet(stores []Store) map[mem.Addr]mem.Word {
+	set := make(map[mem.Addr]mem.Word, len(stores))
+	for _, s := range stores {
+		set[s.Addr] = s.Val
+	}
+	return set
+}
+
 func TestCommitAppliesBufferedStores(t *testing.T) {
 	e := eng()
 	tx := e.Begin(0, 100)
@@ -21,7 +30,7 @@ func TestCommitAppliesBufferedStores(t *testing.T) {
 	if !ok {
 		t.Fatal("commit failed")
 	}
-	if stores[0x1000] != 7 || stores[0x1008] != 8 {
+	if len(stores) != 2 || storeSet(stores)[0x1000] != 7 || storeSet(stores)[0x1008] != 8 {
 		t.Fatalf("stores = %v", stores)
 	}
 	if e.Commits != 1 {
@@ -228,6 +237,60 @@ func TestCommitDoomedFails(t *testing.T) {
 	if _, ok := e.Commit(tx); ok {
 		t.Fatal("doomed transaction committed")
 	}
+}
+
+// After each thread's first transaction, transactions allocate
+// nothing: the thread's Tx, its footprint lists, set occupancy and
+// store buffer are reused, and line records live in page tables.
+func TestTransactionsAllocateNothing(t *testing.T) {
+	e := NewEngine(Config{Sets: 64, Ways: 8})
+	a, b := mem.Addr(0x10000), mem.Addr(0x10040)
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"begin-read-write-commit", func() {
+			tx := e.Begin(0, 0)
+			e.Read(tx, a)
+			e.Write(tx, a, 1)
+			e.Write(tx, b, 2)
+			if _, ok := e.Commit(tx); !ok {
+				t.Fatal("commit failed")
+			}
+		}},
+		{"write-dooms-read", func() {
+			r, w := e.Begin(1, 0), e.Begin(2, 0)
+			e.Read(r, a)
+			e.Write(w, a, 3)
+			if !r.Doomed {
+				t.Fatal("remote write did not doom the reader")
+			}
+			if _, ok := e.Commit(w); !ok {
+				t.Fatal("commit failed")
+			}
+		}},
+	}
+	for _, c := range cases {
+		c.run() // warm up one transaction per thread
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.run); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", c.name, n)
+		}
+	}
+}
+
+// A thread's Tx is reused, so beginning again while the previous
+// transaction still tracks lines is misuse and panics.
+func TestBeginWhileInFlightPanics(t *testing.T) {
+	e := eng()
+	e.Read(e.Begin(3, 0), 0x1000)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Begin with a live transaction did not panic")
+		}
+	}()
+	e.Begin(3, 0)
 }
 
 func TestTSXStatusRoundTrip(t *testing.T) {

@@ -180,8 +180,8 @@ func (c Config) withDefaults() Config {
 // conditions, treating them as API misuse.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if d.Threads < 1 || d.Threads > 64 {
-		return fmt.Errorf("machine: thread count %d out of range [1,64]", d.Threads)
+	if d.Threads < 1 || d.Threads > htm.MaxThreads {
+		return fmt.Errorf("machine: thread count %d out of range [1,%d]", d.Threads, htm.MaxThreads)
 	}
 	if err := d.Cache.Validate(); err != nil {
 		return err

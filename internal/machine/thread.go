@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"txsampler/internal/faults"
@@ -1085,23 +1086,17 @@ func (t *Thread) TxCommit() {
 	}
 	var cost uint64
 	if stores, ok := t.m.HTM.Commit(t.tx); ok {
-		if d := t.m.pmem; d != nil {
+		d := t.m.pmem
+		if d != nil {
 			// The write-through hook appends undo records, so the buffered
-			// stores must apply in a deterministic (address) order for the
-			// log bytes to be reproducible. The volatile-only machine keeps
-			// the original unordered apply: map order is invisible there.
-			addrs := make([]mem.Addr, 0, len(stores))
-			for a := range stores {
-				addrs = append(addrs, a)
-			}
-			sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-			for _, a := range addrs {
-				t.m.Mem.Store(a, stores[a])
-				cost += d.OnStore(t.ID, a, stores[a])
-			}
-		} else {
-			for a, v := range stores {
-				t.m.Mem.Store(a, v)
+			// stores must apply in address order for the log bytes to be
+			// reproducible. Without it the order is invisible.
+			slices.SortFunc(stores, func(a, b htm.Store) int { return cmp.Compare(a.Addr, b.Addr) })
+		}
+		for _, s := range stores {
+			t.m.Mem.Store(s.Addr, s.Val)
+			if d != nil {
+				cost += d.OnStore(t.ID, s.Addr, s.Val)
 			}
 		}
 		t.commits++

@@ -78,6 +78,7 @@ func TestAllocBadArgsPanic(t *testing.T) {
 		"negative size":  func() { m.Alloc(-8, LineSize) },
 		"non-pow2 align": func() { m.Alloc(8, 24) },
 		"tiny align":     func() { m.Alloc(8, 4) },
+		"past limit":     func() { m.Alloc(int(Limit), LineSize) },
 	} {
 		func() {
 			defer func() {
@@ -98,6 +99,29 @@ func TestUnalignedAccessPanics(t *testing.T) {
 		}
 	}()
 	m.Load(0x10003)
+}
+
+func TestAccessPastLimitPanics(t *testing.T) {
+	m := NewMemory()
+	last := Limit - WordSize
+	m.Store(last, 1) // the last word is still addressable
+	if m.Load(last) != 1 {
+		t.Fatal("last word of the address space lost its store")
+	}
+	for name, f := range map[string]func(){
+		"load at limit":  func() { m.Load(Limit) },
+		"store at limit": func() { m.Store(Limit, 1) },
+		"far load":       func() { m.Load(1 << 50) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestLineArithmetic(t *testing.T) {

@@ -28,6 +28,9 @@ func FuzzRecover(f *testing.F) {
 	var uncommitted []byte
 	uncommitted = appendUndo(uncommitted, 2, testFrame(0x2000, 9))
 	f.Add(uncommitted)
+	// A checksummed, uncommitted frame naming a line far past the
+	// address space: replaying it must not reach the image.
+	f.Add(appendUndo(nil, 3, testFrame(1<<50, 1)))
 
 	f.Fuzz(func(t *testing.T, log []byte) {
 		img := mem.NewMemory()

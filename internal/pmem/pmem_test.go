@@ -106,11 +106,14 @@ func TestRecoverIdempotent(t *testing.T) {
 }
 
 func TestRecoverRejectsUnalignedLine(t *testing.T) {
-	var log []byte
-	log = appendUndo(log, 1, undoFrame{line: mem.Addr(0x1003)}) // checksummed but unaligned
-	rec := Recover(log, mem.NewMemory())
-	if !rec.Corrupt {
-		t.Fatalf("unaligned line address not flagged Corrupt: %+v", rec)
+	// Checksummed frames naming an unaligned line, or a line past the
+	// address space, are corrupt.
+	for _, line := range []mem.Addr{0x1003, mem.Limit, 1 << 50} {
+		log := appendUndo(nil, 1, undoFrame{line: line})
+		rec := Recover(log, mem.NewMemory())
+		if !rec.Corrupt || rec.RolledBack != 0 {
+			t.Errorf("line address %s not flagged Corrupt: %+v", line, rec)
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ type Recovery struct {
 	// of a crash mid-append.
 	Torn bool
 	// Corrupt reports a checksum mismatch, an unknown record tag, or a
-	// malformed line address. Parsing stops at the first corrupt frame;
-	// everything before it is still replayed.
+	// malformed line address (unaligned, or past mem.Limit). Parsing
+	// stops at the first corrupt frame; everything before it is still
+	// replayed.
 	Corrupt bool
 }
 
@@ -55,10 +56,11 @@ func Recover(log []byte, img *mem.Memory) Recovery {
 				return finishRecover(rec, pending, img)
 			}
 			line := mem.Addr(binary.LittleEndian.Uint64(frame[9:17]))
-			if line.Line() != line {
-				// A checksummed frame naming a non-line-aligned address
-				// was corrupted before it was summed; replaying it would
-				// scribble on unaligned words.
+			if line.Line() != line || line >= mem.Limit {
+				// A checksummed frame naming a non-line-aligned address,
+				// or one past the address space, was corrupted before it
+				// was summed; replaying it would scribble on unaligned
+				// words or panic in the image.
 				rec.Corrupt = true
 				return finishRecover(rec, pending, img)
 			}
