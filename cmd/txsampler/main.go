@@ -45,7 +45,7 @@ func main() {
 		native  = flag.Bool("native", false, "run without the profiler and print ground truth only")
 		tree    = flag.Bool("tree", false, "render the calling-context view (Figure 9)")
 		histo   = flag.Bool("histogram", false, "render the per-thread commit/abort histogram")
-		output  = flag.String("o", "", "save the profile database (JSON) to this path")
+		output  = flag.String("o", "", "save the profile database to this path")
 		view    = flag.String("view", "", "open a saved profile database instead of running")
 		acc     = flag.Bool("accuracy", false, "score attribution accuracy against ground truth")
 		plot    = flag.String("plot", "", "plot per-thread CS time for a context path, e.g. 'thread_root>tm_begin'")

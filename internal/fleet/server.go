@@ -484,7 +484,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(body)
 	if err != nil {
 		s.ctrRejected.Add(1)
-		http.Error(w, fmt.Sprintf("reading shard body: %v", err), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("reading shard body: %v", err), code)
 		return
 	}
 	// The database's frame CRC32 and SHA-256 double as the wire

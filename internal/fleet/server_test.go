@@ -271,6 +271,17 @@ func TestIngestRejectsCorruptPayload(t *testing.T) {
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad window header: status %d", r2.StatusCode)
 	}
+	// A body over MaxShardBytes is too large, not malformed, and is
+	// still a rejection.
+	reg := telemetry.NewRegistry()
+	_, small := openTestServer(t, Config{MaxShardBytes: int64(len(payload) - 1), Metrics: reg})
+	resp, body = ingest(t, small.URL, payload, "", 0)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body, "request body too large") {
+		t.Errorf("oversized shard: status %d: %s", resp.StatusCode, body)
+	}
+	if v := reg.Counter("fleet.rejected").Value(); v != 1 {
+		t.Errorf("fleet.rejected = %d, want 1", v)
+	}
 }
 
 // TestDegradationLadder drives the server down the ladder with a

@@ -2,9 +2,10 @@ package profile
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"fmt"
+	"math"
 	"os"
-	"strings"
+	"reflect"
 	"testing"
 
 	"txsampler/internal/analyzer"
@@ -12,26 +13,22 @@ import (
 	"txsampler/internal/lbr"
 	"txsampler/internal/machine"
 	"txsampler/internal/pmu"
-	"txsampler/internal/record"
 	"txsampler/internal/rtm"
 )
 
-// framed wraps a JSON payload the way encode does: the current magic
-// line, then one frame holding the payload's SHA-256 and the payload.
-func framed(tb testing.TB, payload string) string {
-	tb.Helper()
-	sum := sha256.Sum256([]byte(payload))
-	b, err := record.AppendFrame(record.Header(magic, FormatVersion), append(sum[:], payload...))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return string(b)
-}
-
-// FuzzRead hardens the profile-database parser against arbitrary
-// input: it must never panic, and anything it accepts must survive a
-// re-encode/re-decode round trip. The seeds are framed databases, but
-// for the headerless version-1 and the older-format (v3) file.
+// FuzzRead hardens the database parser against arbitrary input. Each
+// input is read twice: as a whole file, which exercises the magic
+// line, the frame and the checksums, and as a body behind a valid
+// frame and SHA-256, as an uploader computing its own checksums sends
+// it. Only the second read lets a mutation reach the body parser: a
+// mutated file fails its CRC32 or SHA-256 first. Neither read may
+// panic, and anything accepted must re-encode to the same bytes and
+// survive a round trip through its report. The seeds are files (the
+// current format, headerless version 1, and framed versions 3 and 4)
+// and bodies: valid ones, and the hostile shapes of hostileBodies,
+// committed under testdata/fuzz/FuzzRead. The deep chain is left out
+// as a seed: its 370 KB mutations stall the fuzzer in minimization,
+// and TestDecodeRefusesHostileBodies covers it.
 func FuzzRead(f *testing.F) {
 	c := core.NewCollector(1, pmu.DefaultPeriods(), 0)
 	c.HandleSample(&machine.Sample{
@@ -39,41 +36,47 @@ func FuzzRead(f *testing.F) {
 		Stack: []lbr.IP{{Fn: "main"}, {Fn: "f", Site: "3"}},
 		IP:    lbr.IP{Fn: "f", Site: "3"},
 	})
-	var seed bytes.Buffer
-	if err := FromReport(analyzer.Analyze("seed", c)).Write(&seed); err != nil {
-		f.Fatal(err)
+	seed := FromReport(analyzer.Analyze("seed", c))
+	all := FromReport(allModesReport(f))
+	for _, db := range []*Database{seed, all} {
+		var file bytes.Buffer
+		if err := db.Write(&file); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(file.String())
+		f.Add(string(body(f, db)))
 	}
-	f.Add(seed.String())
-	var all bytes.Buffer
-	if err := FromReport(allModesReport(f)).Write(&all); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(all.String())
-	f.Add(framed(f, `{"version":4}`))
-	f.Add(framed(f, `{"version":4,"cct":{"fn":"x","children":[{"fn":"y"}]}}`))
-	f.Add(framed(f, `not json at all`))
-	f.Add(framed(f, `{"version":4,"per_thread":[{"tid":-1,"commits":18446744073709551615}]}`))
+	f.Add(string(body(f, &Database{Version: FormatVersion})))
+	f.Add(string(body(f, &Database{Version: FormatVersion, Threads: math.MinInt64, Periods: [5]uint64{0, 127, 128, math.MaxUint64},
+		PerThread: []Thread{{TID: -1, CommitSamples: math.MaxUint64}, {TID: math.MaxInt64}}})))
 	f.Add(`{"version":1}`)
-	v3, err := os.ReadFile("testdata/v3.json")
-	if err != nil {
-		f.Fatal(err)
+	for _, v := range []int{3, 4} {
+		old, err := os.ReadFile(fmt.Sprintf("testdata/v%d.json", v))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(old))
 	}
-	f.Add(string(v3))
 
 	f.Fuzz(func(t *testing.T, data string) {
-		db, err := Read(strings.NewReader(data))
-		if err != nil {
-			return // rejected: fine
-		}
-		// Accepted input: the report reconstruction and re-encoding
-		// must not panic, and the round trip must stay stable.
-		rep := db.Report()
-		var buf bytes.Buffer
-		if err := FromReport(rep).Write(&buf); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if _, err := Read(&buf); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		for _, in := range [][]byte{[]byte(data), framed(t, []byte(data))} {
+			db, err := Decode(in)
+			if err != nil {
+				continue // rejected: fine
+			}
+			raw := dbBytes(t, db)
+			again, err := Decode(raw)
+			if err != nil {
+				t.Fatalf("re-decode failed: %v", err)
+			}
+			if !reflect.DeepEqual(again, db) || !bytes.Equal(dbBytes(t, again), raw) {
+				t.Fatal("re-encoding changed the database")
+			}
+			// The report reconstruction and its database must not
+			// panic and must stay readable.
+			if _, err := Decode(dbBytes(t, FromReport(db.Report()))); err != nil {
+				t.Fatalf("report round trip failed: %v", err)
+			}
 		}
 	})
 }

@@ -2,8 +2,10 @@
 // (paper §6: "the analyzer records all the insights into files and
 // passes them to TxSampler's GUI for visualization"). A database holds
 // the merged calling-context tree with its per-context metrics, the
-// per-thread summaries, and the run metadata, serialized as JSON so
-// external viewers can consume it.
+// per-thread summaries, and the run metadata, serialized as a compact
+// canonical binary body behind a checksummed frame (storage.go gives
+// the layout). The same bytes are the fleet daemon's wire format and
+// journal record.
 package profile
 
 import (
@@ -15,40 +17,41 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// FormatVersion identifies the database layout. Version 4 frames the
-// JSON and its SHA-256 as one record (see storage.go) in place of the
-// text header of versions 2 and 3. Version 3 stores each context's
-// time as core.Metrics.Time, one bucket per rtm.Mode, in place of
-// version 2's named per-feature buckets; version 2 added the Partial
-// stamp; version 1 was bare JSON. Read refuses all three with
-// *VersionError.
-const FormatVersion = 4
+// FormatVersion identifies the database layout. Version 5 replaces the
+// indented JSON inside version 4's frame with a varint binary body
+// (see storage.go). Version 4 framed the JSON and its SHA-256 as one
+// record in place of the text header of versions 2 and 3. Version 3
+// stores each context's time as core.Metrics.Time, one bucket per
+// rtm.Mode, in place of version 2's named per-feature buckets; version
+// 2 added the Partial stamp; version 1 was bare JSON. Read refuses all
+// four with *VersionError.
+const FormatVersion = 5
 
 // Node is one serialized calling context.
 type Node struct {
-	Fn       string       `json:"fn"`
-	Site     string       `json:"site,omitempty"`
-	Metrics  core.Metrics `json:"metrics"`
-	Children []*Node      `json:"children,omitempty"`
+	Fn       string
+	Site     string
+	Metrics  core.Metrics
+	Children []*Node
 }
 
 // Thread is one thread's §5 histogram entry.
 type Thread struct {
-	TID           int    `json:"tid"`
-	CommitSamples uint64 `json:"commits"`
-	AbortSamples  uint64 `json:"aborts"`
+	TID           int
+	CommitSamples uint64
+	AbortSamples  uint64
 }
 
 // Database is a complete serialized profile.
 type Database struct {
-	Version   int              `json:"version"`
-	Program   string           `json:"program"`
-	Threads   int              `json:"threads"`
-	Periods   [5]uint64        `json:"periods"`
-	Totals    core.Metrics     `json:"totals"`
-	Quality   core.DataQuality `json:"quality"`
-	PerThread []Thread         `json:"per_thread"`
-	Root      *Node            `json:"cct"`
+	Version   int
+	Program   string
+	Threads   int
+	Periods   [5]uint64
+	Totals    core.Metrics
+	Quality   core.DataQuality
+	PerThread []Thread
+	Root      *Node
 
 	// Partial marks a profile flushed by cooperative cancellation
 	// (SIGINT/SIGTERM or a per-shard deadline) rather than a completed
@@ -56,13 +59,13 @@ type Database struct {
 	// the machine stopped at, but covers only a prefix of the workload.
 	// Resumable campaigns replace partial artifacts by re-running the
 	// shard from scratch.
-	Partial bool `json:"partial,omitempty"`
+	Partial bool
 
 	// Telemetry is the profiler self-report captured when the profile
 	// was produced (machine, collector, analyzer self-metrics).
 	// Volatile wall-clock entries are stripped before serialization so
 	// databases from identical seeds stay byte-identical.
-	Telemetry []telemetry.MetricValue `json:"telemetry,omitempty"`
+	Telemetry []telemetry.MetricValue
 }
 
 // FromReport converts an analyzer report into a database.

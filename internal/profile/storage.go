@@ -2,19 +2,42 @@ package profile
 
 // Crash-consistent on-disk storage. A database is a record file (see
 // internal/record) of one frame: "txprofdb <version>\n", then length,
-// CRC32, and the payload — the JSON's SHA-256, then indented JSON.
-// Load tells a torn write (record.ErrTruncated) from bit rot or
-// trailing garbage (record.ErrCorrupt) from a format change
-// (*VersionError): re-running the producer fixes the first two, the
-// third needs a different reader. Save is atomic: the payload is
-// written to a temporary file in the same directory, fsynced, renamed
-// over the destination, and the directory is fsynced — a crash at any
-// write offset leaves either the old complete database or a torn temp
-// file that Fsck removes, never a half-new database under the real
-// name.
+// CRC32, and the payload — the body's SHA-256, then the body. File
+// names keep the .json suffix of the older JSON formats: campaign
+// artifact names and Fsck's directory scan depend on it. Load tells a
+// torn write (record.ErrTruncated) from bit rot or trailing garbage
+// (record.ErrCorrupt) from a format change (*VersionError): re-running
+// the producer fixes the first two, the third needs a different
+// reader. Save is atomic: the payload is written to a temporary file
+// in the same directory, fsynced, renamed over the destination, and
+// the directory is fsynced — a crash at any write offset leaves either
+// the old complete database or a torn temp file that Fsck removes,
+// never a half-new database under the real name.
+//
+// The body (format version 5, codec.go) is varints in this order, where
+// uvarint is unsigned LEB128, varint is its zig-zag signed form (every
+// int field), and str is a uvarint index into the string table:
+//
+//	strings    uvarint n, then n × (uvarint length, bytes), in first-use order
+//	header     varint version, str program, varint threads,
+//	           5 × uvarint periods, one partial byte (0 or 1)
+//	totals     metrics
+//	quality    the 13 faults.Stats counters, then the 4 collector
+//	           counters, as uvarints in declaration order
+//	per-thread uvarint n, then n × (varint tid, uvarint commits, uvarint aborts)
+//	telemetry  uvarint n, then n × (str name, str kind, uvarint value,
+//	           uvarint count, uvarint sum, uvarint buckets,
+//	           buckets × (uvarint lo, uvarint hi, uvarint count))
+//	cct        uvarint nodes (0 when there is no tree), then the nodes
+//	           in pre-order, each str fn, str site, metrics, uvarint children
+//
+// metrics is every core.Metrics field as a uvarint in declaration
+// order, arrays slot by slot. Decode refuses, as record.ErrCorrupt,
+// a body with trailing bytes, an out-of-range string index, a varint
+// longer than 10 bytes, a partial byte other than 0 or 1, a count the
+// remaining bytes cannot hold, or a tree nested deeper than 10,000 levels.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -49,16 +72,12 @@ func (e *VersionError) Error() string {
 }
 
 // encode renders the framed representation: the magic line, then one
-// frame holding the JSON's SHA-256 and the JSON.
+// frame holding the body's SHA-256 and the body.
 func (db *Database) encode() ([]byte, error) {
-	var payload bytes.Buffer
-	payload.Write(make([]byte, sha256.Size))
-	enc := json.NewEncoder(&payload)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(db); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
+	p, err := appendBody(make([]byte, sha256.Size), db)
+	if err != nil {
+		return nil, err
 	}
-	p := payload.Bytes()
 	sum := sha256.Sum256(p[sha256.Size:])
 	copy(p, sum[:])
 	return record.AppendFrame(record.Header(magic, db.Version), p)
@@ -89,11 +108,11 @@ func Read(r io.Reader) (*Database, error) {
 func Decode(data []byte) (*Database, error) {
 	if len(data) > 0 && data[0] == '{' {
 		// Headerless version-1 file (bare JSON, no integrity check).
-		var db Database
-		if err := json.Unmarshal(data, &db); err != nil {
+		var v1 struct{ Version int }
+		if err := json.Unmarshal(data, &v1); err != nil {
 			return nil, fmt.Errorf("profile: %w: headerless and undecodable", record.ErrCorrupt)
 		}
-		return nil, &VersionError{Got: db.Version, Want: FormatVersion}
+		return nil, &VersionError{Got: v1.Version, Want: FormatVersion}
 	}
 	frames, err := record.ParseHeader(data, magic, FormatVersion)
 	var ve *record.VersionError
@@ -113,14 +132,7 @@ func Decode(data []byte) (*Database, error) {
 	if len(p) < sha256.Size || sha256.Sum256(p[sha256.Size:]) != [sha256.Size]byte(p[:sha256.Size]) {
 		return nil, fmt.Errorf("profile: %w: sha256 mismatch", record.ErrCorrupt)
 	}
-	var db Database
-	if err := json.Unmarshal(p[sha256.Size:], &db); err != nil {
-		return nil, fmt.Errorf("profile: %w: checksummed payload is not valid JSON: %v", record.ErrCorrupt, err)
-	}
-	if db.Version != FormatVersion {
-		return nil, fmt.Errorf("profile: %w: payload version %d contradicts header version %d", record.ErrCorrupt, db.Version, FormatVersion)
-	}
-	return &db, nil
+	return decodeBody(p[sha256.Size:])
 }
 
 // Save writes the database to path atomically: temp file in the same

@@ -81,9 +81,10 @@ func TestReadVersionMismatch(t *testing.T) {
 		t.Fatalf("future version: got %v, want *VersionError{Got:%d}", err, FormatVersion+1)
 	}
 	// Complete, checksummed databases the v2 and v3 writers produced
-	// (text header with len, crc32 and sha256 fields) are version
-	// mismatches too: no decode path for them.
-	for _, v := range []int{2, 3} {
+	// (text header with len, crc32 and sha256 fields) and the v4 writer
+	// produced (framed JSON) are version mismatches too: no decode path
+	// for them.
+	for _, v := range []int{2, 3, 4} {
 		f, err := os.Open(fmt.Sprintf("testdata/v%d.json", v))
 		if err != nil {
 			t.Fatal(err)
@@ -135,12 +136,14 @@ func TestSaveAtomic(t *testing.T) {
 }
 
 // TestSaveCrashTornFileDetected injects a crash at several write
-// offsets and asserts the torn file is detected as truncated (or, for
-// a crash inside the header, corrupt) — never silently loaded.
+// offsets, from the first byte to the last, and asserts the torn file
+// is detected as truncated (or, for a crash inside the header,
+// corrupt) — never silently loaded.
 func TestSaveCrashTornFileDetected(t *testing.T) {
 	dir := t.TempDir()
 	db := FromReport(buildReport(t))
-	for _, offset := range []uint64{0, 10, 100, 1000} {
+	n := uint64(len(saved(t)))
+	for _, offset := range []uint64{0, 10, n / 2, n - 1} {
 		path := filepath.Join(dir, "torn.json")
 		err := db.SaveCrash(path, offset)
 		if !errors.Is(err, faults.ErrCrashWrite) {
