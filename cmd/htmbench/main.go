@@ -163,7 +163,7 @@ func main() {
 		rep, err := fleet.RunFleet(fleet.FleetConfig{
 			BaseURL: *fleetAdr, Nodes: *fleetN, Workloads: names,
 			Threads: *threads, Seed: *seed, Window: *fleetWin,
-			Plan: plan, Net: np, Quantum: *quantum,
+			Plan: plan, Net: np, Quantum: *quantum, Hybrid: hpol,
 			ShardTimeout: *shardTO, Context: ctx, Log: os.Stdout,
 		})
 		switch {

@@ -3,9 +3,10 @@
 // the paper's §8 iterative workflow: optimize, re-profile, compare.
 //
 // Either side may also be a comma-separated list of databases or a
-// directory of them; shards on a side are merged (in parallel) into
-// one profile before diffing, so a fleet of per-node uploads diffs
-// directly against another fleet.
+// directory of them (its *.json files, so an htmbench -profiledir
+// campaign directory works as is); shards on a side load in parallel
+// and fold into one profile before diffing, so a fleet of per-node
+// uploads diffs directly against another fleet.
 //
 //	txdiff before.json after.json
 //	txdiff before-shards/ after-shards/
@@ -100,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // loadMerged resolves one diff side: a single database path, a
 // comma-separated list of paths, or a directory of databases. Multiple
-// shards decode in parallel and merge with profile.MergeAll; the
-// result is independent of decode order and core count.
+// shards decode in parallel and fold with profile.MergeAll; the result
+// is independent of decode order and core count.
 func loadMerged(arg string) (*profile.Database, error) {
 	paths, err := expandArg(arg)
 	if err != nil {
@@ -126,11 +127,13 @@ func loadMerged(arg string) (*profile.Database, error) {
 			return nil, fmt.Errorf("loading %s: %w", paths[i], err)
 		}
 	}
-	return profile.MergeAll(dbs, 0), nil
+	return profile.MergeAll(dbs), nil
 }
 
 // expandArg turns a diff-side argument into the sorted list of
-// database paths it names.
+// database paths it names. A directory contributes its *.json files,
+// the rule profile.Fsck uses, so a campaign journal beside them is
+// skipped.
 func expandArg(arg string) ([]string, error) {
 	if strings.Contains(arg, ",") {
 		parts := strings.Split(arg, ",")
@@ -158,7 +161,7 @@ func expandArg(arg string) ([]string, error) {
 	}
 	var paths []string
 	for _, e := range entries {
-		if !e.IsDir() {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
 			paths = append(paths, filepath.Join(arg, e.Name()))
 		}
 	}

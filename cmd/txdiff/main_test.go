@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"txsampler"
+	"txsampler/internal/experiments"
 	"txsampler/internal/profile"
 )
 
@@ -70,7 +73,8 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunMergesShardSides: a diff side given as a directory (or a
 // comma-separated list) is merged into one profile before diffing,
-// and both spellings produce identical output.
+// and both spellings produce identical output. A campaign directory,
+// journal included, is a side too.
 func TestRunMergesShardSides(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
@@ -99,6 +103,26 @@ func TestRunMergesShardSides(t *testing.T) {
 	}
 	if !strings.Contains(dirOut.String(), "micro/low-abort") {
 		t.Errorf("merged side lost its program name:\n%s", dirOut.String())
+	}
+
+	// The same three shards written by a profile campaign, whose
+	// journal sits beside them.
+	camp := t.TempDir()
+	rep, err := experiments.ProfileCampaign(io.Discard, experiments.CampaignConfig{
+		Dir: camp, Workloads: []string{"micro/low-abort"}, Threads: 2, Seed: 1, Seeds: 3,
+	})
+	if err != nil || rep.Failed != 0 {
+		t.Fatalf("campaign: %v, report %+v", err, rep)
+	}
+	if _, err := os.Stat(filepath.Join(camp, experiments.JournalName)); err != nil {
+		t.Fatal(err)
+	}
+	var campOut bytes.Buffer
+	if code := run([]string{camp, after}, &campOut, &errb); code != 0 {
+		t.Fatalf("campaign directory side exit %d: %s", code, errb.String())
+	}
+	if campOut.String() != dirOut.String() {
+		t.Errorf("campaign directory diffs differently from its shards:\n%s\n---\n%s", campOut.String(), dirOut.String())
 	}
 
 	// An empty directory is a usage error, not a crash.

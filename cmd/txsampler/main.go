@@ -57,17 +57,10 @@ func main() {
 		hybrid  = flag.String("hybrid-policy", "lock-only", "slow-path execution mode: "+strings.Join(machine.HybridPolicies(), ", "))
 		elide   = flag.Bool("elide", false, "enable lock elision: elidable locks speculate before acquiring (per-site verdicts in the report)")
 		pmemOn  = flag.Bool("pmem", false, "enable the persistent-memory tier (durable commits + persistence-stall attribution; pmem/* workloads)")
-		pflush  = flag.Uint64("pmem-flush", 0, "per-line flush cost in cycles (0 = default)")
-		pfence  = flag.Uint64("pmem-fence", 0, "persist-fence cost in cycles (0 = default)")
-		plog    = flag.Uint64("pmem-log", 0, "undo-log append cost in cycles (0 = default)")
-		pcommit = flag.Uint64("pmem-commit", 0, "durable commit-record cost in cycles (0 = default)")
 	)
 	flag.Parse()
 
-	pcfg := pmem.Config{
-		Enabled: *pmemOn, FlushCost: *pflush, FenceCost: *pfence,
-		LogCost: *plog, CommitCost: *pcommit,
-	}
+	pcfg := pmem.Config{Enabled: *pmemOn}
 
 	hpol, err := machine.ParseHybridPolicy(*hybrid)
 	if err != nil {

@@ -44,11 +44,6 @@ type matrixProgram struct {
 	threads int
 	// elides and durable switch on the elision and pmem axes.
 	elides, durable bool
-	// generated programs take their crash storms under one policy,
-	// picked by the seed, where the pmem suite crosses every policy: a
-	// fault plan turns the spin-wait fast-forward off, so storms under
-	// lock-only cost ~5x the host time on slow-path-forcing programs.
-	generated bool
 }
 
 // workloads returns registered workloads at one seed; threads 0 keeps
@@ -79,7 +74,7 @@ func generated(mixes ...progen.Mix) []matrixProgram {
 		for seed := int64(1); seed <= 3; seed++ {
 			p := progen.Generate(progen.Config{Seed: seed, Mix: mix})
 			out = append(out, matrixProgram{w: p.Workload(), seed: seed, threads: p.Threads,
-				elides: p.Elides(), durable: p.Durable(), generated: true})
+				elides: p.Elides(), durable: p.Durable()})
 		}
 	}
 	return out
@@ -144,21 +139,20 @@ func (p matrixProgram) run(t *testing.T, c cell) image {
 // cells lists the program's matrix: clean cells under every policy ×
 // elision mode (off, and on where the program elides) × quantum, with
 // the pmem tier on for durable programs, then crash-storm cells at
-// every crash point with every feature on (a generated program's under
-// one policy only).
+// every crash point with every feature on.
 func (p matrixProgram) cells(quanta []int) (clean, crash []cell) {
 	elision := []machine.ElisionMode{machine.ElisionOff}
 	if p.elides {
 		elision = append(elision, machine.ElisionOn)
 	}
-	for i, pol := range allPolicies() {
+	for _, pol := range allPolicies() {
 		for _, el := range elision {
 			for _, q := range quanta {
 				c := cell{pol: pol, el: el, quantum: q, pmem: p.durable}
 				if c != (cell{}) {
 					clean = append(clean, c)
 				}
-				if !p.durable || el != elision[len(elision)-1] || (p.generated && i != int(p.seed)%len(allPolicies())) {
+				if !p.durable || el != elision[len(elision)-1] {
 					continue
 				}
 				for _, point := range faults.PmemCrashPoints {

@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -103,11 +102,7 @@ func ProfileCampaign(w io.Writer, c CampaignConfig) (*campaign.Report, error) {
 	}
 	defer j.Close()
 
-	// The config hash covers everything else a shard's bytes depend on:
-	// the machine-visible fault plan and the database format version.
-	// Quantum and Parallel stay out — results are invariant to both —
-	// and so does the crash-write offset, a storage-layer fault.
-	confighash := campaign.Hash(c.Plan.MachineOnly().String(), strconv.Itoa(profile.FormatVersion), c.Hybrid.String())
+	confighash := profile.ConfigHash(c.Plan, c.Hybrid)
 
 	lines := make([]string, len(c.Workloads)*c.Seeds)
 	shards := make([]campaign.Shard, 0, len(lines))

@@ -125,10 +125,15 @@ var PmemCrashPoints = []string{
 }
 
 // Enabled reports whether the plan injects anything.
-func (p Plan) Enabled() bool {
+func (p Plan) Enabled() bool { return p.perThread() || p.PmemArmed() }
+
+// perThread reports whether the plan sets a regime the per-thread
+// Injector injects: any but the pmem crash point, which the machine's
+// pmem tier injects.
+func (p Plan) perThread() bool {
 	return p.SpuriousAbortRate > 0 || p.SampleDropRate > 0 || p.CoalesceWindow > 0 ||
 		p.LBRTruncateRate > 0 || p.LBRStaleRate > 0 || p.LBRClearAbortRate > 0 ||
-		p.StallRate > 0 || p.ClockSkewRate > 0 || p.PmemArmed()
+		p.StallRate > 0 || p.ClockSkewRate > 0
 }
 
 // PmemArmed reports whether the plan injects persistent-memory
@@ -445,11 +450,12 @@ type Injector struct {
 
 // NewInjector returns an injector for the plan, deterministically
 // seeded (seed is typically machineSeed mixed with the thread ID).
-// Returns nil for a plan that injects nothing, so the machine's hot
-// path can test a single pointer.
+// Returns nil for a plan that sets no per-thread regime — a crash-only
+// pmem plan included — so the machine's hot path can test a single
+// pointer and spin waits keep their fast-forward.
 func NewInjector(p Plan, seed uint64) *Injector {
 	p = p.withDefaults()
-	if !p.Enabled() {
+	if !p.perThread() {
 		return nil
 	}
 	rng := seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d

@@ -71,6 +71,32 @@ func TestInjectorNilForEmptyPlan(t *testing.T) {
 	}
 }
 
+// TestInjectorNilForCrashOnlyPlan: the pmem tier injects crash points,
+// so a plan arming only one (storm geometry aside) has no per-thread
+// injector, yet still counts as enabled.
+func TestInjectorNilForCrashOnlyPlan(t *testing.T) {
+	for _, name := range []string{"crash-mid-log", "torn-flush"} {
+		p, err := ParsePlan(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Enabled() {
+			t.Errorf("%s: plan not enabled", name)
+		}
+		if in := NewInjector(p, 7); in != nil {
+			t.Errorf("%s: crash-only plan produced a live injector", name)
+		}
+	}
+	p := Plan{PmemCrashPoint: PmemCrashBeforeFlush, StormPeriod: 100, StormLength: 10}
+	if in := NewInjector(p, 7); in != nil {
+		t.Error("crash point plus storm geometry produced a live injector")
+	}
+	p.StallRate = 0.01
+	if in := NewInjector(p, 7); in == nil {
+		t.Error("crash point plus a per-thread regime produced no injector")
+	}
+}
+
 // drive runs a fixed synthetic schedule against an injector and
 // returns a transcript of every decision.
 func drive(in *Injector) string {

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"txsampler"
-	"txsampler/internal/campaign"
 	"txsampler/internal/faults"
+	"txsampler/internal/machine"
 	"txsampler/internal/profile"
 	"txsampler/internal/retry"
 	"txsampler/internal/telemetry"
@@ -42,6 +41,9 @@ type FleetConfig struct {
 	Net faults.NetPlan
 	// Quantum overrides the scheduler quantum for the profiled runs.
 	Quantum int
+	// Hybrid selects the slow-path execution mode of every workload
+	// lock.
+	Hybrid machine.HybridPolicy
 	// Retries and Backoff shape each uploader's retry policy
 	// (defaults: 5 attempts from a 50ms base).
 	Retries int
@@ -99,12 +101,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		}
 	}
 
-	// The shard identity: everything that changes the profile bytes.
-	confighash := campaign.Hash(
-		cfg.Plan.MachineOnly().String(),
-		strconv.Itoa(cfg.Quantum),
-		strconv.Itoa(profile.FormatVersion),
-	)
+	confighash := profile.ConfigHash(cfg.Plan, cfg.Hybrid)
 
 	// Profile each workload once; payloads are shared across nodes.
 	payloads := make(map[string][]byte, len(cfg.Workloads))
@@ -118,6 +115,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			Profile: true,
 			Faults:  cfg.Plan.MachineOnly(),
 			Quantum: cfg.Quantum,
+			Hybrid:  cfg.Hybrid,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: profiling %s: %w", name, err)

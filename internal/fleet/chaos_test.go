@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"txsampler/internal/faults"
+	"txsampler/internal/machine"
 	"txsampler/internal/profile"
 	"txsampler/internal/retry"
 	"txsampler/internal/telemetry"
@@ -222,5 +223,34 @@ func TestRunFleetEndToEnd(t *testing.T) {
 	}
 	if _, err := RunFleet(FleetConfig{BaseURL: ts.URL, Workloads: []string{"no/such-workload"}}); err == nil {
 		t.Error("RunFleet with unknown workload succeeded")
+	}
+}
+
+// TestRunFleetQuantumIsNotIdentity: profiles are invariant to the
+// scheduler quantum, so a re-run that changes only the quantum uploads
+// under the same idempotency keys and is acked as duplicates. The
+// hybrid policy changes the profile bytes, so it changes the keys.
+func TestRunFleetQuantumIsNotIdentity(t *testing.T) {
+	_, ts := openTestServer(t, Config{})
+	cfg := FleetConfig{
+		BaseURL:   ts.URL,
+		Nodes:     2,
+		Workloads: []string{"micro/low-abort"},
+		Seed:      7,
+		Backoff:   time.Millisecond,
+	}
+	rep, err := RunFleet(cfg)
+	if err != nil || rep.Failed != 0 || rep.Accepted+rep.Deferred != 2 {
+		t.Fatalf("first run: %v, report %+v", err, rep)
+	}
+	cfg.Quantum = 1
+	rep, err = RunFleet(cfg)
+	if err != nil || rep.Duplicates != 2 {
+		t.Errorf("re-run at quantum 1: %v, report %+v, want 2 duplicates", err, rep)
+	}
+	cfg.Hybrid = machine.HybridStmFallback
+	rep, err = RunFleet(cfg)
+	if err != nil || rep.Failed != 0 || rep.Accepted+rep.Deferred != 2 {
+		t.Errorf("re-run under %v: %v, report %+v, want 2 new shards", cfg.Hybrid, err, rep)
 	}
 }

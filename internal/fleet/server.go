@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,7 +128,7 @@ type Server struct {
 	// aggMu serializes the commutative folds the merge workers feed
 	// into the window aggregates, and guards the retention watermark.
 	aggMu   sync.Mutex
-	windows map[int]*windowAgg
+	windows map[int]*profile.Aggregate
 	// compactedBelow is the retention horizon: every window ordinal
 	// below it has been compacted (aggregate deleted, memory
 	// reclaimed) and is permanently 410 Gone. Monotone — it only
@@ -170,7 +171,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		accepted: make(map[string]struct{}),
-		windows:  make(map[int]*windowAgg),
+		windows:  make(map[int]*profile.Aggregate),
 		queue:    make(chan Shard, cfg.QueueCap),
 		closed:   make(chan struct{}),
 	}
@@ -209,7 +210,7 @@ func Open(cfg Config) (*Server, error) {
 		// the rebuilt retained aggregates are byte-identical and the
 		// compacted ones never re-materialize.
 		if rec.Window >= s.compactedBelow {
-			s.window(rec.Window).add(db)
+			s.window(rec.Window).Add(db)
 			s.compactLocked()
 		}
 		s.replayed++
@@ -242,10 +243,10 @@ func (s *Server) logf(format string, args ...any) {
 
 // window returns the aggregate for a window, creating it. Callers
 // hold aggMu (or are the single replay goroutine).
-func (s *Server) window(w int) *windowAgg {
+func (s *Server) window(w int) *profile.Aggregate {
 	a := s.windows[w]
 	if a == nil {
-		a = newWindowAgg()
+		a = profile.NewAggregate()
 		s.windows[w] = a
 	}
 	return a
@@ -344,7 +345,7 @@ func (s *Server) merge(rec Shard) {
 	} else {
 		s.aggMu.Lock()
 		if rec.Window >= s.compactedBelow {
-			s.window(rec.Window).add(db)
+			s.window(rec.Window).Add(db)
 			s.compactLocked()
 		}
 		// A shard below the horizon stays journaled but folds to
@@ -614,20 +615,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.aggMu.Lock()
-	if !s.retainedLocked(window) {
-		s.aggMu.Unlock()
-		http.Error(w, fmt.Sprintf("window %d compacted (retain=%d)", window, s.cfg.Retain), http.StatusGone)
+	db, _ := s.windowDatabase(w, window)
+	if db == nil {
 		return
 	}
-	agg, ok := s.windows[window]
-	if !ok {
-		s.aggMu.Unlock()
-		http.Error(w, fmt.Sprintf("no aggregate for window %d", window), http.StatusNotFound)
-		return
-	}
-	db := agg.database(window)
-	s.aggMu.Unlock()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := db.Write(w); err != nil {
 		s.logf("fleet: writing window %d aggregate: %v", window, err)
@@ -651,21 +642,10 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if by == "" {
 		by = "aborts"
 	}
-	s.aggMu.Lock()
-	if !s.retainedLocked(window) {
-		s.aggMu.Unlock()
-		http.Error(w, fmt.Sprintf("window %d compacted (retain=%d)", window, s.cfg.Retain), http.StatusGone)
+	db, shards := s.windowDatabase(w, window)
+	if db == nil {
 		return
 	}
-	agg, ok := s.windows[window]
-	if !ok {
-		s.aggMu.Unlock()
-		http.Error(w, fmt.Sprintf("no aggregate for window %d", window), http.StatusNotFound)
-		return
-	}
-	db := agg.database(window)
-	shards := agg.shards
-	s.aggMu.Unlock()
 
 	rep := db.Report()
 	var hot []analyzer.HotContext
@@ -691,6 +671,30 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	for i, hc := range hot {
 		fmt.Fprintf(w, "%2d. %12d  %s\n", i+1, value(&hc.Metrics), hc.Path())
 	}
+}
+
+// windowDatabase renders a window's aggregate, named
+// fleet/window-N[<programs joined by +>], with its shard count. A
+// compacted window answers 410 Gone and an unknown one 404; both
+// return a nil database.
+func (s *Server) windowDatabase(w http.ResponseWriter, window int) (*profile.Database, int) {
+	s.aggMu.Lock()
+	retained := s.retainedLocked(window)
+	agg := s.windows[window]
+	var db *profile.Database
+	var shards int
+	if retained && agg != nil {
+		db = agg.Database(fmt.Sprintf("fleet/window-%d[%s]", window, strings.Join(agg.Programs(), "+")))
+		shards = agg.Shards()
+	}
+	s.aggMu.Unlock()
+	switch {
+	case !retained:
+		http.Error(w, fmt.Sprintf("window %d compacted (retain=%d)", window, s.cfg.Retain), http.StatusGone)
+	case db == nil:
+		http.Error(w, fmt.Sprintf("no aggregate for window %d", window), http.StatusNotFound)
+	}
+	return db, shards
 }
 
 func windowParam(r *http.Request) (int, error) {
@@ -749,7 +753,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	sort.Ints(wins)
 	for _, win := range wins {
 		st.Windows = append(st.Windows, WindowStats{
-			Window: win, Shards: s.windows[win].shards, Retained: s.retainedLocked(win),
+			Window: win, Shards: s.windows[win].Shards(), Retained: s.retainedLocked(win),
 		})
 	}
 	s.aggMu.Unlock()

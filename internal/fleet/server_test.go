@@ -435,6 +435,67 @@ func TestRestartReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWindowKeepsPartialStamp: a window that folds an interrupted
+// (Partial) shard serves a Partial aggregate, live and after a journal
+// replay, and a "+"-joined shard program counts as its members.
+func TestWindowKeepsPartialStamp(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := openTestServer(t, Config{Dir: dir})
+	partial, err := readDatabase(shardBytes(t, "micro/low-abort", 0, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial.Partial = true
+	var buf bytes.Buffer
+	if err := partial.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	shards := []struct {
+		key     string
+		window  int
+		payload []byte
+	}{
+		{"partial", 0, buf.Bytes()},
+		{"complete-0", 0, shardBytes(t, "micro/low-abort", 1, 7)},
+		{"joined", 1, shardBytes(t, "micro/b+micro/a", 0, 3)},
+		{"complete-1", 1, shardBytes(t, "micro/a", 1, 7)},
+	}
+	for _, sh := range shards {
+		if resp, body := ingest(t, ts.URL, sh.payload, sh.key, sh.window); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: status %d: %s", sh.key, resp.StatusCode, body)
+		}
+	}
+	waitLagZero(t, srv)
+	check := func(url, when string) {
+		t.Helper()
+		want := []struct {
+			program string
+			partial bool
+		}{
+			{"fleet/window-0[micro/low-abort]", true},
+			{"fleet/window-1[micro/a+micro/b]", false},
+		}
+		for w, want := range want {
+			_, body := get(t, fmt.Sprintf("%s/profile?window=%d", url, w))
+			db, err := readDatabase(body)
+			if err != nil {
+				t.Fatalf("%s: window %d: %v", when, w, err)
+			}
+			if db.Program != want.program || db.Partial != want.partial {
+				t.Errorf("%s: window %d is %q partial=%v, want %q partial=%v",
+					when, w, db.Program, db.Partial, want.program, want.partial)
+			}
+		}
+	}
+	check(ts.URL, "live")
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := openTestServer(t, Config{Dir: dir})
+	check(ts2.URL, "replayed")
+}
+
 // ackedJournal runs a daemon that acknowledges one shard per key,
 // stops it, and returns its directory and the journal offset each
 // shard's record starts at, with the journal's length last.

@@ -306,7 +306,7 @@ func New(cfg Config) *Machine {
 		sched: &scheduler{done: make(chan error, 1), lastGater: -1},
 	}
 	if cfg.Pmem.Enabled {
-		m.pmem = pmem.New(cfg.Pmem, cfg.Faults, cfg.Threads)
+		m.pmem = pmem.New(cfg.Faults, cfg.Threads)
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		m.threads = append(m.threads, newThread(m, i))

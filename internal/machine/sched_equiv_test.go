@@ -18,7 +18,10 @@ import (
 	"strings"
 	"testing"
 
+	"txsampler/internal/faults"
+	"txsampler/internal/pmem"
 	"txsampler/internal/pmu"
+	"txsampler/internal/telemetry"
 )
 
 // requireSameRun asserts two captured runs are identical in every
@@ -220,6 +223,32 @@ func spinLockBodies(iters int) func(m *Machine) []func(*Thread) {
 			bodies[i] = body
 		}
 		return bodies
+	}
+}
+
+// TestCrashOnlyPlanKeepsSpinFastForward: the pmem tier injects a
+// crash-only plan's faults, so the threads get no injector and a
+// spinning program still fast-forwards its waits.
+func TestCrashOnlyPlanKeepsSpinFastForward(t *testing.T) {
+	plan, err := faults.ParsePlan("crash-mid-log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Threads: 5, Seed: 9, Faults: plan, Pmem: pmem.Config{Enabled: true}})
+	m.SetHandler(&collectHandler{})
+	if err := m.Run(spinLockBodies(40)(m)...); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m.PublishMetrics(reg)
+	var skipped uint64
+	for _, mv := range reg.Snapshot(true) {
+		if mv.Name == "machine.spin.skipped" {
+			skipped = mv.Value
+		}
+	}
+	if skipped == 0 {
+		t.Error("machine.spin.skipped = 0 under a crash-only plan: spin waits lost their fast-forward")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"txsampler/internal/htm"
 	"txsampler/internal/lbr"
 	"txsampler/internal/mem"
+	"txsampler/internal/pmem"
 	"txsampler/internal/pmu"
 	"txsampler/internal/telemetry"
 )
@@ -1021,14 +1022,13 @@ func (t *Thread) PmemPersist() (crashed, committed bool) {
 		t.pmemCrash(class)
 		return true, false
 	}
-	costs := d.Costs()
 	for range d.DirtyLines(t.ID) {
-		t.pmemOp(costs.FlushCost) // CLWB one durable line
+		t.pmemOp(pmem.FlushCost) // CLWB one durable line
 	}
-	t.pmemOp(costs.FenceCost) // drain the write-pending queue
+	t.pmemOp(pmem.FenceCost) // drain the write-pending queue
 	t.startOp()
 	t.m.pmem.Commit(t.ID)
-	t.endOp(opMeta{}, costs.CommitCost)
+	t.endOp(opMeta{}, pmem.CommitCost)
 	if class == faults.PmemCrashAfterCommit {
 		t.pmemCrash(class)
 		return true, true

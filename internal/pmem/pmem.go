@@ -7,8 +7,8 @@
 // per-line undo-log records (pre-image captured at the transaction's
 // first store to the line, as in go-redis-pmem's transaction package),
 // and the durable-commit epilogue issues explicit flush, fence, and
-// commit-record operations with configurable cycle costs — the
-// persistence stalls the profiler learns to attribute.
+// commit-record operations at fixed cycle costs — the persistence
+// stalls the profiler learns to attribute.
 //
 // Eviction is modeled adversarially: a store to a tracked line reaches
 // the persist domain immediately (as if the line were evicted right
@@ -37,57 +37,25 @@ import (
 	"txsampler/internal/mem"
 )
 
-// Config enables and prices the persistent-memory tier. The zero value
-// is disabled; enabling with zero costs applies the defaults.
+// Config enables the persistent-memory tier. The zero value is
+// disabled.
 type Config struct {
 	// Enabled turns the persistent tier on. Disabled, the machine has
 	// no persist domain and every pmem hook is a no-op.
 	Enabled bool
-	// FlushCost is the cycle cost of one cache-line writeback (CLWB).
-	FlushCost uint64
-	// FenceCost is the cycle cost of the persist fence (SFENCE +
-	// write-pending-queue drain) ordering flushes before the commit
-	// record.
-	FenceCost uint64
-	// LogCost is the cycle cost of one eager undo-log append: the
-	// entry write plus the flush+fence that orders it before the data
-	// store.
-	LogCost uint64
-	// CommitCost is the cycle cost of writing and persisting the
-	// commit record.
-	CommitCost uint64
 }
 
-// Default per-operation cycle costs, loosely calibrated to published
-// Optane DC latencies relative to the machine's cache model: a flush
-// is a writeback to the persist buffer, a fence drains it (the
-// expensive part), a log append is an entry write plus its ordering
-// flush+fence, and the commit record is one small persisted write.
+// Per-operation cycle costs, loosely calibrated to published Optane DC
+// latencies relative to the machine's cache model: a flush is a
+// writeback to the persist buffer, a fence drains it (the expensive
+// part), a log append is an entry write plus its ordering flush+fence,
+// and the commit record is one small persisted write.
 const (
-	DefaultFlushCost  = 120
-	DefaultFenceCost  = 250
-	DefaultLogCost    = 180
-	DefaultCommitCost = 150
+	FlushCost  = 120 // one cache-line writeback (CLWB)
+	FenceCost  = 250 // SFENCE + write-pending-queue drain before the commit record
+	LogCost    = 180 // one eager undo-log append
+	CommitCost = 150 // writing and persisting the commit record
 )
-
-func (c Config) withDefaults() Config {
-	if !c.Enabled {
-		return c
-	}
-	if c.FlushCost == 0 {
-		c.FlushCost = DefaultFlushCost
-	}
-	if c.FenceCost == 0 {
-		c.FenceCost = DefaultFenceCost
-	}
-	if c.LogCost == 0 {
-		c.LogCost = DefaultLogCost
-	}
-	if c.CommitCost == 0 {
-		c.CommitCost = DefaultCommitCost
-	}
-	return c
-}
 
 // CrashStats counts the crash events the domain injected and the
 // recovery work they caused.
@@ -115,7 +83,6 @@ type section struct {
 // scheduling position (under the scheduler gate), exactly like the
 // memory and HTM engines.
 type Domain struct {
-	cfg Config
 	img *mem.Memory // the persist-domain image of tracked regions
 
 	ranges  []trackRange
@@ -137,13 +104,12 @@ type trackRange struct {
 	words int
 }
 
-// New builds the domain for an enabled config. The crash trigger comes
+// New builds the domain of an enabled tier. The crash trigger comes
 // from the machine-perturbing fault plan; threads sizes the per-thread
 // section table.
-func New(cfg Config, plan faults.Plan, threads int) *Domain {
+func New(plan faults.Plan, threads int) *Domain {
 	plan = plan.WithDefaults()
 	return &Domain{
-		cfg:        cfg.withDefaults(),
 		img:        mem.NewMemory(),
 		tracked:    make(map[mem.Addr]bool),
 		sections:   make([]section, threads),
@@ -152,9 +118,6 @@ func New(cfg Config, plan faults.Plan, threads int) *Domain {
 		crashEvery: plan.PmemCrashEvery,
 	}
 }
-
-// Costs returns the effective (defaulted) per-operation cycle costs.
-func (d *Domain) Costs() Config { return d.cfg }
 
 // Track registers [base, base+words*WordSize) as durable. Every cache
 // line the range touches becomes tracked. Workloads call it at build
@@ -236,7 +199,7 @@ func (d *Domain) OnStore(tid int, a mem.Addr, v mem.Word) (logCost uint64) {
 		s.logged[line] = true
 		s.frames = append(s.frames, f)
 		s.log = appendUndo(s.log, s.txid, f)
-		logCost = d.cfg.LogCost
+		logCost = LogCost
 	}
 	d.img.Store(a, v)
 	return logCost

@@ -118,17 +118,17 @@ func TestRecoverRejectsUnalignedLine(t *testing.T) {
 }
 
 func TestDomainFirstTouchLogging(t *testing.T) {
-	d := New(Config{Enabled: true}, faults.Plan{}, 1)
+	d := New(faults.Plan{}, 1)
 	base := mem.Addr(0x4000)
 	d.Track(base, 2*mem.WordsPerLine)
 	d.Begin(0)
-	if cost := d.OnStore(0, base, 1); cost != d.Costs().LogCost {
-		t.Fatalf("first store cost = %d, want LogCost %d", cost, d.Costs().LogCost)
+	if cost := d.OnStore(0, base, 1); cost != LogCost {
+		t.Fatalf("first store cost = %d, want LogCost %d", cost, LogCost)
 	}
 	if cost := d.OnStore(0, base.Offset(1), 2); cost != 0 {
 		t.Fatalf("second store to the same line cost = %d, want 0", cost)
 	}
-	if cost := d.OnStore(0, base+mem.LineSize, 3); cost != d.Costs().LogCost {
+	if cost := d.OnStore(0, base+mem.LineSize, 3); cost != LogCost {
 		t.Fatalf("store to a second line cost = %d, want LogCost", cost)
 	}
 	if cost := d.OnStore(0, base+0x10000, 4); cost != 0 {
@@ -143,7 +143,7 @@ func TestDomainFirstTouchLogging(t *testing.T) {
 }
 
 func TestDomainArmTriggers(t *testing.T) {
-	d := New(Config{Enabled: true}, faults.Plan{
+	d := New(faults.Plan{
 		PmemCrashPoint: faults.PmemCrashMidLog, PmemCrashEvery: 3,
 	}, 1)
 	var fired []uint64
@@ -156,7 +156,7 @@ func TestDomainArmTriggers(t *testing.T) {
 		t.Fatalf("crash-every=3 fired at %v, want [3 6 9]", fired)
 	}
 
-	nth := New(Config{Enabled: true}, faults.Plan{PmemCrashPoint: faults.PmemCrashTornTail}, 1)
+	nth := New(faults.Plan{PmemCrashPoint: faults.PmemCrashTornTail}, 1)
 	// PmemCrashTx defaults to 1 when a point is set without a trigger.
 	if nth.Arm(0) == "" {
 		t.Fatal("defaulted crash-tx=1 did not fire on the first commit")

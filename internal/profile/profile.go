@@ -9,10 +9,14 @@
 package profile
 
 import (
+	"strconv"
+
 	"txsampler/internal/analyzer"
+	"txsampler/internal/campaign"
 	"txsampler/internal/cct"
 	"txsampler/internal/core"
-	"txsampler/internal/lbr"
+	"txsampler/internal/faults"
+	"txsampler/internal/machine"
 	"txsampler/internal/pmu"
 	"txsampler/internal/telemetry"
 )
@@ -26,6 +30,17 @@ import (
 // 2 added the Partial stamp; version 1 was bare JSON. Read refuses all
 // four with *VersionError.
 const FormatVersion = 5
+
+// ConfigHash is a profile shard's configuration identity: everything
+// besides workload, threads and seed that its bytes depend on — the
+// machine-visible fault plan, FormatVersion and the hybrid policy.
+// Profile campaigns key their journal entries by it and fleet uploads
+// their idempotency keys. The quantum and worker counts stay out, as
+// results are invariant to both, and so does the crash-write offset, a
+// storage-layer fault.
+func ConfigHash(plan faults.Plan, hybrid machine.HybridPolicy) string {
+	return campaign.Hash(plan.MachineOnly().String(), strconv.Itoa(FormatVersion), hybrid.String())
+}
 
 // Node is one serialized calling context.
 type Node struct {
@@ -86,7 +101,7 @@ func FromReport(r *analyzer.Report) *Database {
 	for _, t := range r.PerThread {
 		db.PerThread = append(db.PerThread, Thread{TID: t.TID, CommitSamples: t.CommitSamples, AbortSamples: t.AbortSamples})
 	}
-	db.Root = fromNode(r.Merged.Root)
+	db.Root = toNode(r.Merged.Root)
 	for _, mv := range r.Self {
 		if !mv.Volatile {
 			db.Telemetry = append(db.Telemetry, mv)
@@ -95,17 +110,10 @@ func FromReport(r *analyzer.Report) *Database {
 	return db
 }
 
-func fromNode(n *core.Node) *Node {
-	out := &Node{Fn: n.Frame.Fn, Site: n.Frame.Site, Metrics: n.Data}
-	for _, c := range n.Children() {
-		out.Children = append(out.Children, fromNode(c))
-	}
-	return out
-}
-
 // Report reconstructs an analyzer report from a database; the merged
-// tree round-trips exactly, so downstream analyses (ranking, decision
-// tree) run identically on a loaded profile.
+// tree round-trips exactly (duplicate sibling frames sum into one
+// context), so downstream analyses (ranking, decision tree) run
+// identically on a loaded profile.
 func (db *Database) Report() *analyzer.Report {
 	r := &analyzer.Report{
 		Program: db.Program,
@@ -126,17 +134,8 @@ func (db *Database) Report() *analyzer.Report {
 		r.PerThread = append(r.PerThread, analyzer.ThreadSummary{TID: t.TID, CommitSamples: t.CommitSamples, AbortSamples: t.AbortSamples})
 	}
 	if db.Root != nil {
-		r.Merged.Root.Data = db.Root.Metrics
-		attach(r.Merged.Root, db.Root.Children)
+		addNode(r.Merged.Root, db.Root)
 	}
 	r.Self = db.Telemetry
 	return r
-}
-
-func attach(parent *core.Node, children []*Node) {
-	for _, c := range children {
-		n := parent.Child(lbr.IP{Fn: c.Fn, Site: c.Site})
-		n.Data = c.Metrics
-		attach(n, c.Children)
-	}
 }
