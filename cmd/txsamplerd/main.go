@@ -5,11 +5,10 @@
 // time-windowed aggregate calling-context trees served back through
 // query endpoints.
 //
-// Ingestion degrades explicitly under load — merge-on-arrival, then
-// journal-now-merge-later past the queue's high watermark, then 429 +
-// Retry-After load shedding past -max-lag — and recovers losslessly
-// from kill -9: restart replays the journal into byte-identical
-// aggregates.
+// Acknowledged means folded: a 200 from /ingest means the shard is
+// journaled and already in /profile and /top. The daemon recovers
+// losslessly from kill -9: restart replays the journal into
+// byte-identical aggregates.
 //
 //	txsamplerd -addr :8090 -dir /var/lib/txsampler
 //	curl localhost:8090/stats
@@ -46,13 +45,7 @@ func run(args []string, stdout, stderr io.Writer, started func(addr string, stop
 	var (
 		addr     = fs.String("addr", ":8090", "ingest/query listen address")
 		dir      = fs.String("dir", "", "state directory for the shard journal (required)")
-		queue    = fs.Int("queue", 256, "merge queue capacity (shards)")
-		high     = fs.Int("high-water", 0, "queue depth that degrades to journal-now-merge-later (0 = 3/4 of -queue)")
-		low      = fs.Int("low-water", 0, "queue depth at which catch-up resumes merging deferred shards (0 = 1/4 of -queue)")
-		maxLag   = fs.Int("max-lag", 0, "journaled-but-unmerged shards beyond which ingest sheds with 429 (0 = 8x -queue)")
 		retain   = fs.Int("retain", 0, "keep only the newest N windows in memory; older ones answer 410 (0 = all)")
-		workers  = fs.Int("merge-workers", 0, "parallel shard-decode workers feeding the merge (0 = GOMAXPROCS)")
-		retryAft = fs.Duration("retry-after", 500*time.Millisecond, "Retry-After hint sent with load-shedding 429s")
 		maxShard = fs.Int64("max-shard-bytes", 32<<20, "largest accepted shard body")
 		dbgAddr  = fs.String("debug-addr", "", "serve net/http/pprof, expvar, /metrics, /healthz, and /readyz on this address")
 	)
@@ -71,13 +64,7 @@ func run(args []string, stdout, stderr io.Writer, started func(addr string, stop
 	reg := telemetry.NewRegistry()
 	srv, err := fleet.Open(fleet.Config{
 		Dir:           *dir,
-		QueueCap:      *queue,
-		HighWater:     *high,
-		LowWater:      *low,
-		MaxLag:        *maxLag,
 		Retain:        *retain,
-		MergeWorkers:  *workers,
-		RetryAfter:    *retryAft,
 		MaxShardBytes: *maxShard,
 		Metrics:       reg,
 		Log:           stderr,
@@ -89,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer, started func(addr string, stop
 	defer srv.Close()
 
 	if *dbgAddr != "" {
-		dbg, err := telemetry.ServeDebug(*dbgAddr, reg, srv.Ready)
+		dbg, err := telemetry.ServeDebug(*dbgAddr, reg)
 		if err != nil {
 			fmt.Fprintf(stderr, "txsamplerd: %v\n", err)
 			return 1
@@ -109,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer, started func(addr string, stop
 
 	// SIGINT/SIGTERM drain gracefully: stop accepting, let in-flight
 	// ingests finish (their journal appends are already durable), then
-	// close the merge pipeline.
+	// close the journal.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if started != nil {

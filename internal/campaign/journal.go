@@ -97,8 +97,7 @@ func (j *Journal) Record(e Entry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state[e.Key] = e
-	_, err = j.log.Append(p)
-	return err
+	return j.log.Append(p)
 }
 
 // Close closes the journal file.

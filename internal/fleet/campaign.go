@@ -50,7 +50,8 @@ type FleetConfig struct {
 	Backoff time.Duration
 	// ShardTimeout bounds each upload attempt.
 	ShardTimeout time.Duration
-	// Context cancels the campaign between uploads.
+	// Context cancels the campaign: the profiled runs stop at a
+	// quantum boundary and the uploads stop retrying.
 	Context context.Context
 	// Metrics receives uploader counters; Log receives progress lines.
 	Metrics *telemetry.Registry
@@ -60,8 +61,7 @@ type FleetConfig struct {
 // FleetReport summarizes a fleet campaign.
 type FleetReport struct {
 	Shards     int // uploads attempted (nodes x workloads)
-	Accepted   int // acked 200: journaled and merged on arrival
-	Deferred   int // acked 202: journaled, merge deferred
+	Accepted   int // acked 200: journaled and folded
 	Duplicates int // acked as already-accepted idempotency keys
 	Failed     int // uploads that exhausted retries or were rejected
 	Attempts   int // total HTTP attempts across all uploads
@@ -70,7 +70,8 @@ type FleetReport struct {
 
 // RunFleet profiles every configured workload once per node and
 // uploads the shards concurrently (one goroutine per node, shards in
-// workload order within a node).
+// workload order within a node). A canceled Context returns an error
+// wrapping its cause, with the report of the uploads made so far.
 //
 // All nodes at the same base seed produce identical profile bytes, so
 // the engine runs each workload once and shares the payload across
@@ -106,9 +107,6 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	// Profile each workload once; payloads are shared across nodes.
 	payloads := make(map[string][]byte, len(cfg.Workloads))
 	for _, name := range cfg.Workloads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		res, err := txsampler.Run(name, txsampler.Options{
 			Threads: cfg.Threads,
 			Seed:    cfg.Seed,
@@ -116,6 +114,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			Faults:  cfg.Plan.MachineOnly(),
 			Quantum: cfg.Quantum,
 			Hybrid:  cfg.Hybrid,
+			Context: ctx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: profiling %s: %w", name, err)
@@ -174,8 +173,6 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 					logf("fleet: %s: %s failed after %d attempts: %v", nodeName, name, res.Attempts, err)
 				case res.Status == StatusDuplicate:
 					rep.Duplicates++
-				case res.Status == StatusDeferred:
-					rep.Deferred++
 				default:
 					rep.Accepted++
 				}
@@ -192,7 +189,10 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		rep.Net.Duplicated += st.Duplicated
 		rep.Net.Resets += st.Resets
 	}
-	logf("fleet: %d shards: %d accepted, %d deferred, %d duplicate, %d failed (%d attempts; net faults: %s)",
-		rep.Shards, rep.Accepted, rep.Deferred, rep.Duplicates, rep.Failed, rep.Attempts, rep.Net)
+	logf("fleet: %d shards: %d accepted, %d duplicate, %d failed (%d attempts; net faults: %s)",
+		rep.Shards, rep.Accepted, rep.Duplicates, rep.Failed, rep.Attempts, rep.Net)
+	if ctx.Err() != nil {
+		return rep, fmt.Errorf("fleet: %w", context.Cause(ctx))
+	}
 	return rep, nil
 }

@@ -5,22 +5,17 @@
 // client (Uploader) ships shards with deadlines, bounded backoff,
 // idempotency keys, and a per-node circuit breaker.
 //
-// The failure story is the design center, per the hybrid-TM
-// literature's lesson that the degraded path dominates behaviour
-// under contention: every accepted shard is fsynced to an append-only
-// journal before it is acknowledged (kill -9 at any point replays to
-// byte-identical aggregates), admission degrades along an explicit
-// ladder — merge-on-arrival, then journal-now-merge-later, then load
-// shedding with 429 + Retry-After — and every degradation step is
-// counted in telemetry.
+// Acknowledged means folded: ingest decodes a shard once, fsyncs it
+// to an append-only journal and folds the decoded database into its
+// window before it answers 200, so every acknowledged shard is
+// already in /profile and /top. A kill -9 at any point replays the
+// journal to byte-identical aggregates.
 package fleet
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
-
-	"txsampler/internal/record"
 )
 
 // JournalName is the shard journal's filename inside the daemon's
@@ -60,15 +55,4 @@ func decodeShard(b []byte) (Shard, error) {
 		return Shard{}, errBadShard
 	}
 	return Shard{Key: s[0], Node: s[1], Window: int(w), Payload: b[k:]}, nil
-}
-
-// readShards re-reads the shards journaled in [from, to), bounds that
-// Append or Size returned, for the journal-now-merge-later catch-up.
-func readShards(log *record.Log, from, to int64) ([]Shard, error) {
-	payloads, err := log.ReadRange(from, to)
-	shards := make([]Shard, len(payloads))
-	for i := 0; err == nil && i < len(payloads); i++ {
-		shards[i], err = decodeShard(payloads[i])
-	}
-	return shards, err
 }

@@ -84,13 +84,11 @@ func TestRetentionReclaimsMemory(t *testing.T) {
 	for w := 0; w < warmup; w++ {
 		ingestWindow(w)
 	}
-	waitLagZero(t, srv)
 	baseline := heapAllocAfterGC()
 
 	for w := warmup; w < total; w++ {
 		ingestWindow(w)
 	}
-	waitLagZero(t, srv)
 	final := heapAllocAfterGC()
 
 	// Without reclaim every window ever ingested stays resident
@@ -120,7 +118,6 @@ func TestRetentionReclaimsMemory(t *testing.T) {
 	// A shard for a compacted window stays journaled (and deduplicated)
 	// but folds to nothing and the window remains 410 Gone.
 	ingestWindow(0)
-	waitLagZero(t, srv)
 	if resp, _ := get(t, ts.URL+"/profile?window=0"); resp.StatusCode != http.StatusGone {
 		t.Errorf("compacted window after late shard: status %d, want %d", resp.StatusCode, http.StatusGone)
 	}
@@ -145,7 +142,6 @@ func TestRetentionReplayReachesSameHorizon(t *testing.T) {
 			t.Fatalf("window %d ingest failed", w)
 		}
 	}
-	waitLagZero(t, srv)
 	var before [2][]byte
 	for i := range before {
 		_, before[i] = get(t, fmt.Sprintf("%s/profile?window=%d", ts.URL, 4+i))

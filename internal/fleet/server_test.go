@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,9 +11,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"txsampler/internal/core"
 	"txsampler/internal/htm"
@@ -105,19 +107,8 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-func waitLagZero(t *testing.T, srv *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Lag() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("merge lag stuck at %d", srv.Lag())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestIngestAndQuery(t *testing.T) {
-	srv, ts := openTestServer(t, Config{Metrics: telemetry.NewRegistry()})
+	_, ts := openTestServer(t, Config{Metrics: telemetry.NewRegistry()})
 	for i := 0; i < 3; i++ {
 		payload := shardBytes(t, "micro/low-abort", i, uint64(10*(i+1)))
 		resp, body := ingest(t, ts.URL, payload, fmt.Sprintf("node-%d/shard", i), 0)
@@ -128,7 +119,6 @@ func TestIngestAndQuery(t *testing.T) {
 			t.Fatalf("ingest %d: status header %q", i, st)
 		}
 	}
-	waitLagZero(t, srv)
 
 	resp, body := get(t, ts.URL+"/profile?window=0")
 	if resp.StatusCode != http.StatusOK {
@@ -167,7 +157,7 @@ func TestIngestAndQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
-	for _, want := range []string{`"shards_journaled": 3`, `"shards_merged": 3`, `"fleet.ingested"`} {
+	for _, want := range []string{`"shards_journaled": 3`, `"shards_merged": 3`, `"fleet.ingested"`, `"fleet.fold_ns"`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("stats missing %q:\n%s", want, body)
 		}
@@ -176,10 +166,6 @@ func TestIngestAndQuery(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)
-	}
-	resp, body = get(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "live") {
-		t.Errorf("readyz: status %d body %q", resp.StatusCode, body)
 	}
 
 	// Error paths.
@@ -203,7 +189,7 @@ func TestIngestAndQuery(t *testing.T) {
 
 func TestIngestIdempotency(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv, ts := openTestServer(t, Config{Metrics: reg})
+	_, ts := openTestServer(t, Config{Metrics: reg})
 	payload := shardBytes(t, "micro/low-abort", 0, 10)
 
 	resp, _ := ingest(t, ts.URL, payload, "same-key", 0)
@@ -224,7 +210,6 @@ func TestIngestIdempotency(t *testing.T) {
 	if resp.Header.Get(HeaderStatus) != StatusDuplicate {
 		t.Fatalf("keyless retry not deduplicated (header %q)", resp.Header.Get(HeaderStatus))
 	}
-	waitLagZero(t, srv)
 
 	_, body := get(t, ts.URL+"/profile?window=0")
 	agg, err := profile.Read(bytes.NewReader(body))
@@ -237,6 +222,148 @@ func TestIngestIdempotency(t *testing.T) {
 	}
 	if v := reg.Counter("fleet.duplicates").Value(); v != 2 {
 		t.Errorf("duplicate counter = %d, want 2", v)
+	}
+	// The ingest stage histograms time each accepted shard once;
+	// duplicates and rejections add nothing.
+	if resp, _ := ingest(t, ts.URL, payload[:len(payload)/2], "", 0); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated shard: status %d", resp.StatusCode)
+	}
+	for _, name := range []string{"fleet.decode_ns", "fleet.append_ns", "fleet.fold_ns"} {
+		if n := reg.Histogram(name).Count(); n != 2 {
+			t.Errorf("%s count = %d, want 2", name, n)
+		}
+	}
+}
+
+// fetch GETs url and returns the body of a 200 response. It returns
+// errors instead of failing the test, for use off the test goroutine.
+func fetch(url string) ([]byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body, err
+}
+
+// TestAckedShardIsQueryable: a 200 means the shard is already in
+// /profile and counted as folded in /stats. Two clients race each key,
+// so one ack says accepted and the other duplicate; each queries right
+// after its own ack, with no wait, and must find the shard folded.
+func TestAckedShardIsQueryable(t *testing.T) {
+	_, ts := openTestServer(t, Config{})
+	up := &Uploader{BaseURL: ts.URL}
+	// queryAfterAck uploads sh, then checks window 0's conflict weight
+	// and the /stats counts. It returns the ack's status.
+	queryAfterAck := func(sh Shard, weight, shards uint64) (string, error) {
+		res, err := up.Upload(context.Background(), sh)
+		if err != nil {
+			return "", err
+		}
+		body, err := fetch(ts.URL + "/profile?window=0")
+		if err != nil {
+			return res.Status, err
+		}
+		agg, err := readDatabase(body)
+		if err != nil {
+			return res.Status, err
+		}
+		if got := agg.Totals.AbortWeight[htm.Conflict]; got != weight {
+			return res.Status, fmt.Errorf("conflict weight %d, want %d", got, weight)
+		}
+		if body, err = fetch(ts.URL + "/stats"); err != nil {
+			return res.Status, err
+		}
+		var st Stats
+		if err := json.Unmarshal(body, &st); err != nil {
+			return res.Status, err
+		}
+		if st.Appended != shards || st.Merged != shards {
+			return res.Status, fmt.Errorf("%d shards journaled and %d merged, want %d", st.Appended, st.Merged, shards)
+		}
+		return res.Status, nil
+	}
+	var weight uint64
+	for i := 0; i < 10; i++ {
+		weight += uint64(i + 1)
+		sh := Shard{Key: fmt.Sprintf("shard-%d", i), Payload: shardBytes(t, "micro/low-abort", i, uint64(i+1))}
+		statuses, errs := make([]string, 2), make([]error, 2)
+		var wg sync.WaitGroup
+		for c := range statuses {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				statuses[c], errs[c] = queryAfterAck(sh, weight, uint64(i+1))
+			}()
+		}
+		wg.Wait()
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("shard-%d, right after the %q ack: %v", i, statuses[c], err)
+			}
+		}
+		if slices.Sort(statuses); statuses[0] != StatusMerged || statuses[1] != StatusDuplicate {
+			t.Fatalf("shard-%d acks %q, want one accepted and one duplicate", i, statuses)
+		}
+	}
+}
+
+// TestFailedAppendIsNotAcknowledged: an ingest whose journal append
+// fails answers 500, folds nothing and records no key, so the retry
+// against the reopened journal is accepted exactly once.
+func TestFailedAppendIsNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	srv, ts := openTestServer(t, Config{Dir: dir, Metrics: reg})
+	if resp, body := ingest(t, ts.URL, shardBytes(t, "micro/low-abort", 0, 3), "kept", 0); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", resp.StatusCode, body)
+	}
+	conflict := func(url string) uint64 {
+		t.Helper()
+		_, body := get(t, url+"/profile?window=0")
+		agg, err := readDatabase(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg.Totals.AbortWeight[htm.Conflict]
+	}
+
+	// Appends to a closed journal fail. Twice: the failed key must not
+	// be recorded, or the second try would be acked as a duplicate.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	late := shardBytes(t, "micro/low-abort", 1, 5)
+	for i := 0; i < 2; i++ {
+		if resp, body := ingest(t, ts.URL, late, "late", 0); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("ingest into a closed journal: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if got := conflict(ts.URL); got != 3 {
+		t.Errorf("conflict weight %d after failed appends, want 3", got)
+	}
+	if _, body := get(t, ts.URL+"/stats"); !strings.Contains(string(body), `"shards_journaled": 1,`) {
+		t.Errorf("stats after failed appends:\n%s", body)
+	}
+	if n := reg.Counter("fleet.ingested").Value(); n != 1 {
+		t.Errorf("fleet.ingested = %d, want 1", n)
+	}
+	if n := reg.Histogram("fleet.fold_ns").Count(); n != 1 {
+		t.Errorf("fleet.fold_ns count = %d, want 1", n)
+	}
+
+	_, ts2 := openTestServer(t, Config{Dir: dir})
+	for _, want := range []string{StatusMerged, StatusDuplicate} {
+		if resp, body := ingest(t, ts2.URL, late, "late", 0); resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderStatus) != want {
+			t.Fatalf("retry after reopen: status %d %q, want 200 %q: %s", resp.StatusCode, resp.Header.Get(HeaderStatus), want, body)
+		}
+	}
+	if got := conflict(ts2.URL); got != 8 {
+		t.Errorf("conflict weight %d after the retry, want 8", got)
 	}
 }
 
@@ -284,96 +411,8 @@ func TestIngestRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestDegradationLadder drives the server down the ladder with a
-// blocked merge pipeline: live acks, then deferred acks past the high
-// watermark, then 429 shedding past max lag — and back to live once
-// the merger drains.
-func TestDegradationLadder(t *testing.T) {
-	gate := make(chan struct{})
-	reg := telemetry.NewRegistry()
-	srv, ts := openTestServer(t, Config{
-		QueueCap:  2,
-		HighWater: 2,
-		LowWater:  1,
-		MaxLag:    6,
-		Metrics:   reg,
-		MergeGate: func() { <-gate },
-		// One worker: with a pool, each worker absorbs a queued shard
-		// before blocking on the gate, which would keep the queue below
-		// the high watermark on many-core machines and never trip the
-		// ladder.
-		MergeWorkers: 1,
-	})
-
-	statuses := make(map[string]int)
-	codes := make(map[int]int)
-	var shedResp *http.Response
-	for i := 0; i < 10; i++ {
-		payload := shardBytes(t, "micro/low-abort", i, uint64(i+1))
-		resp, _ := ingest(t, ts.URL, payload, fmt.Sprintf("shard-%d", i), 0)
-		statuses[resp.Header.Get(HeaderStatus)]++
-		codes[resp.StatusCode]++
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shedResp = resp
-		}
-	}
-	if statuses[StatusMerged] == 0 || statuses[StatusDeferred] == 0 || codes[http.StatusTooManyRequests] == 0 {
-		t.Fatalf("ladder not exercised: statuses=%v codes=%v", statuses, codes)
-	}
-	if shedResp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After header")
-	}
-	// Shedding makes the daemon unready.
-	resp, _ := get(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while shedding: status %d", resp.StatusCode)
-	}
-	if v := reg.Counter("fleet.shed").Value(); v == 0 {
-		t.Error("shed counter is zero")
-	}
-	if v := reg.Counter("fleet.degraded_transitions").Value(); v == 0 {
-		t.Error("degraded transition counter is zero")
-	}
-
-	// Unblock the pipeline: everything journaled must merge, and the
-	// shed shards retry through to acceptance.
-	close(gate)
-	waitLagZero(t, srv)
-	for i := 0; i < 10; i++ {
-		payload := shardBytes(t, "micro/low-abort", i, uint64(i+1))
-		resp, body := ingest(t, ts.URL, payload, fmt.Sprintf("shard-%d", i), 0)
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("retry of shard-%d: status %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	waitLagZero(t, srv)
-
-	// Ladder returned to live.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, body := get(t, ts.URL+"/readyz")
-		if resp.StatusCode == http.StatusOK && strings.Contains(string(body), "live") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never returned to live mode: status %d body %q", resp.StatusCode, body)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, body := get(t, ts.URL+"/profile?window=0")
-	agg, err := profile.Read(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weights 1..10 accepted exactly once each.
-	if got := agg.Totals.AbortWeight[htm.Conflict]; got != 55 {
-		t.Errorf("aggregate conflict weight = %d, want 55", got)
-	}
-}
-
 func TestRetention(t *testing.T) {
-	srv, ts := openTestServer(t, Config{Retain: 2})
+	_, ts := openTestServer(t, Config{Retain: 2})
 	for w := 0; w < 4; w++ {
 		payload := shardBytes(t, "micro/low-abort", w, uint64(w+1))
 		resp, _ := ingest(t, ts.URL, payload, fmt.Sprintf("w%d", w), w)
@@ -381,7 +420,6 @@ func TestRetention(t *testing.T) {
 			t.Fatalf("window %d: status %d", w, resp.StatusCode)
 		}
 	}
-	waitLagZero(t, srv)
 	for w, want := range map[int]int{0: http.StatusGone, 1: http.StatusGone, 2: http.StatusOK, 3: http.StatusOK} {
 		resp, _ := get(t, fmt.Sprintf("%s/profile?window=%d", ts.URL, w))
 		if resp.StatusCode != want {
@@ -407,7 +445,6 @@ func TestRestartReplayByteIdentical(t *testing.T) {
 			t.Fatalf("ingest %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
-	waitLagZero(t, srv)
 	var before [2][]byte
 	for w := range before {
 		_, before[w] = get(t, fmt.Sprintf("%s/profile?window=%d", ts.URL, w))
@@ -465,7 +502,6 @@ func TestWindowKeepsPartialStamp(t *testing.T) {
 			t.Fatalf("ingest %s: status %d: %s", sh.key, resp.StatusCode, body)
 		}
 	}
-	waitLagZero(t, srv)
 	check := func(url, when string) {
 		t.Helper()
 		want := []struct {
@@ -517,7 +553,6 @@ func ackedJournal(t *testing.T, keys ...string) (string, []int64) {
 			}
 		}
 	}
-	waitLagZero(t, srv)
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -554,7 +589,6 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 		if resp, body := ingest(t, ts.URL, shardBytes(t, "micro/low-abort", 1, 3), "fresh", 0); resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-truncation ingest: status %d: %s", resp.StatusCode, body)
 		}
-		waitLagZero(t, srv)
 		ts.Close()
 		srv.Close()
 		srv, err := Open(Config{Dir: dir})
@@ -639,7 +673,7 @@ func TestReplayRefusesOtherFormatVersion(t *testing.T) {
 	old := fmt.Sprintf("txprofdb %d\n", profile.FormatVersion-1)
 	for i, key := range []string{"old-1", "old-2"} {
 		payload := bytes.Replace(shardBytes(t, "micro/low-abort", i, 5), []byte(cur), []byte(old), 1)
-		if _, err := log.Append(encodeShard(Shard{Key: key, Window: 0, Payload: payload})); err != nil {
+		if err := log.Append(encodeShard(Shard{Key: key, Window: 0, Payload: payload})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,8 +56,8 @@ type Uploader struct {
 
 // Result reports how one shard upload concluded.
 type Result struct {
-	// Status is the daemon's X-Fleet-Status (StatusMerged,
-	// StatusDeferred, or StatusDuplicate).
+	// Status is the daemon's X-Fleet-Status (StatusMerged or
+	// StatusDuplicate).
 	Status string
 	// Attempts is how many HTTP attempts the upload took.
 	Attempts int

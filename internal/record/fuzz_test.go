@@ -77,7 +77,7 @@ func FuzzLogReplay(f *testing.F) {
 			}
 		}
 
-		if _, err := l.Append([]byte("probe")); err != nil {
+		if err := l.Append([]byte("probe")); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()

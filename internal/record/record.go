@@ -201,17 +201,17 @@ func Open(path, magic string, version int, replay func(payload []byte) error) (l
 	return &Log{f: f, size: int64(valid), writeAt: f.WriteAt}, nil
 }
 
-// Append writes and fsyncs payload as one frame, returning its offset.
-// A failed write or fsync truncates the file back to the frame
-// boundary, so no later append lands behind a torn frame; if that
-// rollback fails too, every later Append returns its error.
-func (l *Log) Append(payload []byte) (offset int64, err error) {
+// Append writes and fsyncs payload as one frame. A failed write or
+// fsync truncates the file back to the frame boundary, so no later
+// append lands behind a torn frame; if that rollback fails too, every
+// later Append returns its error.
+func (l *Log) Append(payload []byte) error {
 	if l.err != nil {
-		return l.size, l.err
+		return l.err
 	}
 	frame, err := AppendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
 	if err != nil {
-		return l.size, err
+		return err
 	}
 	if _, err = l.writeAt(frame, l.size); err == nil {
 		err = l.f.Sync()
@@ -220,25 +220,10 @@ func (l *Log) Append(payload []byte) (offset int64, err error) {
 		if terr := l.f.Truncate(l.size); terr != nil {
 			l.err = fmt.Errorf("record: %s: rolling back a failed append: %w", l.f.Name(), terr)
 		}
-		return l.size, err
+		return err
 	}
 	l.size += int64(len(frame))
-	return l.size - int64(len(frame)), nil
-}
-
-// ReadRange returns the payloads of the frames in the byte range
-// [from, to) of the log. Both bounds must be frame boundaries: offsets
-// Append returned, or Size. It may run concurrently with Append.
-func (l *Log) ReadRange(from, to int64) ([][]byte, error) {
-	buf := make([]byte, to-from)
-	if _, err := l.f.ReadAt(buf, from); err != nil {
-		return nil, fmt.Errorf("record: %s: reading [%d,%d): %w", l.f.Name(), from, to, err)
-	}
-	payloads, n, err := split(buf)
-	if err != nil {
-		return nil, fmt.Errorf("record: %s: frame at offset %d: %w", l.f.Name(), from+int64(n), err)
-	}
-	return payloads, nil
+	return nil
 }
 
 // Size returns the log's intact byte length, magic line included.

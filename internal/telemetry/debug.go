@@ -14,13 +14,10 @@ import (
 // volatile wall-clock gauges), and the /healthz and /readyz probes.
 // reg may be nil, in which case /metrics reports no metrics.
 //
-// /healthz answers 200 while the process serves HTTP at all (liveness).
-// /readyz runs every supplied ready func and answers 503 with the
-// first failure (readiness); with no ready funcs a serving process is
-// trivially ready. Long-running daemons wire their admission state in
-// here; one-shot CLIs get the endpoints for free so fleet tooling can
-// probe every txsampler process the same way.
-func DebugHandler(reg *Registry, ready ...func() error) http.Handler {
+// /healthz (liveness) and /readyz (readiness) answer 200 while the
+// process serves HTTP at all, so fleet tooling can probe every
+// txsampler process, one-shot CLI or daemon, the same way.
+func DebugHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -36,12 +33,6 @@ func DebugHandler(reg *Registry, ready ...func() error) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		for _, probe := range ready {
-			if err := probe(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -65,16 +56,16 @@ type DebugServer struct {
 // Close stops the server's listener.
 func (d *DebugServer) Close() error { return d.ln.Close() }
 
-// ServeDebug binds addr and serves DebugHandler(reg, ready...) on it
+// ServeDebug binds addr and serves DebugHandler(reg) on it
 // in a background goroutine. It returns once the listener is bound so
 // callers can print the effective address; serving errors after a
 // clean bind are ignored (the endpoint is best-effort diagnostics).
-func ServeDebug(addr string, reg *Registry, ready ...func() error) (*DebugServer, error) {
+func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: debug listener: %w", err)
 	}
-	srv := &http.Server{Handler: DebugHandler(reg, ready...)}
+	srv := &http.Server{Handler: DebugHandler(reg)}
 	go func() { _ = srv.Serve(ln) }()
 	return &DebugServer{Addr: ln.Addr().String(), ln: ln}, nil
 }
