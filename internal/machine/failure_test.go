@@ -4,9 +4,13 @@ package machine
 // workloads and broken profilers, never hang or corrupt state.
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"txsampler/internal/mem"
 	"txsampler/internal/pmu"
 )
 
@@ -111,5 +115,81 @@ func TestAbortSentinelEscapingAttemptIsWorkloadError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("escaped abort sentinel not reported")
+	}
+}
+
+func TestFailedRunReleasesThreads(t *testing.T) {
+	// Every thread still unfinished when a run fails must unwind before
+	// Run returns: a thread left suspended keeps its goroutine and,
+	// through it, the whole machine reachable.
+	const threads = 14
+	// work commits transactions on the thread's own line: they never
+	// conflict, and every operation inside one is a gate point, so the
+	// other threads are suspended mid-transaction when the run fails.
+	work := func(th *Thread, lines mem.Addr, after func(i int)) {
+		a := lines.Offset(th.ID * mem.WordsPerLine)
+		for i := 0; i < 1000; i++ {
+			th.Attempt(func() {
+				th.Add(a, 1)
+				th.Compute(5)
+			})
+			after(i)
+		}
+	}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"panic", func() error {
+			m := New(Config{Threads: threads, Seed: 1, StartSkew: 512})
+			lines := m.Mem.AllocLines(threads)
+			return m.RunAll(func(th *Thread) {
+				work(th, lines, func(i int) {
+					if th.ID == 3 && i == 5 {
+						panic("injected fault")
+					}
+				})
+			})
+		}},
+		{"max-cycles", func() error {
+			m := New(Config{Threads: threads, Seed: 1, StartSkew: 512, MaxCycles: 40_000})
+			lock := m.Mem.AllocLines(1)
+			return m.RunAll(func(th *Thread) {
+				if th.AtomicCAS(lock, 0, 1) {
+					return // the owner never releases the lock
+				}
+				th.SpinWhileNonzero(lock, 4)
+			})
+		}},
+		{"canceled", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := New(Config{Threads: threads, Seed: 1, StartSkew: 512, Quantum: 8, Context: ctx})
+			lines := m.Mem.AllocLines(threads)
+			return m.RunAll(func(th *Thread) {
+				work(th, lines, func(i int) {
+					if th.ID == 0 && i == 5 {
+						cancel()
+					}
+				})
+			})
+		}},
+	}
+	for _, r := range runs {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 10; i++ {
+			if err := r.run(); err == nil {
+				t.Fatalf("%s: run succeeded", r.name)
+			}
+		}
+		// Run returns once every thread has unwound; only the watchdog
+		// and context watchers may still be on their way out.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after 10 failed runs, want at most %d", r.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

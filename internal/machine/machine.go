@@ -4,12 +4,13 @@
 // interrupts (aborting in-flight transactions), per-core LBR buffers,
 // and architectural call stacks that roll back on abort.
 //
-// Simulated threads are real goroutines driven one at a time by a
-// deterministic scheduler: exactly one thread holds the baton and runs
-// until it reaches a gate point — an operation on shared machine
-// state, any operation inside a transaction, a PMU sample delivery, or
-// an Exclusive section — whose canonical position another live thread
-// precedes; only then does it hand the baton over. Thread-private
+// Simulated threads are coroutines that one driver goroutine resumes
+// one at a time under a deterministic scheduler: exactly one thread
+// holds the baton and runs until it reaches a gate point — an operation
+// on shared machine state, any operation inside a transaction, a PMU
+// sample delivery, or an Exclusive section — whose canonical position
+// another live thread precedes; only then does it name its successor
+// and suspend to the driver, which resumes that thread. Thread-private
 // operations between gate points commute with everything other
 // threads do, so the interleaving of every shared effect is the total
 // order the per-op schedule (Quantum=1, the reference oracle) produces
@@ -245,21 +246,25 @@ type Machine struct {
 	ran bool
 }
 
-// scheduler is the shared baton state. Exactly one thread goroutine
-// runs at a time; every handoff takes mu, so all simulated-machine and
-// workload state is ordered by the mutex (the race detector agrees).
-// The scheduling decision itself lives in the threads: a yielding
-// thread picks and grants its successor directly, with no round trip
-// through a central goroutine.
+// scheduler is the shared baton state. Each thread body is a coroutine
+// and one driver goroutine resumes the baton holder (see drive), so
+// exactly one thread runs at a time and consecutive holders are ordered
+// by the coroutine switches between them (the race detector agrees).
+// Only the holder touches live, lastGater, sleeping and the threads'
+// scheduling state, with no lock: a yielding thread picks its
+// successor, names it in running and suspends. running and stopped are
+// atomics because the watchdog reads and sets them while a stuck holder
+// runs; mu guards only the status snapshots, the cancellation the
+// context watcher posts, and the terminal result.
 type scheduler struct {
 	mu       sync.Mutex
-	live     []*Thread // threads not yet finished, thread-ID order
-	status   []threadStatus
-	running  int  // ID of the thread holding the baton
-	stopped  bool // terminal: threads park at their next rendezvous
-	reported bool // a terminal result was sent on done
-	done     chan error
-	progress atomic.Uint64 // rendezvous counter for the watchdog
+	live     []*Thread      // threads not yet finished, thread-ID order
+	status   []threadStatus // written under mu
+	running  atomic.Int32   // ID of the thread holding the baton
+	stopped  atomic.Bool    // terminal, set under mu: the driver resumes no one
+	err      error          // terminal result, set with stopped
+	done     chan error     // the driver delivers err once every coroutine stopped
+	progress atomic.Uint64  // rendezvous counter for the watchdog
 
 	// cancelErr is set (under mu, by the context watcher) when the
 	// run's context is done; the next thread to rendezvous reports it
@@ -277,14 +282,13 @@ type scheduler struct {
 	sleeping uint64
 }
 
-// reportLocked delivers the terminal result (first one wins) and stops
+// reportLocked records the terminal result (first one wins) and stops
 // the machine.
 func (s *scheduler) reportLocked(err error) {
-	if !s.reported {
-		s.reported = true
-		s.done <- err
+	if !s.stopped.Load() {
+		s.err = err
+		s.stopped.Store(true)
 	}
-	s.stopped = true
 }
 
 // New constructs a machine. The configuration is validated and
@@ -364,7 +368,7 @@ func (m *Machine) Run(bodies ...func(*Thread)) error {
 		s.cancelErr = context.Cause(ctx)
 	}
 	for i, t := range m.threads {
-		go t.main(bodies[i])
+		t.start(bodies[i])
 	}
 	return m.schedule()
 }
@@ -386,7 +390,7 @@ const DefaultWatchdog = 30 * time.Second
 // its most recent rendezvous. It is written only under the scheduler
 // mutex (by the thread itself, at a rendezvous or when it finishes),
 // which makes the watchdog's diagnostic dump race-free even while a
-// stuck thread goroutine is blocked in workload code.
+// stuck thread is blocked in workload code.
 type threadStatus struct {
 	ops     uint64 // operations completed
 	clock   uint64
@@ -410,13 +414,13 @@ func statusOf(t *Thread) threadStatus {
 	}
 }
 
-// pickNextLocked orders the live threads by pending position
-// (lastPub, ID) and returns the first — the thread the canonical per-op
-// schedule runs next — and the second, which becomes the first's
-// horizon (nil when it runs alone). Both are nil when every thread has
-// finished; the error is the MaxCycles livelock, once even the first
-// is past the budget.
-func (m *Machine) pickNextLocked() (first, second *Thread, err error) {
+// pickNext orders the live threads by pending position (lastPub, ID)
+// and returns the first — the thread the canonical per-op schedule
+// runs next — and the second, which becomes the first's horizon (nil
+// when it runs alone). Both are nil when every thread has finished;
+// the error is the MaxCycles livelock, once even the first is past the
+// budget. Only the baton holder calls it.
+func (m *Machine) pickNext() (first, second *Thread, err error) {
 	for _, c := range m.sched.live { // ID order: strict < keeps ties by ID
 		switch {
 		case first == nil || c.lastPub < first.lastPub:
@@ -432,12 +436,11 @@ func (m *Machine) pickNextLocked() (first, second *Thread, err error) {
 	return first, second, nil
 }
 
-// grantLocked hands the baton to t with horizon h and wakes it.
-func (m *Machine) grantLocked(t, h *Thread) {
+// grant hands the baton to t with horizon h: the driver resumes t once
+// the current holder suspends or finishes.
+func (m *Machine) grant(t, h *Thread) {
 	t.setHorizon(h)
-	m.sched.running = t.ID
-	t.granted = true
-	t.cond.Signal()
+	m.sched.running.Store(int32(t.ID))
 }
 
 // wakeSpinners runs before writer's write access to line, at the
@@ -483,7 +486,7 @@ var ErrCanceled = errors.New("machine: run canceled")
 // the machine. Called with the scheduler mutex held, from a rendezvous
 // — i.e. at an operation boundary, when no thread is mid-operation.
 func (s *scheduler) checkCancelLocked() {
-	if s.cancelErr != nil && !s.stopped {
+	if s.cancelErr != nil && !s.stopped.Load() {
 		s.reportLocked(fmt.Errorf("%w at a quantum boundary: %w", ErrCanceled, s.cancelErr))
 	}
 }
@@ -496,12 +499,13 @@ func panicErr(id int, v any) error {
 }
 
 // schedule starts the machine: grant the first operation to the live
-// thread with the smallest clock, then wait for the threads — who pass
-// the baton among themselves — to report a terminal result. A watchdog
-// goroutine monitors rendezvous progress in real time; if the baton
-// holder never reaches another rendezvous (a deadlock in workload or
-// handler code), the scheduler fails with a per-thread diagnostic dump
-// instead of hanging forever. A cycle budget (Config.MaxCycles)
+// thread with the smallest clock, start the driver, and wait for the
+// terminal result it delivers. A watchdog goroutine monitors rendezvous
+// progress in real time; if the baton holder never reaches another
+// rendezvous (a deadlock in workload or handler code), the scheduler
+// fails with a per-thread diagnostic dump instead of hanging forever.
+// The driver stays on its own goroutine so that a holder blocked in Go
+// code cannot block this wait. A cycle budget (Config.MaxCycles)
 // catches livelock the same way.
 func (m *Machine) schedule() error {
 	s := m.sched
@@ -535,20 +539,15 @@ func (m *Machine) schedule() error {
 	// canceled before Run stops the machine before any operation.
 	s.mu.Lock()
 	s.checkCancelLocked()
-	first, horizon, err := m.pickNextLocked()
-	switch {
-	case s.stopped:
-	case err != nil:
-		s.stopped = true
-		s.mu.Unlock()
-		return err
-	case first == nil:
-		s.mu.Unlock()
-		return nil
-	default:
-		m.grantLocked(first, horizon)
+	if !s.stopped.Load() {
+		if first, horizon, err := m.pickNext(); err != nil {
+			s.reportLocked(err)
+		} else {
+			m.grant(first, horizon)
+		}
 	}
 	s.mu.Unlock()
+	go m.drive()
 
 	select {
 	case err := <-s.done:
@@ -561,13 +560,33 @@ func (m *Machine) schedule() error {
 		default:
 		}
 		s.mu.Lock()
-		s.stopped = true
-		stuck := m.threads[s.running]
+		s.stopped.Store(true)
+		stuck := m.threads[s.running.Load()]
 		snap := make([]threadStatus, len(s.status))
 		copy(snap, s.status)
 		s.mu.Unlock()
 		return watchdogError(timeout, snap, stuck)
 	}
+}
+
+// drive is the driver goroutine: it resumes the baton holder until the
+// machine stops, then stops every coroutine — a thread suspended at a
+// handoff unwinds without running another operation (see Thread.park),
+// so a failed run leaves no goroutine behind to keep the machine
+// reachable — and delivers the terminal result. After a watchdog
+// failure it stays inside the stuck thread until that returns control.
+func (m *Machine) drive() {
+	s := m.sched
+	for !s.stopped.Load() {
+		m.threads[s.running.Load()].resume()
+	}
+	for _, t := range m.threads {
+		t.stop()
+	}
+	s.mu.Lock()
+	err := s.err
+	s.mu.Unlock()
+	s.done <- err
 }
 
 // watchdogLoop fires when no rendezvous completes for a whole timeout

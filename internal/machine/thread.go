@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"txsampler/internal/faults"
 	"txsampler/internal/htm"
@@ -76,15 +75,18 @@ type Thread struct {
 	commits uint64
 	aborts  [8]uint64 // indexed by htm.Cause
 
-	// Scheduling state. cond waits on the machine scheduler's mutex;
-	// granted is the baton. lastPub is the thread's pending position:
-	// the pre-operation clock of whatever it executes next, which is
-	// where its next gate point sits in the canonical order. The
-	// horizon is the smallest pending (lastPub, ID) among the other
-	// live threads, frozen at grant time: every gate whose position is
-	// below it passes without a rendezvous.
-	cond       *sync.Cond
-	granted    bool
+	// Scheduling state. The body runs as a coroutine (see start): the
+	// driver resumes it while it holds the baton, it suspends to hand
+	// the baton on, and stop unwinds it once the machine has stopped.
+	// lastPub is the thread's pending position: the pre-operation clock
+	// of whatever it executes next, which is where its next gate point
+	// sits in the canonical order. The horizon is the smallest pending
+	// (lastPub, ID) among the other live threads, frozen at grant time:
+	// every gate whose position is below it passes without a
+	// rendezvous.
+	resume     func() (struct{}, bool)
+	suspend    func(struct{}) bool
+	stop       func()
 	lastPub    uint64
 	hClock     uint64
 	hID        int
@@ -131,7 +133,6 @@ func newThread(m *Machine, id int) *Thread {
 		lbrBuf:    lbr.New(m.cfg.LBRDepth),
 		rng:       rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(id))),
 		stack:     append(make([]frame, 0, 64), frame{fn: "thread_root"}),
-		cond:      sync.NewCond(&m.sched.mu),
 		quantum:   uint64(m.cfg.Quantum),
 		maxCycles: m.cfg.MaxCycles,
 	}
@@ -157,24 +158,20 @@ func newThread(m *Machine, id int) *Thread {
 	return t
 }
 
-// main is the goroutine body driving the workload under the scheduler.
-func (t *Thread) main(body func(*Thread)) {
-	defer func() { t.finish(recover()) }()
-	s := t.m.sched
-	s.mu.Lock()
-	for !t.granted {
-		t.cond.Wait()
-	}
-	t.granted = false
-	s.mu.Unlock()
-	body(t)
-}
+// stopSentinel is the private panic value that unwinds a thread
+// suspended when the machine stopped (see park); finish swallows it.
+type stopSentinel struct{}
 
 // finish runs when the workload body returns or panics: it records the
 // final status, removes the thread from the live set, and either
-// reports the terminal result (panic, or all threads done) or hands
-// the baton to the next runnable thread.
+// records the terminal result (panic, or all threads done) or grants
+// the baton to the next runnable thread, which the driver resumes once
+// this coroutine returns. A body unwound by stopSentinel belonged to a
+// machine that had already stopped, and finish leaves it be.
 func (t *Thread) finish(panicked any) {
+	if _, ok := panicked.(stopSentinel); ok {
+		return
+	}
 	s := t.m.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,18 +189,17 @@ func (t *Thread) finish(panicked any) {
 			break
 		}
 	}
-	if s.stopped {
+	if s.stopped.Load() {
 		return
 	}
 	if panicked != nil {
 		// Fail fast: the dead thread may hold a spin lock other
-		// threads wait on forever. Remaining thread goroutines stay
-		// parked and are collected with the machine. Wrap error panic
-		// values so callers can errors.Is/As typed workload failures.
+		// threads wait on forever. Wrap error panic values so callers
+		// can errors.Is/As typed workload failures.
 		s.reportLocked(panicErr(t.ID, panicked))
 		return
 	}
-	next, horizon, err := t.m.pickNextLocked()
+	next, horizon, err := t.m.pickNext()
 	if err != nil {
 		s.reportLocked(err)
 		return
@@ -213,10 +209,10 @@ func (t *Thread) finish(panicked any) {
 		return
 	}
 	s.checkCancelLocked()
-	if s.stopped {
+	if s.stopped.Load() {
 		return
 	}
-	t.m.grantLocked(next, horizon)
+	t.m.grant(next, horizon)
 }
 
 // rendezvous is the scheduler's slow path at an operation boundary:
@@ -227,30 +223,32 @@ func (t *Thread) rendezvous() {
 	s := t.m.sched
 	s.mu.Lock()
 	s.status[t.ID] = statusOf(t)
+	s.checkCancelLocked()
+	s.mu.Unlock()
 	s.progress.Add(1)
 	t.sinceYield = 0
-	s.checkCancelLocked()
 	if t.quantum == 1 || (t.maxCycles > 0 && t.clock > t.maxCycles) {
-		t.yieldLocked()
-	} else if s.stopped {
-		t.parkLocked()
+		t.yield()
+	} else if s.stopped.Load() {
+		t.park()
 	}
-	s.mu.Unlock()
 }
 
-// yieldLocked passes the baton to the live thread with the smallest
-// pending (lastPub, ID), or keeps it when that is t, and returns once t
-// holds the baton again — as the canonical minimum. Parks instead when
-// the machine stopped, or fails it at MaxCycles.
-func (t *Thread) yieldLocked() {
+// yield passes the baton to the live thread with the smallest pending
+// (lastPub, ID), or keeps it when that is t, and returns once t holds
+// the baton again — as the canonical minimum. Parks instead when the
+// machine stopped, or fails it at MaxCycles.
+func (t *Thread) yield() {
 	s := t.m.sched
-	if s.stopped {
-		t.parkLocked()
+	if s.stopped.Load() {
+		t.park()
 	}
-	next, horizon, err := t.m.pickNextLocked()
+	next, horizon, err := t.m.pickNext()
 	if err != nil {
+		s.mu.Lock()
 		s.reportLocked(err)
-		t.parkLocked()
+		s.mu.Unlock()
+		t.park()
 	}
 	if next == t {
 		t.setHorizon(horizon)
@@ -258,21 +256,21 @@ func (t *Thread) yieldLocked() {
 	}
 	t.handoffs++
 	t.flushTrace() // hand off with an empty batch: ring stays near-ordered
-	t.m.grantLocked(next, horizon)
-	for !t.granted {
-		t.cond.Wait()
+	t.m.grant(next, horizon)
+	if !t.suspend(struct{}{}) {
+		// The machine stopped while t waited: returning would run the
+		// rest of the operation after the failure.
+		panic(stopSentinel{})
 	}
-	t.granted = false
 }
 
-// parkLocked blocks the calling thread goroutine forever (the machine
-// has failed; the goroutine is abandoned exactly as the channel-based
-// scheduler abandoned threads parked at a rendezvous). Never returns.
-func (t *Thread) parkLocked() {
-	t.flushTrace() // retire buffered trace events before blocking forever
-	for {
-		t.cond.Wait()
-	}
+// park suspends t for good: the machine has stopped, so the driver
+// resumes no one and stops every coroutine, and t unwinds to finish.
+// Never returns.
+func (t *Thread) park() {
+	t.flushTrace() // retire buffered trace events before unwinding
+	t.suspend(struct{}{})
+	panic(stopSentinel{})
 }
 
 // Clock returns the thread's cycle clock.
@@ -396,9 +394,7 @@ func (t *Thread) startShared() {
 func (t *Thread) gate() {
 	s := t.m.sched
 	if t.lastPub > t.hClock || (t.lastPub == t.hClock && t.ID > t.hID) {
-		s.mu.Lock()
-		t.yieldLocked()
-		s.mu.Unlock()
+		t.yield()
 	}
 	if t.spinning || s.lastGater == t.ID {
 		return
@@ -739,11 +735,9 @@ func (t *Thread) fastForward(a mem.Addr, pause int) {
 	t.spin = spinSleep{line: a.Line(), base: t.clock, cost: c, ops: ops}
 	s := t.m.sched
 	bit := uint64(1) << uint(t.ID)
-	s.mu.Lock()
 	t.lastPub = t.clock + n*c
 	s.sleeping |= bit
-	t.yieldLocked()
-	s.mu.Unlock()
+	t.yield()
 	if s.sleeping&bit != 0 {
 		s.sleeping &^= bit
 		t.skipSpins(n)
