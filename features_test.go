@@ -9,12 +9,17 @@ package txsampler_test
 // of their committed operations, so byte-identical memory proves that
 // no execution path (hardware, software slow path, elision ladder,
 // crash recovery) leaves residue. Durable programs must also converge
-// to one persist-domain image. The profiled checks after the matrix
-// drive each feature through the full pipeline.
+// to one persist-domain image. The workload lock's statistics, which
+// its threads update outside Exclusive sections, must be identical
+// across the quanta of each cell, so every family whose programs run
+// sections on that lock includes the per-op quantum 1. The profiled
+// checks after the matrix drive each feature through the full
+// pipeline.
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -101,11 +106,13 @@ func (c cell) String() string {
 	return s
 }
 
-// image is what a run leaves behind: the final volatile memory and,
-// with the pmem tier on, the persist-domain image and crash stats.
+// image is what a run leaves behind: the final volatile memory, the
+// workload lock's statistics and, with the pmem tier on, the
+// persist-domain image and crash stats.
 type image struct {
 	vol, persist uint64
 	stats        pmem.CrashStats
+	lock         rtm.Stats
 }
 
 // run executes the program natively in one cell, runs its own Check,
@@ -129,7 +136,7 @@ func (p matrixProgram) run(t *testing.T, c cell) image {
 			t.Fatalf("%s [%v]: result check failed: %v", p.w.Name, c, err)
 		}
 	}
-	img := image{vol: m.Mem.Fingerprint()}
+	img := image{vol: m.Mem.Fingerprint(), lock: inst.Lock.Stats}
 	if d := m.Pmem(); d != nil {
 		img.persist, img.stats = d.Fingerprint(), d.Stats()
 	}
@@ -167,18 +174,34 @@ func (p matrixProgram) cells(quanta []int) (clean, crash []cell) {
 
 // checkMatrix runs every program across its matrix at the given
 // quanta, one parallel subtest per program: every cell must end in
-// the plain run's memory, and every pmem cell in the first clean pmem
-// run's persist image. Crash cells are subtests named
+// the plain run's memory, every pmem cell in the first clean pmem
+// run's persist image, and every cell with the lock statistics of the
+// same cell at its first quantum. Crash cells are subtests named
 // policy[+elide]/point/q<quantum>.
 func checkMatrix(t *testing.T, programs []matrixProgram, quanta ...int) {
 	for _, p := range programs {
 		t.Run(p.w.Name, func(t *testing.T) {
 			t.Parallel()
 			plain := p.run(t, cell{})
+			// locks holds each cell's lock statistics, keyed by the
+			// cell at quantum 0.
+			locks := map[cell]rtm.Stats{{}: plain.lock}
+			sameLock := func(t *testing.T, c cell, got image) {
+				t.Helper()
+				key := c
+				key.quantum = 0
+				want, ok := locks[key]
+				if !ok {
+					locks[key] = got.lock
+				} else if !reflect.DeepEqual(got.lock, want) {
+					t.Errorf("lock stats under %v differ from another quantum: %+v vs %+v", c, got.lock, want)
+				}
+			}
 			clean, crash := p.cells(quanta)
 			var persist uint64
 			for i, c := range clean {
 				got := p.run(t, c)
+				sameLock(t, c, got)
 				if got.vol != plain.vol {
 					t.Errorf("final memory under %v differs from the plain run (%#x vs %#x)", c, got.vol, plain.vol)
 				}
@@ -200,7 +223,9 @@ func checkMatrix(t *testing.T, programs []matrixProgram, quanta ...int) {
 					name += "+elide"
 				}
 				t.Run(fmt.Sprintf("%s/%s/q%d", name, c.crash, c.quantum), func(t *testing.T) {
-					checkCrash(t, p.run(t, c), plain.vol, persist, c.crash)
+					got := p.run(t, c)
+					sameLock(t, c, got)
+					checkCrash(t, got, plain.vol, persist, c.crash)
 				})
 			}
 		})
@@ -263,9 +288,13 @@ var elideWorkloads = []string{
 // The matrix's program families. Each test runs one family.
 
 func TestHybridPoliciesWorkloadEquivalence(t *testing.T) {
-	checkMatrix(t, workloads(t, 1, 0, equivalenceWorkloads...), 0)
+	checkMatrix(t, workloads(t, 1, 0, equivalenceWorkloads...), 0, 1)
 }
 
+// TestElisionWorkloadEquivalence needs no quantum-1 cells for the lock
+// comparison: the elide programs run every section on their own
+// ElidedLocks, never on the workload lock, and
+// TestHybridLockStatsQuantumInvariant covers ElidedLock statistics.
 func TestElisionWorkloadEquivalence(t *testing.T) {
 	checkMatrix(t, workloads(t, 1, 0, elideWorkloads...), 0, 7)
 }
@@ -279,12 +308,12 @@ func TestPmemCrashRecoveryConvergence(t *testing.T) {
 // program's check pins every program word, so fingerprint equality on
 // top of it is precisely the no-metadata-residue assertion.
 func TestHybridPoliciesProgenEquivalence(t *testing.T) {
-	checkMatrix(t, generated(0, progen.MixSTM, progen.MixPmem, progen.MixSTM|progen.MixPmem), 0)
+	checkMatrix(t, generated(0, progen.MixSTM, progen.MixPmem, progen.MixSTM|progen.MixPmem), 0, 1)
 }
 
 func TestElisionProgenEquivalence(t *testing.T) {
 	checkMatrix(t, generated(progen.MixElide, progen.MixSTM|progen.MixElide,
-		progen.MixPmem|progen.MixElide, progen.MixSTM|progen.MixPmem|progen.MixElide), 0)
+		progen.MixPmem|progen.MixElide, progen.MixSTM|progen.MixPmem|progen.MixElide), 0, 1)
 }
 
 // TestElisionGOMAXPROCSInvariance pins the simulator's determinism

@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"txsampler/internal/cct"
@@ -69,35 +68,33 @@ type Report struct {
 	Self []telemetry.MetricValue
 }
 
-// Analyze merges a collector's per-thread profiles with a reduction
-// tree (pairs at each round, mirroring the paper's parallel merge) and
-// derives the report.
+// Analyze coalesces a collector's per-thread profiles into one tree
+// and derives the report.
 func Analyze(program string, col *core.Collector) *Report {
 	return AnalyzeInstrumented(program, col, nil, nil)
 }
 
-// AnalyzeInstrumented is Analyze with self-telemetry: the copy and
-// reduction phases become spans on the tracer's analyzer track
-// (virtual sequence timestamps, deterministic), per-phase wall time
-// lands in reg as volatile gauges, and the merge fan-in is counted.
+// AnalyzeInstrumented is Analyze with self-telemetry: the reduction
+// becomes a span on the tracer's analyzer track (virtual sequence
+// timestamps, deterministic), its wall time lands in reg as a volatile
+// gauge, and the trees folded are counted.
 func AnalyzeInstrumented(program string, col *core.Collector, tr *telemetry.Tracer, reg *telemetry.Registry) *Report {
 	profiles := col.Profiles()
 	r := &Report{
-		Program: program,
-		Threads: len(profiles),
-		Periods: col.Periods(),
-		Quality: col.Quality(),
+		Program:  program,
+		Threads:  len(profiles),
+		Periods:  col.Periods(),
+		Quality:  col.Quality(),
+		Profiles: profiles,
+		Merged:   newTree(),
 	}
-	r.Profiles = profiles
 	start := time.Now()
-	tr.BeginPhase("analyze:copy")
-	trees := make([]*core.Tree, len(profiles))
-	for i, p := range profiles {
-		// Copy each profile tree so analysis never mutates collector
-		// state: merge into a fresh tree.
-		t := newTree()
-		t.Merge(p.Tree, mergeMetrics)
-		trees[i] = t
+	tr.BeginPhase("analyze:reduce")
+	// Fold every thread's tree into one fresh tree, so analysis never
+	// mutates collector state. Metrics.Merge only sums and children
+	// are ordered on output, so the fold order cannot show.
+	for _, p := range profiles {
+		r.Merged.Merge(p.Tree, mergeMetrics)
 		r.Totals.Merge(&p.Totals)
 		r.PerThread = append(r.PerThread, ThreadSummary{
 			TID:           p.TID,
@@ -105,42 +102,11 @@ func AnalyzeInstrumented(program string, col *core.Collector, tr *telemetry.Trac
 			AbortSamples:  p.Totals.AppAborts(),
 		})
 	}
-	tr.EndPhase("analyze:copy")
-	copied := time.Now()
-	// Reduction tree: combine pairs until one remains. Pairs within a
-	// round are independent, so they merge in parallel — the paper's
-	// parallelized coalescing (§6, citing the HPCToolkit reduction
-	// tree).
-	tr.BeginPhase("analyze:reduce")
-	var merges uint64
-	for len(trees) > 1 {
-		var next []*core.Tree
-		var wg sync.WaitGroup
-		for i := 0; i < len(trees); i += 2 {
-			if i+1 < len(trees) {
-				wg.Add(1)
-				merges++
-				go func(dst, src *core.Tree) {
-					defer wg.Done()
-					dst.Merge(src, mergeMetrics)
-				}(trees[i], trees[i+1])
-			}
-			next = append(next, trees[i])
-		}
-		wg.Wait()
-		trees = next
-	}
 	tr.EndPhase("analyze:reduce")
-	if len(trees) == 1 {
-		r.Merged = trees[0]
-	} else {
-		r.Merged = newTree()
-	}
 	if reg != nil {
-		reg.Counter("analyzer.merges").Add(merges)
+		reg.Counter("analyzer.merges").Add(uint64(len(profiles)))
 		reg.Gauge("analyzer.merged.nodes", false).Set(uint64(r.Merged.Size()))
-		reg.Gauge("analyzer.phase.copy.wall_ns", true).Set(uint64(copied.Sub(start)))
-		reg.Gauge("analyzer.phase.reduce.wall_ns", true).Set(uint64(time.Since(copied)))
+		reg.Gauge("analyzer.phase.reduce.wall_ns", true).Set(uint64(time.Since(start)))
 	}
 	return r
 }

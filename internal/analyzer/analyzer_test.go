@@ -271,8 +271,9 @@ func TestAbortsWithoutCommitsIsInfinite(t *testing.T) {
 	}
 }
 
-// TestParallelReductionManyThreads: merging an odd, large profile
-// count through the parallel reduction tree preserves totals.
+// TestParallelReductionManyThreads: folding an odd, large profile
+// count into one tree, the reduction the paper parallelizes, preserves
+// totals.
 func TestParallelReductionManyThreads(t *testing.T) {
 	const n = 13
 	c := core.NewCollector(n, periods(100, 1, 1), 0)

@@ -52,10 +52,9 @@ type CampaignConfig struct {
 	// verify; false starts a fresh journal (artifacts are overwritten as
 	// their shards complete).
 	Resume bool
-	// Retries, Backoff, Timeout, Parallel, Context, Metrics, and
+	// Retries, Timeout, Parallel, Context, Metrics, and
 	// CrashAfterShards map to the campaign runner's options.
 	Retries          int
-	Backoff          time.Duration
 	Timeout          time.Duration
 	Parallel         int
 	Context          context.Context
@@ -143,7 +142,7 @@ func ProfileCampaign(w io.Writer, c CampaignConfig) (*campaign.Report, error) {
 
 	rep, err := campaign.Run(shards, j, campaign.Options{
 		Workers: c.Parallel, Timeout: c.Timeout,
-		Retries: c.Retries, Backoff: c.Backoff,
+		Retries: c.Retries,
 		Context: c.Context, Metrics: c.Metrics,
 		Verify:           func(rel string) error { return VerifyArtifact(filepath.Join(c.Dir, rel)) },
 		Log:              nil, // decisions are summarized below, in input order

@@ -1,9 +1,11 @@
 package machine_test
 
-// Race stress: the lockstep scheduler serializes all simulated-thread
-// state through channel rendezvous, so even with 8+ real goroutines,
-// fault storms, PMU interrupts, and a live collector, `go test -race`
-// must stay silent and the workload result must stay correct.
+// Race stress: the machine resumes one thread coroutine at a time, so
+// the baton orders all simulated-thread state, including the rtm
+// lock's statistics, which its threads update outside Exclusive. With
+// 8 thread coroutines, fault storms, PMU interrupts, and a live
+// collector, `go test -race` must stay silent and the workload result
+// must stay correct.
 
 import (
 	"testing"
@@ -34,7 +36,6 @@ func TestChaosStormRaceStress(t *testing.T) {
 	m := machine.New(cfg)
 	col := core.Attach(m)
 	lock := rtm.NewLock(m)
-	lock.Policy = rtm.AdaptivePolicy()
 	ctr := m.Mem.AllocLines(1)
 
 	if err := m.RunAll(func(th *machine.Thread) {

@@ -10,7 +10,7 @@ import (
 // acquiring their lock. The zero value is ElisionOff: elidable locks
 // behave as plain locks and the machine is bit-for-bit the pre-elision
 // machine. ElisionOn maps Lock/Unlock onto TM_BEGIN/TM_END with the
-// full adaptive fallback ladder (HTM retry, then the configured hybrid
+// full fallback ladder (HTM retry, then the configured hybrid
 // slow path, then actually acquiring the lock).
 type ElisionMode int
 

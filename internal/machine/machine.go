@@ -40,24 +40,22 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// Costs is the cycle cost model for non-memory operations. Memory
-// operation latencies come from the cache hierarchy.
-type Costs struct {
-	Compute uint64 // one unit of Compute(n)
-	Call    uint64 // call instruction
-	Return  uint64 // return instruction
-	Syscall uint64 // kernel round trip
-	TxBegin uint64 // XBEGIN
-	TxEnd   uint64 // XEND
-	TxAbort uint64 // hardware rollback penalty
-	Atomic  uint64 // extra cost of a locked RMW over a plain store
-}
-
-// DefaultCosts returns a cost model with plausible relative magnitudes
-// (absolute values are arbitrary; only shapes matter).
-func DefaultCosts() Costs {
-	return Costs{Compute: 1, Call: 2, Return: 2, Syscall: 400, TxBegin: 45, TxEnd: 30, TxAbort: 150, Atomic: 20}
-}
+// Cycle costs of non-memory operations; memory operation latencies
+// come from the cache hierarchy. The absolute values are arbitrary;
+// only their relative magnitudes matter.
+const (
+	computeCost = 1   // one unit of Compute(n)
+	callCost    = 2   // call instruction
+	returnCost  = 2   // return instruction
+	syscallCost = 400 // kernel round trip
+	txBeginCost = 45  // XBEGIN
+	txEndCost   = 30  // XEND
+	txAbortCost = 150 // hardware rollback penalty
+	atomicCost  = 20  // extra cost of a locked RMW over a plain store
+	// handlerCost is charged to a thread's clock for each delivered
+	// sample, modelling the profiler's signal handler.
+	handlerCost = 200
+)
 
 // DefaultQuantum is the run-quantum applied when Config.Quantum is
 // zero: how many operations a thread executes between scheduler
@@ -73,16 +71,12 @@ type Config struct {
 	// MaxReadLines bounds the HTM read set (see htm.Config).
 	MaxReadLines int
 	LBRDepth     int   // 0 → 16 (Haswell/Broadwell, paper §3.1)
-	Costs        Costs // zero value → DefaultCosts()
 	Seed         int64 // workload PRNG seed
 
 	// Periods enables PMU sampling when any entry is non-zero. With
 	// the zero value the machine runs "native": no interrupts, no
 	// profiling perturbation.
 	Periods pmu.Periods
-	// HandlerCost is charged to a thread's clock for each delivered
-	// sample, modelling the profiler's signal handler (0 → 200).
-	HandlerCost uint64
 	// StartSkew randomizes each thread's initial clock in [0,
 	// StartSkew) cycles, modelling thread-creation skew. Zero starts
 	// all threads at cycle 0.
@@ -163,12 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.LBRDepth == 0 {
 		c.LBRDepth = 16
 	}
-	if c.Costs == (Costs{}) {
-		c.Costs = DefaultCosts()
-	}
-	if c.HandlerCost == 0 {
-		c.HandlerCost = 200
-	}
 	if c.Quantum == 0 {
 		c.Quantum = DefaultQuantum
 	}
@@ -227,7 +215,7 @@ func (c Config) Sampling() bool {
 
 // SampleHandler receives PMU samples. Implemented by the TxSampler
 // collector. Handlers run logically inside the interrupted thread; the
-// machine charges HandlerCost cycles per delivery.
+// machine charges handlerCost cycles per delivery.
 type SampleHandler interface {
 	HandleSample(s *Sample)
 }

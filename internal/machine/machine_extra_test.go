@@ -339,7 +339,7 @@ func TestPageFaultAbortsTransaction(t *testing.T) {
 	if info == nil || info.Cause != htm.Sync {
 		t.Fatalf("abort = %+v, want sync", info)
 	}
-	if m.Elapsed() < 3*DefaultCosts().Syscall {
+	if m.Elapsed() < 3*syscallCost {
 		t.Fatalf("non-tx page fault too cheap: %d", m.Elapsed())
 	}
 }

@@ -16,7 +16,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Elapsed() != 100*DefaultCosts().Compute {
+	if m.Elapsed() != 100*computeCost {
 		t.Fatalf("Elapsed = %d", m.Elapsed())
 	}
 }

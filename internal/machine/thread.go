@@ -464,7 +464,7 @@ func (t *Thread) endOp(meta opMeta, cost uint64) {
 func (t *Thread) rollback() (abortOverflow bool) {
 	tx := t.tx
 	cause := tx.AbortCause
-	weight := t.clock - tx.StartCycle + t.m.cfg.Costs.TxAbort
+	weight := t.clock - tx.StartCycle + txAbortCost
 	t.lbrBuf.Record(lbr.Entry{
 		Kind: lbr.KindAbort, From: t.curIP(), To: t.txBeginIP, Abort: true, InTSX: true,
 	})
@@ -472,8 +472,8 @@ func (t *Thread) rollback() (abortOverflow bool) {
 	t.stack[len(t.stack)-1].site = t.txSite
 	t.State = t.txState
 	t.txNest = 0
-	t.clock += t.m.cfg.Costs.TxAbort
-	t.counters.Add(pmu.Cycles, t.m.cfg.Costs.TxAbort)
+	t.clock += txAbortCost
+	t.counters.Add(pmu.Cycles, txAbortCost)
 	t.aborts[cause]++
 	t.TraceEvent(telemetry.Event{
 		Kind: telemetry.KindTxAbort, TS: tx.StartCycle, Dur: t.clock - tx.StartCycle,
@@ -603,7 +603,7 @@ func (t *Thread) deliverSamples(events []pmu.Event, ip lbr.IP, truth []lbr.IP, w
 			Arg: uint64(ev), Name: pmiEventNames[ev],
 		})
 		t.m.handler.HandleSample(s)
-		t.clock += t.m.cfg.HandlerCost
+		t.clock += handlerCost
 	}
 	t.counters.Unfreeze()
 	t.lbrBuf.Unfreeze()
@@ -617,7 +617,7 @@ func (t *Thread) Compute(n int) {
 		return
 	}
 	t.startOp()
-	t.endOp(opMeta{}, uint64(n)*t.m.cfg.Costs.Compute)
+	t.endOp(opMeta{}, uint64(n)*computeCost)
 }
 
 // Load reads the word at a, transactionally when a transaction is
@@ -722,7 +722,7 @@ func (sp *spinSleep) before(pos uint64, id, self int) uint64 {
 func (t *Thread) fastForward(a mem.Addr, pause int) {
 	c, ops := uint64(t.m.cfg.Cache.HitLatency)+t.m.cfg.MemPenalty, uint64(1)
 	if pause > 0 {
-		c += uint64(pause) * t.m.cfg.Costs.Compute
+		c += uint64(pause) * computeCost
 		ops = 2
 	}
 	if c == 0 || !t.m.Caches.Holds(t.ID, a) {
@@ -844,7 +844,7 @@ func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 				ok = !t.tx.Doomed
 			}
 			r := t.m.Caches.Access(t.ID, a, true)
-			cost = uint64(r.Latency) + t.m.cfg.Costs.Atomic
+			cost = uint64(r.Latency) + atomicCost
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, true)
@@ -856,7 +856,7 @@ func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 				cost += t.m.pmem.OnStore(t.ID, a, new)
 			}
 		}
-		cost += uint64(r.Latency) + t.m.cfg.Costs.Atomic
+		cost += uint64(r.Latency) + atomicCost
 	}
 	t.endOp(opMeta{ev: pmu.Stores, n: 1, hasEv: true, addr: a, isWrite: true, hasAddr: true}, cost)
 	return ok
@@ -879,14 +879,14 @@ func (t *Thread) AtomicAdd(a mem.Addr, d int64) mem.Word {
 			v = cur + mem.Word(d)
 			t.m.HTM.Write(t.tx, a, v)
 			r := t.m.Caches.Access(t.ID, a, true)
-			cost = uint64(r.Latency) + t.m.cfg.Costs.Atomic
+			cost = uint64(r.Latency) + atomicCost
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, true)
 		r := t.m.Caches.Access(t.ID, a, true)
 		v = t.m.Mem.Load(a) + mem.Word(d)
 		t.m.Mem.Store(a, v)
-		cost = uint64(r.Latency) + t.m.cfg.Costs.Atomic
+		cost = uint64(r.Latency) + atomicCost
 		if t.m.pmem != nil {
 			cost += t.m.pmem.OnStore(t.ID, a, v)
 		}
@@ -903,7 +903,7 @@ func (t *Thread) Syscall(kind string) {
 	if t.tx != nil {
 		t.m.HTM.Doom(t.tx, htm.Sync, -1, 0)
 	} else {
-		cost = t.m.cfg.Costs.Syscall
+		cost = syscallCost
 	}
 	t.endOp(opMeta{}, cost)
 }
@@ -919,7 +919,7 @@ func (t *Thread) PageFault() {
 	if t.tx != nil {
 		t.m.HTM.Doom(t.tx, htm.Sync, -1, 0)
 	} else {
-		cost = t.m.cfg.Costs.Syscall * 3 // fault handling round trip
+		cost = syscallCost * 3 // fault handling round trip
 	}
 	t.endOp(opMeta{}, cost)
 }
@@ -931,7 +931,7 @@ func (t *Thread) Call(fn string) {
 		Kind: lbr.KindCall, From: t.curIP(), To: lbr.IP{Fn: fn}, InTSX: t.tx != nil,
 	})
 	t.stack = append(t.stack, frame{fn: fn})
-	t.endOp(opMeta{}, t.m.cfg.Costs.Call)
+	t.endOp(opMeta{}, callCost)
 }
 
 // Return pops the current frame and records the branch in the LBR.
@@ -945,7 +945,7 @@ func (t *Thread) Return() {
 	t.lbrBuf.Record(lbr.Entry{
 		Kind: lbr.KindReturn, From: from, To: t.curIP(), InTSX: t.tx != nil,
 	})
-	t.endOp(opMeta{}, t.m.cfg.Costs.Return)
+	t.endOp(opMeta{}, returnCost)
 }
 
 // Func runs f within a stack frame named fn. The matching Return is
@@ -1049,7 +1049,7 @@ func (t *Thread) TxBegin() {
 		if t.txNest >= MaxTxNest {
 			t.m.HTM.Doom(t.tx, htm.Explicit, -1, 0)
 		}
-		cost = t.m.cfg.Costs.TxBegin / 4 // nested XBEGIN is cheap
+		cost = txBeginCost / 4 // nested XBEGIN is cheap
 	} else {
 		t.txNest = 0
 		t.tx = t.m.HTM.Begin(t.ID, t.clock)
@@ -1057,7 +1057,7 @@ func (t *Thread) TxBegin() {
 		t.txSite = t.stack[len(t.stack)-1].site
 		t.txState = t.State
 		t.txBeginIP = t.curIP()
-		cost = t.m.cfg.Costs.TxBegin
+		cost = txBeginCost
 	}
 	t.endOp(opMeta{}, cost)
 }
@@ -1072,7 +1072,7 @@ func (t *Thread) TxCommit() {
 	t.startOp()
 	if t.tx != nil && !t.tx.Doomed && t.txNest > 0 {
 		t.txNest--
-		t.endOp(opMeta{}, t.m.cfg.Costs.TxEnd/4)
+		t.endOp(opMeta{}, txEndCost/4)
 		return
 	}
 	if t.tx == nil {
@@ -1099,7 +1099,7 @@ func (t *Thread) TxCommit() {
 			Dur: t.clock - t.tx.StartCycle, TID: int32(t.ID),
 		})
 		t.tx = nil
-		cost += t.m.cfg.Costs.TxEnd
+		cost += txEndCost
 	}
 	// Doomed: cost stays 0 and the endOp doom check unwinds.
 	t.endOp(opMeta{ev: pmu.TxCommit, n: 1, hasEv: true}, cost)

@@ -1,7 +1,7 @@
 // Lock elision: a sync.Mutex-shaped lock whose critical sections can
 // run through the TM runtime instead of serializing. With elision on
 // (machine.Config.Elision), Run maps the section onto the full
-// adaptive fallback ladder — hardware attempt with retry, then the
+// fallback ladder — hardware attempt with retry, then the
 // configured hybrid STM slow path, then actually acquiring the lock —
 // and every state-word update carries the InElision bit so the
 // profiler classifies the section's samples as elided-htm /
@@ -10,10 +10,10 @@
 // (samples classify as plain ModeLock).
 //
 // Determinism: the elision decision is a per-machine configuration
-// constant, and all policy metadata motion (retry budgets, storm
-// state, stats) already happens inside machine.Thread.Exclusive
-// sections in the shared ladder, so schedules stay seed-deterministic
-// and quantum-invariant in both modes.
+// constant, the shared ladder reads and writes the software-TM
+// metadata only inside machine.Thread.Exclusive sections, and its
+// statistics are write-only counters, so schedules stay
+// seed-deterministic and quantum-invariant in both modes.
 package rtm
 
 import (
@@ -115,7 +115,7 @@ func (e *ElidedLock) Unlock(t *machine.Thread) {
 	t.State = InCS | InOverhead
 	t.Store(l.Addr, 0)
 	t.State = 0
-	t.Exclusive(func() { l.Stats.Fallbacks++ })
+	l.Stats.Fallbacks++
 }
 
 // plain runs one plain-lock execution attempt of the section —
@@ -140,6 +140,6 @@ func (l *Lock) plain(t *machine.Thread, body func()) bool {
 	t.Store(l.Addr, 0)
 	ok := l.persist(t)
 	t.State = 0
-	t.Exclusive(func() { l.Stats.Fallbacks++ })
+	l.Stats.Fallbacks++
 	return ok
 }

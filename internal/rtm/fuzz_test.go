@@ -51,7 +51,6 @@ func FuzzElisionPolicy(f *testing.F) {
 		policy := Policy{
 			MaxRetries:      int(data[4]) % 8,
 			RetryOnCapacity: data[4]&8 != 0,
-			MaxLockBusy:     50,
 			BackoffBase:     int(data[4]) % 60,
 		}
 		ops := data[5:]

@@ -194,7 +194,9 @@ func ModeOf(state uint32, inTx bool) Mode {
 	}
 }
 
-// Policy controls the retry behaviour of a critical section.
+// Policy controls the retry behaviour of a critical section: the
+// three knobs the ablation benchmarks turn. The rest of the retry loop
+// is fixed (maxLockBusy, stmRetries).
 type Policy struct {
 	// MaxRetries bounds retries of transient (conflict/interrupt)
 	// aborts before taking the fallback path. The paper's evaluation
@@ -206,84 +208,39 @@ type Policy struct {
 	// retry-bit heuristic would fall back immediately instead (see
 	// the ablation benchmarks).
 	RetryOnCapacity bool
-	// MaxLockBusy bounds consecutive lock-busy aborts (the explicit
-	// abort taken when the lock is observed held inside the
-	// transaction) before giving up and falling back.
-	MaxLockBusy int
 	// BackoffBase is the unit of the randomized exponential backoff
 	// inserted before conflict retries, in cycles. Without backoff,
 	// colliding transactions retry in lockstep and cascade into the
 	// fallback path (the "lemming effect"). Zero disables backoff.
 	BackoffBase int
-
-	// Adaptive enables storm shedding: when consecutive ambient aborts
-	// (interrupt or spurious — aborts the application did not cause
-	// and retrying cannot fix) reach StormThreshold without an
-	// intervening commit, the lock concludes the machine is in a
-	// transient-abort storm, sheds retries down to StormRetries, and
-	// widens backoff, so threads stop burning cycles re-executing
-	// doomed speculation and serialize through the fallback lock until
-	// the storm passes. A commit ends storm mode.
-	Adaptive bool
-	// StormThreshold is the consecutive-ambient-abort count that
-	// triggers storm mode. Zero means 16.
-	StormThreshold int
-	// StormRetries replaces MaxRetries while a storm is active. Zero
-	// means 1.
-	StormRetries int
-
-	// StmRetries bounds software-transaction attempts before the
-	// slow path gives up and takes the global lock (hybrid policies
-	// only; HybridSerializeOnConflict always uses 1). Zero means 3.
-	StmRetries int
 }
 
 // DefaultPolicy matches the paper's evaluation setup.
 func DefaultPolicy() Policy {
-	return Policy{MaxRetries: 5, RetryOnCapacity: true, MaxLockBusy: 50, BackoffBase: 30}
+	return Policy{MaxRetries: 5, RetryOnCapacity: true, BackoffBase: 30}
 }
 
-// AdaptivePolicy is DefaultPolicy plus storm shedding.
-func AdaptivePolicy() Policy {
-	p := DefaultPolicy()
-	p.Adaptive = true
-	p.StormThreshold = 16
-	p.StormRetries = 1
-	return p
-}
-
-func (p Policy) stormThreshold() int {
-	if p.StormThreshold <= 0 {
-		return 16
-	}
-	return p.StormThreshold
-}
-
-func (p Policy) stormRetries() int {
-	if p.StormRetries <= 0 {
-		return 1
-	}
-	return p.StormRetries
-}
-
-func (p Policy) stmRetries() int {
-	if p.StmRetries <= 0 {
-		return 3
-	}
-	return p.StmRetries
-}
+const (
+	// maxLockBusy bounds consecutive lock-busy aborts (the explicit
+	// abort taken when the lock, or a software writer, is observed
+	// inside the transaction) before giving up and falling back.
+	maxLockBusy = 50
+	// stmRetries bounds software-transaction attempts before the slow
+	// path gives up and takes the global lock (hybrid policies only;
+	// HybridSerializeOnConflict makes one attempt).
+	stmRetries = 3
+)
 
 // Stats counts critical-section outcomes for one lock; exact ground
-// truth, not sampled.
+// truth, not sampled. Simulated threads only ever add to the counters
+// and never read them during a run, so the increments need no
+// machine.Thread.Exclusive section: the baton already orders every
+// access, and sums commute, so no canonical position is needed either.
 type Stats struct {
 	Commits   uint64
 	Fallbacks uint64
 	Aborts    map[htm.Cause]uint64
 	LockBusy  uint64 // explicit aborts because the lock was held
-
-	// Adaptive-policy accounting (zero unless Policy.Adaptive).
-	StormsDetected uint64 // transitions into storm mode
-	StormFallbacks uint64 // fallbacks taken while a storm was active
 
 	// Hybrid-TM accounting (zero unless Lock.Hybrid enables the STM
 	// slow path).
@@ -345,19 +302,10 @@ type Lock struct {
 	// keeps those bit-identical to the pre-elision runtime.
 	elided bool
 
-	// Adaptive-policy state, mutated only by the simulated threads.
-	// All cross-thread reads and writes of this state (and of Stats)
-	// happen inside machine.Thread.Exclusive sections, which the
-	// scheduler orders at the thread's canonical position — required
-	// because thread-private operations run past other threads'
-	// positions between gate points.
-	ambientStreak int  // consecutive ambient aborts since last commit
-	storming      bool // storm mode active
-
 	// runM is the machine this lock last ran on. A Lock reused across
-	// machine runs must not carry storm state (or software-TM word
-	// locks) from a previous run into the next; critical resets both
-	// when the machine changes. Atomic because the fast-path check in
+	// machine runs must not carry software-TM word locks from a
+	// previous run into the next; critical resets them when the
+	// machine changes. Atomic because the fast-path check in
 	// resetRunOn reads it outside Exclusive (writes stay inside).
 	runM atomic.Pointer[machine.Machine]
 
@@ -367,17 +315,11 @@ type Lock struct {
 	stm stmState
 }
 
-// Storming reports whether the adaptive policy currently has retries
-// shed (useful for tests and diagnostics).
-func (l *Lock) Storming() bool { return l.storming }
-
-// ResetRun clears per-run lock state: the adaptive storm detector and
-// any software-TM word locks. critical calls it automatically when it
-// first runs on a new machine; callers reusing a Lock outside Run can
-// invoke it directly.
+// ResetRun clears per-run lock state: the software-TM word locks and
+// writer count. critical calls it automatically when it first runs on
+// a new machine; callers reusing a Lock outside Run can invoke it
+// directly.
 func (l *Lock) ResetRun() {
-	l.ambientStreak = 0
-	l.storming = false
 	l.runM.Store(nil)
 	l.stm.reset()
 }
@@ -392,43 +334,10 @@ func (l *Lock) resetRunOn(t *machine.Thread) {
 	}
 	t.Exclusive(func() {
 		if l.runM.Load() != t.Machine() {
-			l.ambientStreak = 0
-			l.storming = false
 			l.stm.reset()
 			l.runM.Store(t.Machine())
 		}
 	})
-}
-
-// noteOutcome updates the adaptive storm detector after one attempt.
-func (l *Lock) noteOutcome(committed bool, cause htm.Cause) {
-	if !l.Policy.Adaptive {
-		return
-	}
-	switch {
-	case committed:
-		// Speculation works again; restore the full retry budget.
-		l.ambientStreak = 0
-		l.storming = false
-	case cause.Ambient():
-		l.ambientStreak++
-		if !l.storming && l.ambientStreak >= l.Policy.stormThreshold() {
-			l.storming = true
-			l.Stats.StormsDetected++
-		}
-	default:
-		// An application-caused abort breaks the streak: the aborts
-		// are explainable, not ambient noise.
-		l.ambientStreak = 0
-	}
-}
-
-// maxRetries returns the retry budget currently in force.
-func (l *Lock) maxRetries() int {
-	if l.storming {
-		return l.Policy.stormRetries()
-	}
-	return l.Policy.MaxRetries
 }
 
 // cs returns the state-word bits for this lock's critical sections:
@@ -552,47 +461,34 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 			l.emit(t, EventCommit)
 			ok := l.persist(t)
 			t.State = 0
-			t.Exclusive(func() {
-				l.Stats.Commits++
-				l.noteOutcome(true, htm.None)
-			})
+			l.Stats.Commits++
 			return ok
 		}
 
 		l.emit(t, EventAbort)
 		lockHeldAbort := sawLockHeld && abort.Cause == htm.Explicit
 		stmBusyAbort := sawStmWriter && abort.Cause == htm.Explicit
-		var budget int
-		var storm bool
-		t.Exclusive(func() {
-			l.Stats.Aborts[abort.Cause]++
-			l.noteOutcome(false, abort.Cause)
-			if lockHeldAbort {
-				l.Stats.LockBusy++
-			}
-			if stmBusyAbort {
-				l.Stats.StmBusy++
-			}
-			budget = l.maxRetries()
-			storm = l.storming
-		})
+		l.Stats.Aborts[abort.Cause]++
+		if lockHeldAbort {
+			l.Stats.LockBusy++
+		}
+		if stmBusyAbort {
+			l.Stats.StmBusy++
+		}
 		switch {
 		case lockHeldAbort || stmBusyAbort:
 			lockBusy++
-			if lockBusy <= l.Policy.MaxLockBusy {
+			if lockBusy <= maxLockBusy {
 				continue // wait for the lock/writers and try again
 			}
-		case abort.Cause.Retryable() && retries < budget:
+		case abort.Cause.Retryable() && retries < l.Policy.MaxRetries:
 			retries++
-			l.backoff(t, retries, storm)
+			l.backoff(t, retries)
 			continue
-		case abort.Cause == htm.Capacity && l.Policy.RetryOnCapacity && retries < budget:
+		case abort.Cause == htm.Capacity && l.Policy.RetryOnCapacity && retries < l.Policy.MaxRetries:
 			retries++
-			l.backoff(t, retries, storm)
+			l.backoff(t, retries)
 			continue
-		}
-		if storm {
-			t.Exclusive(func() { l.Stats.StormFallbacks++ })
 		}
 		break // persistent abort or retries exhausted: fall back
 	}
@@ -629,7 +525,7 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 	l.emit(t, EventFallback)
 	ok := l.persist(t)
 	t.State = 0
-	t.Exclusive(func() { l.Stats.Fallbacks++ })
+	l.Stats.Fallbacks++
 	return ok
 }
 
@@ -665,16 +561,12 @@ func (l *Lock) persist(t *machine.Thread) bool {
 }
 
 // backoff burns a randomized, exponentially growing pause before a
-// conflict retry; the state word shows transaction overhead. storming
-// is the storm flag as observed in the caller's Exclusive section.
-func (l *Lock) backoff(t *machine.Thread, retries int, storming bool) {
+// conflict retry; the state word shows transaction overhead.
+func (l *Lock) backoff(t *machine.Thread, retries int) {
 	if l.Policy.BackoffBase <= 0 {
 		return
 	}
 	window := l.Policy.BackoffBase << uint(retries-1)
-	if storming {
-		window <<= 2 // desynchronize harder while the storm lasts
-	}
 	t.State = l.cs(InCS | InOverhead)
 	t.Compute(1 + t.Rand().Intn(window))
 }
@@ -699,10 +591,10 @@ func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 		})
 		if abort == nil {
 			t.State = 0
-			t.Exclusive(func() { l.Stats.Commits++ })
+			l.Stats.Commits++
 			return
 		}
-		t.Exclusive(func() { l.Stats.Aborts[abort.Cause]++ })
+		l.Stats.Aborts[abort.Cause]++
 		// HLE retries by grabbing the real lock immediately.
 		t.State = l.cs(InCS | InLockWaiting)
 		l.acquire(t)
@@ -711,7 +603,7 @@ func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 		t.State = l.cs(InCS | InOverhead)
 		t.Store(l.Addr, 0)
 		t.State = 0
-		t.Exclusive(func() { l.Stats.Fallbacks++ })
+		l.Stats.Fallbacks++
 	})
 }
 

@@ -18,7 +18,6 @@ func TestQuickPolicySpaceSerializability(t *testing.T) {
 		l.Policy = Policy{
 			MaxRetries:      int(maxRetries) % 8,
 			RetryOnCapacity: retryCap,
-			MaxLockBusy:     50,
 			BackoffBase:     int(backoff) % 60,
 		}
 		a := m.Mem.AllocWords(1)

@@ -286,7 +286,7 @@ func (x *stmTx) rollback() {
 // through the global lock). Entered with the thread outside any
 // transaction; leaves with t.State == 0 on commit.
 func (l *Lock) runSTM(t *machine.Thread, body func()) bool {
-	attempts := l.Policy.stmRetries()
+	attempts := stmRetries
 	if l.Hybrid == HybridSerializeOnConflict {
 		attempts = 1
 	}
@@ -320,7 +320,7 @@ func (l *Lock) runSTM(t *machine.Thread, body func()) bool {
 				})
 				l.emit(t, EventFallback) // the section ran non-speculatively
 				t.State = 0
-				t.Exclusive(func() { l.Stats.StmCommits++ })
+				l.Stats.StmCommits++
 				return true
 			}
 			x.rollback()
@@ -331,13 +331,13 @@ func (l *Lock) runSTM(t *machine.Thread, body func()) bool {
 			Kind: telemetry.KindInstant, TS: t.Clock(),
 			TID: int32(t.ID), Name: "stm-abort",
 		})
-		t.Exclusive(func() { l.Stats.StmAborts++ })
+		l.Stats.StmAborts++
 		if attempt+1 < attempts && l.Policy.BackoffBase > 0 {
 			t.State = l.cs(InCS | InOverhead)
 			t.Compute(1 + t.Rand().Intn(l.Policy.BackoffBase<<uint(attempt)))
 		}
 	}
-	t.Exclusive(func() { l.Stats.StmFallbacks++ })
+	l.Stats.StmFallbacks++
 	return false
 }
 

@@ -2,9 +2,10 @@ package rtm
 
 // Software-transaction slow path: undo-log mechanics, commit-time
 // validation against racing writers, policy escalation, and the
-// per-run reset of adaptive storm state when a Lock is reused.
+// per-run reset of software-TM state when a Lock is reused.
 
 import (
+	"reflect"
 	"testing"
 
 	"txsampler/internal/htm"
@@ -220,56 +221,110 @@ func TestHybridRunsAreSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestStormStateResetsAcrossRuns is the regression test for stale
-// adaptive state: a Lock reused on a second machine must not carry
-// storm mode (and so misattribute StormFallbacks) from the first run.
-func TestStormStateResetsAcrossRuns(t *testing.T) {
+// TestHybridLockStatsQuantumInvariant: lock statistics are write-only
+// counters that threads update outside Exclusive sections, so they
+// must not depend on where the schedule gates. Two elided locks under
+// every hybrid policy, eliding and plain, and a RunHLE loop must count
+// the same outcomes at the per-op quantum 1 as at the default.
+func TestHybridLockStatsQuantumInvariant(t *testing.T) {
+	run := func(h HybridPolicy, el machine.ElisionMode, quantum int) [3]Stats {
+		m := machine.New(machine.Config{Threads: 4, Seed: 9, StartSkew: 256, Hybrid: h, Elision: el, Quantum: quantum})
+		locks := [2]*ElidedLock{NewElidedLock(m, "a"), NewElidedLock(m, "b")}
+		hle := NewLock(m)
+		// One counter per lock: a lock's sections serialize only
+		// against sections of the same lock.
+		ctrs := [3]mem.Addr{m.Mem.AllocLines(1), m.Mem.AllocLines(1), m.Mem.AllocLines(1)}
+		if err := m.RunAll(func(th *machine.Thread) {
+			for i := 0; i < 24; i++ {
+				l, ctr := locks[(th.ID+i)%2], ctrs[(th.ID+i)%2]
+				switch i % 4 {
+				case 0: // contended add
+					l.Run(th, func() { th.Add(ctr, 1) })
+				case 1: // syscall-poisoned: down the ladder
+					l.Run(th, forceSlowPath(th, func() { th.Add(ctr, 1) }))
+				case 2: // non-speculative pairing
+					l.Lock(th)
+					th.Add(ctr, 1)
+					l.Unlock(th)
+				default:
+					hle.RunHLE(th, func() {
+						th.Add(ctrs[2], 1)
+						th.Compute(20)
+					})
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Mem.Load(ctrs[0]) + m.Mem.Load(ctrs[1]) + m.Mem.Load(ctrs[2]); got != 4*24 {
+			t.Fatalf("counters sum to %d, want %d", got, 4*24)
+		}
+		return [3]Stats{locks[0].Inner().Stats, locks[1].Inner().Stats, hle.Stats}
+	}
+	for p := range machine.HybridPolicies() {
+		h := HybridPolicy(p)
+		for _, el := range []machine.ElisionMode{machine.ElisionOff, machine.ElisionOn} {
+			base, oracle := run(h, el, 0), run(h, el, 1)
+			if !reflect.DeepEqual(base, oracle) {
+				t.Errorf("%v elision=%v: default quantum %+v, quantum 1 %+v", h, el, base, oracle)
+			}
+			if hle := base[2]; hle.Commits+hle.Fallbacks != 4*6 {
+				t.Errorf("%v elision=%v: HLE ended %d sections, want %d", h, el, hle.Commits+hle.Fallbacks, 4*6)
+			}
+		}
+	}
+}
+
+// TestLockStateResetsAcrossRuns is the regression test for stale
+// per-run state: a run that fails inside a software transaction's
+// write phase leaves its word lock and the writer count held, and a
+// Lock reused on a second machine must not carry them into that run,
+// where the fallback holder would wait forever for the writer to drain.
+func TestLockStateResetsAcrossRuns(t *testing.T) {
 	mkMachine := func() *machine.Machine {
-		return machine.New(machine.Config{Threads: 1, Seed: 5})
+		return machine.New(machine.Config{Threads: 1, Seed: 5, Hybrid: HybridStmFallback})
 	}
 	m1 := mkMachine()
 	l := NewLock(m1)
-	l.Policy = AdaptivePolicy()
-	// Drive the detector into storm mode as a run full of ambient
-	// aborts would.
-	for i := 0; i < l.Policy.stormThreshold(); i++ {
-		l.noteOutcome(false, htm.Spurious)
+	a := m1.Mem.AllocLines(1)
+	if err := m1.RunAll(func(th *machine.Thread) {
+		l.Run(th, forceSlowPath(th, func() {
+			th.Store(a, 1)
+			panic("workload bug")
+		}))
+	}); err == nil {
+		t.Fatal("setup: panicking section did not fail the run")
 	}
-	if !l.Storming() {
-		t.Fatal("setup: storm not active")
+	if len(l.stm.owner) != 1 || l.stm.writers != 1 {
+		t.Fatalf("setup: owner=%d writers=%d, want a held word lock and writer", len(l.stm.owner), l.stm.writers)
 	}
 
 	// Reuse the same Lock on a fresh machine (same deterministic
 	// allocator, so the lock line address is valid there too). The
-	// body aborts persistently, forcing the fallback path; with stale
-	// storm state every one of these fallbacks would be counted as a
-	// storm fallback.
+	// body aborts persistently in hardware and commits in software; a
+	// stale word lock or writer would outlive the commit.
 	m2 := mkMachine()
 	if got := m2.Mem.AllocLines(1); got != l.Addr {
 		t.Fatalf("allocator mismatch: %v vs %v", got, l.Addr)
 	}
+	l.Stats = Stats{Aborts: make(map[htm.Cause]uint64)}
 	if err := m2.RunAll(func(th *machine.Thread) {
-		l.Run(th, forceSlowPath(th, func() { th.Compute(10) }))
+		l.Run(th, forceSlowPath(th, func() { th.Store(a, 2) }))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if l.Storming() {
-		t.Fatal("storm state survived into the second run")
+	if l.Stats.StmCommits != 1 || l.Stats.StmAborts != 0 || l.Stats.Fallbacks != 0 {
+		t.Fatalf("second run stats %+v, want one clean software commit", l.Stats)
 	}
-	if l.Stats.StormFallbacks != 0 {
-		t.Fatalf("stale storm state misattributed %d fallbacks", l.Stats.StormFallbacks)
-	}
-	if l.Stats.Fallbacks != 1 {
-		t.Fatalf("fallback ledger %+v, want exactly one", l.Stats)
+	if len(l.stm.owner) != 0 || l.stm.writers != 0 {
+		t.Fatalf("state of the failed run survived: owner=%d writers=%d", len(l.stm.owner), l.stm.writers)
 	}
 
 	// ResetRun is the manual form of the same reset.
-	l.storming, l.ambientStreak = true, 99
 	l.stm.owner[l.Addr] = 1
 	l.stm.writers = 2
 	l.ResetRun()
-	if l.Storming() || l.ambientStreak != 0 || len(l.stm.owner) != 0 || l.stm.writers != 0 {
-		t.Fatalf("ResetRun left state: storming=%v streak=%d owner=%d writers=%d",
-			l.Storming(), l.ambientStreak, len(l.stm.owner), l.stm.writers)
+	if len(l.stm.owner) != 0 || l.stm.writers != 0 {
+		t.Fatalf("ResetRun left state: owner=%d writers=%d", len(l.stm.owner), l.stm.writers)
 	}
 }

@@ -70,8 +70,8 @@ func RecordTrace(name string, threads int, seed int64) ([]Event, error) {
 	if threads == 0 {
 		threads = w.DefaultThreads
 	}
-	rec := NewRecorder()
-	if _, err := runOnce(w, machineConfig{threads, seed, 0}, rec); err != nil {
+	rec := &Recorder{}
+	if _, err := runOnce(w, threads, seed, 0, rec); err != nil {
 		return nil, err
 	}
 	return rec.Events, nil

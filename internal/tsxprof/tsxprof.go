@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"txsampler"
 	"txsampler/internal/htmbench"
 	"txsampler/internal/machine"
 	"txsampler/internal/rtm"
@@ -38,18 +39,16 @@ type Event struct {
 // EventBytes is the serialized size of one event.
 const EventBytes = 16
 
+// eventCost is the instrumentation cycles charged per event: two
+// rdtsc reads plus a buffered store.
+const eventCost = 40
+
 // Recorder is the record-phase instrumentation: an rtm.EventSink that
-// appends one entry per event to an in-memory trace, charging the instrumented
-// thread a fixed cost per event.
+// appends one entry per event to an in-memory trace, charging the
+// instrumented thread eventCost cycles per event.
 type Recorder struct {
-	// Cost is the instrumentation cycles charged per event (default
-	// 40: two rdtsc reads plus a buffered store).
-	Cost   int
 	Events []Event
 }
-
-// NewRecorder returns a recorder with the default per-event cost.
-func NewRecorder() *Recorder { return &Recorder{Cost: 40} }
 
 // TxEvent implements rtm.EventSink.
 func (r *Recorder) TxEvent(t *machine.Thread, kind rtm.EventKind) {
@@ -57,7 +56,7 @@ func (r *Recorder) TxEvent(t *machine.Thread, kind rtm.EventKind) {
 }
 
 // PerEventCost implements rtm.EventSink.
-func (r *Recorder) PerEventCost() int { return r.Cost }
+func (r *Recorder) PerEventCost() int { return eventCost }
 
 // TraceBytes returns the record phase's log size.
 func (r *Recorder) TraceBytes() int { return len(r.Events) * EventBytes }
@@ -91,24 +90,17 @@ func (r *Result) ReplaySlowdown() float64 {
 	return float64(r.ReplayCycles) / float64(r.NativeCycles)
 }
 
-// machineConfig mirrors the root package's benchmark machine without
-// importing it (avoiding an import cycle).
-type machineConfig struct {
-	threads    int
-	seed       int64
-	memPenalty uint64
-}
-
-func runOnce(w *htmbench.Workload, mc machineConfig, sink rtm.EventSink) (uint64, error) {
-	cfg := machine.Config{
-		Threads:    mc.threads,
-		Seed:       mc.seed,
+// runOnce runs w natively on the benchmark machine, adding memPenalty
+// cycles to every load and store, with sink (if any) instrumenting
+// the workload's global lock, and returns the makespan.
+func runOnce(w *htmbench.Workload, threads int, seed int64, memPenalty uint64, sink rtm.EventSink) (uint64, error) {
+	m := machine.New(machine.Config{
+		Threads:    threads,
+		Cache:      txsampler.BenchCache(),
+		Seed:       seed,
 		StartSkew:  1024,
-		MemPenalty: mc.memPenalty,
-	}
-	cfg.Cache.Sets, cfg.Cache.Ways = 32, 4
-	cfg.Cache.HitLatency, cfg.Cache.MissLatency, cfg.Cache.RemoteLatency = 4, 60, 90
-	m := machine.New(cfg)
+		MemPenalty: memPenalty,
+	})
 	inst := w.BuildInstance(m, nil)
 	if sink != nil {
 		inst.Lock.Sink = sink // instrument the workload's global lock
@@ -132,18 +124,18 @@ func Profile(name string, threads int, seed int64) (*Result, error) {
 	}
 	res := &Result{Workload: name, Threads: threads}
 
-	if res.NativeCycles, err = runOnce(w, machineConfig{threads, seed, 0}, nil); err != nil {
+	if res.NativeCycles, err = runOnce(w, threads, seed, 0, nil); err != nil {
 		return nil, err
 	}
-	rec := NewRecorder()
-	if res.RecordCycles, err = runOnce(w, machineConfig{threads, seed, 0}, rec); err != nil {
+	rec := &Recorder{}
+	if res.RecordCycles, err = runOnce(w, threads, seed, 0, rec); err != nil {
 		return nil, err
 	}
 	res.Events = len(rec.Events)
 	res.TraceBytes = rec.TraceBytes()
 	// Replay: per-access instrumentation of every load and store (the
 	// heavyweight read/write-set maintenance the paper describes).
-	if res.ReplayCycles, err = runOnce(w, machineConfig{threads, seed, 60}, nil); err != nil {
+	if res.ReplayCycles, err = runOnce(w, threads, seed, 60, nil); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -154,9 +154,6 @@ type ElideCell struct {
 type Options struct {
 	// Threads overrides the program's generated thread count.
 	Threads int
-	// Quantum overrides the base run's scheduler quantum (the
-	// byte-identity invariant always compares against quantum 1).
-	Quantum int
 	// Hybrid selects the slow-path execution mode of the generated
 	// programs' global lock (zero = lock-only).
 	Hybrid machine.HybridPolicy
@@ -177,7 +174,7 @@ func Program(p *progen.Program, o Options) (*ProgramResult, error) {
 	w := p.Workload()
 	base := txsampler.Options{
 		Threads: o.Threads, Seed: p.Seed, Profile: true,
-		Periods: Periods(), Quantum: o.Quantum, Hybrid: o.Hybrid,
+		Periods: Periods(), Hybrid: o.Hybrid,
 	}
 	if p.Durable() {
 		base.Pmem = pmem.Config{Enabled: true}

@@ -162,7 +162,7 @@ func TestTraceExportIsValidChromeJSON(t *testing.T) {
 	}
 	// A profiled run must show scheduler tenures, transaction regions,
 	// PMU interrupts, and the frontend phases.
-	for _, want := range []string{"run", "tx", "analyze:copy", "analyze:reduce"} {
+	for _, want := range []string{"run", "tx", "analyze:reduce"} {
 		if !kinds[want] {
 			t.Fatalf("trace has no %q events; got %v", want, kinds)
 		}

@@ -64,15 +64,8 @@ type Options struct {
 	Profile bool
 	// Periods overrides DefaultPeriods when profiling.
 	Periods pmu.Periods
-	// Cache overrides BenchCache.
-	Cache cache.Config
-	// HandlerCost (cycles per delivered sample) defaults to the
-	// machine's 800.
-	HandlerCost uint64
 	// LBRDepth defaults to 16 (Haswell/Broadwell).
 	LBRDepth int
-	// SkipCheck disables the workload's result validation.
-	SkipCheck bool
 	// Policy overrides the RTM retry policy of the workload's global
 	// lock (nil = rtm.DefaultPolicy), for the ablation studies.
 	Policy *rtm.Policy
@@ -84,8 +77,6 @@ type Options struct {
 	// workload speculates before acquiring (zero = ElisionOff, plain
 	// lock acquisition). See machine.ElisionMode.
 	Elision machine.ElisionMode
-	// Thresholds tune the decision tree.
-	Thresholds decision.Thresholds
 	// Faults enables deterministic fault injection (chaos profiling);
 	// the zero plan injects nothing. See the faults package and
 	// faults.ParsePlan for the -faults flag syntax.
@@ -172,24 +163,19 @@ func runWorkload(w *htmbench.Workload, o Options, probe *core.AccuracyProbe) (*R
 	if threads == 0 {
 		threads = w.DefaultThreads
 	}
-	cacheCfg := o.Cache
-	if cacheCfg == (cache.Config{}) {
-		cacheCfg = BenchCache()
-	}
 	cfg := machine.Config{
-		Threads:     threads,
-		Cache:       cacheCfg,
-		LBRDepth:    o.LBRDepth,
-		Seed:        o.Seed,
-		HandlerCost: o.HandlerCost,
-		StartSkew:   1024,
-		Faults:      o.Faults,
-		Pmem:        o.Pmem,
-		Quantum:     o.Quantum,
-		Trace:       o.Trace,
-		Hybrid:      o.Hybrid,
-		Elision:     o.Elision,
-		Context:     o.Context,
+		Threads:   threads,
+		Cache:     BenchCache(),
+		LBRDepth:  o.LBRDepth,
+		Seed:      o.Seed,
+		StartSkew: 1024,
+		Faults:    o.Faults,
+		Pmem:      o.Pmem,
+		Quantum:   o.Quantum,
+		Trace:     o.Trace,
+		Hybrid:    o.Hybrid,
+		Elision:   o.Elision,
+		Context:   o.Context,
 	}
 	if o.Profile {
 		cfg.Periods = o.Periods
@@ -221,7 +207,7 @@ func runWorkload(w *htmbench.Workload, o Options, probe *core.AccuracyProbe) (*R
 	}
 	// A canceled run skips result validation: the workload stopped at an
 	// arbitrary quantum boundary, so its invariants need not hold yet.
-	if err == nil && inst.Check != nil && !o.SkipCheck {
+	if err == nil && inst.Check != nil {
 		if cerr := inst.Check(m); cerr != nil {
 			return nil, fmt.Errorf("%s: result check failed: %w", w.Name, cerr)
 		}
@@ -237,7 +223,7 @@ func runWorkload(w *htmbench.Workload, o Options, probe *core.AccuracyProbe) (*R
 		res.Report = analyzer.AnalyzeInstrumented(w.Name, col, o.Trace, o.Metrics)
 		res.Report.Quality.Injected = m.FaultStats()
 		res.Report.Partial = canceled
-		res.Advice = decision.Evaluate(res.Report, o.Thresholds)
+		res.Advice = decision.Evaluate(res.Report, decision.Thresholds{})
 		res.CollectorBytes = col.MemoryFootprint()
 		res.Collector = col
 	}

@@ -158,9 +158,6 @@ func TestResultCheckFailureSurfaces(t *testing.T) {
 	if _, err := txsampler.RunWorkload(w, txsampler.Options{}); err == nil {
 		t.Fatal("failing check did not surface")
 	}
-	if _, err := txsampler.RunWorkload(w, txsampler.Options{SkipCheck: true}); err != nil {
-		t.Fatalf("SkipCheck did not skip: %v", err)
-	}
 }
 
 var errFailedCheck = errFail{}
