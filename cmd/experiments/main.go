@@ -63,8 +63,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("experiments: %v", err)
 	}
+	// One registry serves -debug-addr's /metrics and receives the
+	// -sweep campaign's counters.
+	reg := telemetry.NewRegistry()
 	if *dbgAddr != "" {
-		srv, err := telemetry.ServeDebug(*dbgAddr, nil)
+		srv, err := telemetry.ServeDebug(*dbgAddr, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +93,7 @@ func main() {
 			Dir: *sweep, Workloads: names,
 			Threads: *threads, Seed: *seed, Seeds: *seeds, Hybrid: hpol,
 			Resume: *resume, Retries: *retries, Timeout: *shardTO,
-			Parallel: *parallel, Context: ctx,
+			Parallel: *parallel, Context: ctx, Metrics: reg,
 			CrashAfterShards: *crashAt,
 		})
 		switch {

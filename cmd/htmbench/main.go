@@ -36,18 +36,16 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"txsampler"
+	"txsampler/internal/campaign"
 	"txsampler/internal/experiments"
 	"txsampler/internal/faults"
 	"txsampler/internal/fleet"
 	"txsampler/internal/htmbench"
 	"txsampler/internal/machine"
 	"txsampler/internal/telemetry"
-	"txsampler/internal/tsxprof"
 )
 
 func main() {
@@ -57,7 +55,6 @@ func main() {
 		list     = flag.Bool("list", false, "list available workloads")
 		all      = flag.Bool("all", false, "run every workload")
 		suite    = flag.String("suite", "", "run every workload of one suite")
-		trace    = flag.String("trace", "", "record one workload and write a Chrome trace (chrome://tracing) to this path")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for independent workloads (1 = sequential); output is identical for any value")
 		fplan    = flag.String("faults", "", "fault-injection plan: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or key=value pairs (see internal/faults)")
 		quantum  = flag.Int("quantum", 0, "scheduler run quantum in ops (0 = machine default; results are quantum-invariant)")
@@ -82,8 +79,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// One registry serves -debug-addr's /metrics and receives the
+	// campaign's and the fleet uploader's counters.
+	reg := telemetry.NewRegistry()
 	if *dbgAddr != "" {
-		srv, err := telemetry.ServeDebug(*dbgAddr, nil)
+		srv, err := telemetry.ServeDebug(*dbgAddr, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,28 +105,6 @@ func main() {
 		for _, w := range htmbench.All() {
 			fmt.Printf("%-28s [%s] %s\n", w.Name, w.Suite, w.Desc)
 		}
-		return
-	}
-
-	if *trace != "" {
-		if flag.NArg() != 1 {
-			log.Fatal("-trace needs exactly one workload")
-		}
-		events, err := tsxprof.RecordTrace(flag.Arg(0), *threads, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tsxprof.WriteChromeTrace(f, events); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%d events written to %s\n", len(events), *trace)
 		return
 	}
 
@@ -164,7 +142,7 @@ func main() {
 			BaseURL: *fleetAdr, Nodes: *fleetN, Workloads: names,
 			Threads: *threads, Seed: *seed, Window: *fleetWin,
 			Plan: plan, Net: np, Quantum: *quantum, Hybrid: hpol,
-			ShardTimeout: *shardTO, Context: ctx, Log: os.Stdout,
+			ShardTimeout: *shardTO, Context: ctx, Metrics: reg, Log: os.Stdout,
 		})
 		switch {
 		case err != nil && errors.Is(err, context.Canceled):
@@ -185,7 +163,7 @@ func main() {
 			Threads: *threads, Seed: *seed, Seeds: *seeds,
 			Plan: plan, Quantum: *quantum, Hybrid: hpol,
 			Resume: *resume, Retries: *retries, Timeout: *shardTO,
-			Parallel: *parallel, Context: ctx,
+			Parallel: *parallel, Context: ctx, Metrics: reg,
 			CrashAfterShards: *crashAt,
 		})
 		switch {
@@ -202,60 +180,26 @@ func main() {
 	}
 
 	// Each workload run is fully independent and deterministic, so
-	// they shard across workers; lines are gathered and printed in
-	// input order, keeping output identical for any worker count.
-	lines := make([]string, len(names))
-	errs := make([]error, len(names))
-	workers := *parallel
-	if workers > len(names) {
-		workers = len(names)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				lines[i], errs[i] = runOne(ctx, names[i], *threads, *seed, plan, *quantum, hpol)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, line := range lines {
-		if errs[i] != nil {
-			if errors.Is(errs[i], machine.ErrCanceled) {
-				fmt.Fprintln(os.Stderr, "htmbench: interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "htmbench: %v\n", errs[i])
-			os.Exit(1)
+	// they fan out across workers; lines come back in input order,
+	// keeping output identical for any worker count.
+	lines, err := campaign.Map(ctx, *parallel, len(names), func(i int) (string, error) {
+		res, err := txsampler.Run(names[i], txsampler.Options{
+			Threads: *threads, Seed: *seed, Faults: plan, Quantum: *quantum, Hybrid: hpol, Context: ctx,
+		})
+		if err != nil {
+			return "", err
 		}
+		return experiments.GroundTruthLine(fmt.Sprintf("%-28s", names[i]), res), nil
+	})
+	for _, line := range lines {
 		fmt.Print(line)
 	}
-}
-
-func runOne(ctx context.Context, name string, threads int, seed int64, plan faults.Plan, quantum int, hybrid machine.HybridPolicy) (string, error) {
-	res, err := txsampler.Run(name, txsampler.Options{
-		Threads: threads, Seed: seed, Faults: plan, Quantum: quantum, Hybrid: hybrid, Context: ctx,
-	})
-	if err != nil {
-		return "", err
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintln(os.Stderr, "htmbench: interrupted")
+		os.Exit(130)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
+		os.Exit(1)
 	}
-	g := res.GroundTruth
-	var aborts uint64
-	for _, n := range g.Aborts {
-		aborts += n
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s cycles=%-10d commits=%-7d aborts=%-7d causes:", name, res.ElapsedCycles, g.Commits, aborts)
-	for _, c := range g.AbortCauses() {
-		fmt.Fprintf(&b, " %v=%d", c, g.Aborts[c])
-	}
-	b.WriteByte('\n')
-	return b.String(), nil
 }

@@ -26,11 +26,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 
 	"txsampler"
 	"txsampler/internal/analyzer"
+	"txsampler/internal/campaign"
 	"txsampler/internal/profile"
 	"txsampler/internal/telemetry"
 )
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return res.Report, nil
 		}
-		db, err := loadMerged(arg)
+		db, err := loadMerged(ctx, arg)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, arg := range []string{fs.Arg(0), fs.Arg(1)} {
 		r, err := load(arg)
 		if err != nil {
-			if errors.Is(err, txsampler.ErrCanceled) {
+			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(stderr, "txdiff: interrupted")
 				return 130
 			}
@@ -103,29 +103,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 // comma-separated list of paths, or a directory of databases. Multiple
 // shards decode in parallel and fold with profile.MergeAll; the result
 // is independent of decode order and core count.
-func loadMerged(arg string) (*profile.Database, error) {
+func loadMerged(ctx context.Context, arg string) (*profile.Database, error) {
 	paths, err := expandArg(arg)
 	if err != nil {
 		return nil, err
 	}
-	dbs := make([]*profile.Database, len(paths))
-	errs := make([]error, len(paths))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, p := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p string) {
-			defer wg.Done()
-			dbs[i], errs[i] = profile.Load(p)
-			<-sem
-		}(i, p)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	dbs, err := campaign.Map(ctx, runtime.GOMAXPROCS(0), len(paths), func(i int) (*profile.Database, error) {
+		db, err := profile.Load(paths[i])
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", paths[i], err)
 		}
+		return db, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return profile.MergeAll(dbs), nil
 }

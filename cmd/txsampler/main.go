@@ -96,7 +96,7 @@ func main() {
 		r := db.Report()
 		r.Render(os.Stdout)
 		fmt.Println()
-		viewer.Tree(os.Stdout, r, viewer.TreeOptions{})
+		viewer.Tree(os.Stdout, r)
 		fmt.Println()
 		viewer.Histogram(os.Stdout, r)
 		fmt.Println()
@@ -220,7 +220,7 @@ func main() {
 		}
 		if *tree {
 			fmt.Println()
-			viewer.Tree(os.Stdout, res.Report, viewer.TreeOptions{})
+			viewer.Tree(os.Stdout, res.Report)
 		}
 		if *histo {
 			fmt.Println()
@@ -231,7 +231,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := viewer.HTML(f, res.Report, res.Advice, viewer.TreeOptions{}); err != nil {
+			if err := viewer.HTML(f, res.Report, res.Advice); err != nil {
 				log.Fatal(err)
 			}
 			if err := f.Close(); err != nil {

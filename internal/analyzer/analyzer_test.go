@@ -65,7 +65,7 @@ func periods(cycles, abort, commit uint64) pmu.Periods {
 }
 
 func TestRcsAndShares(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 55, 0, false, "main")                         // S
 	feed(c, 0, 10, rtm.InCS, true, "main", "tm_begin")       // Ttx
 	feed(c, 0, 5, rtm.InCS|rtm.InSTM, false, "main")         // Tstm
@@ -92,7 +92,7 @@ func TestRcsAndShares(t *testing.T) {
 func TestAbortCommitRatioScalesByPeriod(t *testing.T) {
 	// 2 abort samples at period 10 = ~20 aborts; 4 commit samples at
 	// period 100 = ~400 commits; ratio 0.05.
-	c := core.NewCollector(1, periods(100, 10, 100), 0)
+	c := core.NewCollector(1, periods(100, 10, 100))
 	feedAbort(c, 0, htm.Conflict, 50, "main")
 	feedAbort(c, 0, htm.Conflict, 50, "main")
 	feedCommit(c, 0, 4, "main")
@@ -103,7 +103,7 @@ func TestAbortCommitRatioScalesByPeriod(t *testing.T) {
 }
 
 func TestInterruptAbortsExcluded(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feedAbort(c, 0, htm.Interrupt, 100, "main")
 	feedAbort(c, 0, htm.Interrupt, 100, "main")
 	feedAbort(c, 0, htm.Conflict, 60, "main")
@@ -122,14 +122,14 @@ func TestInterruptAbortsExcluded(t *testing.T) {
 
 func TestCategorize(t *testing.T) {
 	// Type I: r_cs below 0.2.
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 90, 0, false, "main")
 	feed(c, 0, 10, rtm.InCS, true, "main")
 	if got := Analyze("x", c).Categorize(); got != TypeI {
 		t.Errorf("category = %v, want TypeI", got)
 	}
 	// Type II: significant CS, ratio <= 1.
-	c = core.NewCollector(1, periods(100, 1, 1), 0)
+	c = core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 50, 0, false, "main")
 	feed(c, 0, 50, rtm.InCS, true, "main")
 	feedAbort(c, 0, htm.Conflict, 10, "main")
@@ -138,7 +138,7 @@ func TestCategorize(t *testing.T) {
 		t.Errorf("category = %v, want TypeII", got)
 	}
 	// Type III: ratio > 1.
-	c = core.NewCollector(1, periods(100, 1, 1), 0)
+	c = core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 50, 0, false, "main")
 	feed(c, 0, 50, rtm.InCS, true, "main")
 	for i := 0; i < 5; i++ {
@@ -151,7 +151,7 @@ func TestCategorize(t *testing.T) {
 }
 
 func TestMergeAcrossThreads(t *testing.T) {
-	c := core.NewCollector(2, periods(100, 1, 1), 0)
+	c := core.NewCollector(2, periods(100, 1, 1))
 	feed(c, 0, 5, rtm.InCS, true, "main", "f")
 	feed(c, 1, 7, rtm.InCS, true, "main", "f")
 	feed(c, 1, 3, rtm.InCS, true, "main", "g")
@@ -174,7 +174,7 @@ func TestMergeAcrossThreads(t *testing.T) {
 }
 
 func TestAnalyzeDoesNotMutateCollector(t *testing.T) {
-	c := core.NewCollector(2, periods(100, 1, 1), 0)
+	c := core.NewCollector(2, periods(100, 1, 1))
 	feed(c, 0, 5, rtm.InCS, true, "main", "f")
 	feed(c, 1, 7, rtm.InCS, true, "main", "f")
 	Analyze("x", c)
@@ -196,7 +196,7 @@ func TestAnalyzeDoesNotMutateCollector(t *testing.T) {
 }
 
 func TestTopAbortWeightOrdering(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feedAbort(c, 0, htm.Conflict, 10, "main", "cold")
 	feedAbort(c, 0, htm.Capacity, 500, "main", "hot")
 	feedAbort(c, 0, htm.Conflict, 90, "main", "warm")
@@ -214,7 +214,7 @@ func TestTopAbortWeightOrdering(t *testing.T) {
 }
 
 func TestImbalance(t *testing.T) {
-	c := core.NewCollector(4, periods(100, 1, 1), 0)
+	c := core.NewCollector(4, periods(100, 1, 1))
 	feedCommit(c, 0, 10, "main")
 	feedCommit(c, 1, 10, "main")
 	feedCommit(c, 2, 10, "main")
@@ -222,7 +222,7 @@ func TestImbalance(t *testing.T) {
 	if got := Analyze("x", c).Imbalance(); got != 1 {
 		t.Errorf("balanced imbalance = %v, want 1", got)
 	}
-	c = core.NewCollector(2, periods(100, 1, 1), 0)
+	c = core.NewCollector(2, periods(100, 1, 1))
 	feedCommit(c, 0, 30, "main")
 	feedCommit(c, 1, 10, "main")
 	if got := Analyze("x", c).Imbalance(); got != 1.5 {
@@ -231,7 +231,7 @@ func TestImbalance(t *testing.T) {
 }
 
 func TestRenderSmoke(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 50, 0, false, "main")
 	feed(c, 0, 50, rtm.InCS, true, "main", "tm_begin", "hot")
 	feedAbort(c, 0, htm.Conflict, 77, "main", "tm_begin", "hot")
@@ -247,7 +247,7 @@ func TestRenderSmoke(t *testing.T) {
 }
 
 func TestNoCommitsNoAborts(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 10, 0, false, "main")
 	r := Analyze("x", c)
 	if got := r.AbortCommitRatio(); got != 0 {
@@ -262,7 +262,7 @@ func TestNoCommitsNoAborts(t *testing.T) {
 }
 
 func TestAbortsWithoutCommitsIsInfinite(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 1, 1), 0)
+	c := core.NewCollector(1, periods(100, 1, 1))
 	feed(c, 0, 10, rtm.InCS, true, "main")
 	feedAbort(c, 0, htm.Conflict, 5, "main")
 	r := Analyze("x", c)
@@ -276,7 +276,7 @@ func TestAbortsWithoutCommitsIsInfinite(t *testing.T) {
 // totals.
 func TestParallelReductionManyThreads(t *testing.T) {
 	const n = 13
-	c := core.NewCollector(n, periods(100, 1, 1), 0)
+	c := core.NewCollector(n, periods(100, 1, 1))
 	for tid := 0; tid < n; tid++ {
 		feed(c, tid, tid+1, rtm.InCS, true, "main", "f")
 	}
@@ -297,7 +297,7 @@ func TestParallelReductionManyThreads(t *testing.T) {
 }
 
 func TestWastedWorkShare(t *testing.T) {
-	c := core.NewCollector(1, periods(100, 10, 10), 0)
+	c := core.NewCollector(1, periods(100, 10, 10))
 	feed(c, 0, 50, rtm.InCS, true, "main") // ~5000 cycles of work
 	feedAbort(c, 0, htm.Conflict, 100, "main")
 	// 1 abort sample at period 10 = ~10 aborts of weight 100 = 1000
@@ -309,7 +309,7 @@ func TestWastedWorkShare(t *testing.T) {
 }
 
 func TestImbalancedContexts(t *testing.T) {
-	c := core.NewCollector(4, periods(100, 1, 1), 0)
+	c := core.NewCollector(4, periods(100, 1, 1))
 	// Thread 0 hogs the hot context; others barely touch it.
 	feed(c, 0, 40, rtm.InCS, true, "main", "hot")
 	feed(c, 1, 2, rtm.InCS, true, "main", "hot")
@@ -324,7 +324,7 @@ func TestImbalancedContexts(t *testing.T) {
 		t.Fatalf("skew = %.2f, want >= 3", skewed[0].Skew)
 	}
 	// Balanced load: nothing reported.
-	c2 := core.NewCollector(4, periods(100, 1, 1), 0)
+	c2 := core.NewCollector(4, periods(100, 1, 1))
 	for tid := 0; tid < 4; tid++ {
 		feed(c2, tid, 10, rtm.InCS, true, "main", "hot")
 	}
@@ -341,11 +341,11 @@ func TestImbalancedContextsLoadedProfileNil(t *testing.T) {
 }
 
 func TestDiffFindsMovers(t *testing.T) {
-	before := core.NewCollector(1, periods(100, 1, 1), 0)
+	before := core.NewCollector(1, periods(100, 1, 1))
 	feed(before, 0, 40, rtm.InCS, true, "main", "hot")
 	feed(before, 0, 5, rtm.InCS, true, "main", "steady")
 	feedAbort(before, 0, htm.Conflict, 500, "main", "hot")
-	after := core.NewCollector(1, periods(100, 1, 1), 0)
+	after := core.NewCollector(1, periods(100, 1, 1))
 	feed(after, 0, 4, rtm.InCS, true, "main", "hot") // optimized away
 	feed(after, 0, 5, rtm.InCS, true, "main", "steady")
 	rb, ra := Analyze("before", before), Analyze("after", after)
@@ -371,9 +371,9 @@ func TestDiffFindsMovers(t *testing.T) {
 }
 
 func TestDiffContextOnlyInOneProfile(t *testing.T) {
-	before := core.NewCollector(1, periods(100, 1, 1), 0)
+	before := core.NewCollector(1, periods(100, 1, 1))
 	feed(before, 0, 10, rtm.InCS, true, "main", "removed")
-	after := core.NewCollector(1, periods(100, 1, 1), 0)
+	after := core.NewCollector(1, periods(100, 1, 1))
 	feed(after, 0, 10, rtm.InCS, true, "main", "added")
 	deltas := Diff(Analyze("b", before), Analyze("a", after), 10)
 	var sawRemoved, sawAdded bool

@@ -15,7 +15,7 @@ import (
 func TestTopFalseSharing(t *testing.T) {
 	p := periods(100, 1, 1)
 	p[pmu.Stores] = 1
-	c := core.NewCollector(2, p, 0)
+	c := core.NewCollector(2, p)
 	store := func(tid int, fn string, addr uint64, now uint64) {
 		c.HandleSample(&machine.Sample{
 			Event: pmu.Stores, TID: tid, HasAddr: true, IsWrite: true,

@@ -10,16 +10,15 @@
 // an uninterrupted run's.
 //
 // The runner gives each shard a deadline, bounded retries with
-// exponential backoff, and panic isolation: a shard that panics is
-// recorded as failed and surfaced in the final report instead of
-// aborting the sweep.
+// exponential backoff through retry.Policy.Do, and panic isolation: a
+// shard that panics is recorded as failed and surfaced in the final
+// report instead of aborting the sweep. Shards fan out over Map.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -74,12 +73,10 @@ type Options struct {
 	// as a failed attempt.
 	Timeout time.Duration
 	// Retries is the number of re-attempts after a shard's first
-	// failure (0 = fail immediately). Attempts back off exponentially
-	// from Backoff (default 100ms) via the shared retry policy;
-	// campaign backoff is jitter-free so identical campaigns remain
-	// deterministic.
+	// failure (0 = fail immediately). Attempts go through
+	// retry.Policy.Do, backing off 100ms, 200ms, 400ms, ... without
+	// jitter, so identical campaigns remain deterministic.
 	Retries int
-	Backoff time.Duration
 	// Context cancels the whole campaign (nil = Background). Already
 	// journaled progress survives for a later resume.
 	Context context.Context
@@ -87,9 +84,6 @@ type Options struct {
 	// shard (nil = trust the journal). A failed verification re-runs
 	// the shard.
 	Verify func(artifact string) error
-	// Log receives one line per shard decision (skip, retry, failure);
-	// nil silences it.
-	Log io.Writer
 	// Metrics, when non-nil, receives campaign counters: shards run,
 	// skipped, re-run after failure, failed, and retries.
 	Metrics *telemetry.Registry
@@ -136,116 +130,71 @@ func Run(shards []Shard, j *Journal, o Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	backoff := retry.Policy{BaseDelay: o.Backoff}
 	var (
 		mu        sync.Mutex
 		rep       Report
 		completed atomic.Int64
 	)
-	logf := func(format string, args ...any) {
-		if o.Log != nil {
-			mu.Lock()
-			fmt.Fprintf(o.Log, format+"\n", args...)
-			mu.Unlock()
-		}
-	}
 	count := func(c *int, metric string) {
 		mu.Lock()
 		*c++
 		mu.Unlock()
 		o.Metrics.Counter("campaign." + metric).Add(1)
 	}
+	policy := retry.Policy{
+		MaxAttempts: o.Retries + 1,
+		OnRetry:     func(int, error, time.Duration) { count(&rep.Retries, "retries") },
+	}
 
-	runShard := func(s Shard) {
+	// runShard returns an error only when the campaign was canceled.
+	runShard := func(s Shard) error {
 		key := s.Key()
 		prev, seen := j.State(key)
-		if seen && prev.Status == StatusDone {
-			verr := error(nil)
-			if o.Verify != nil {
-				verr = o.Verify(s.Artifact)
-			}
-			if verr == nil {
-				count(&rep.Skipped, "shards_skipped")
-				logf("campaign: %s: skipped (done, artifact verified)", key)
-				return
-			}
-			logf("campaign: %s: journaled done but artifact bad (%v); re-running", key, verr)
+		if seen && prev.Status == StatusDone && (o.Verify == nil || o.Verify(s.Artifact) == nil) {
+			count(&rep.Skipped, "shards_skipped")
+			return nil
 		}
 		if seen {
 			count(&rep.Rerun, "shards_rerun")
 		}
-		for attempt := 1; ; attempt++ {
-			if ctx.Err() != nil {
-				mu.Lock()
-				rep.Canceled = true
-				mu.Unlock()
-				return
-			}
+		attempt := 0
+		err := policy.Do(ctx, func(ctx context.Context) error {
+			attempt++
 			j.Record(Entry{Key: key, Status: StatusStarted, Artifact: s.Artifact, Attempt: attempt})
 			err := attemptShard(ctx, o.Timeout, s)
 			if err == nil {
 				j.Record(Entry{Key: key, Status: StatusDone, Artifact: s.Artifact, Attempt: attempt})
-				count(&rep.Ran, "shards_run")
-				if o.CrashAfterShards > 0 && int(completed.Add(1)) == o.CrashAfterShards {
-					logf("campaign: injected crash after %d shards", o.CrashAfterShards)
-					os.Exit(137)
-				}
-				return
+				return nil
 			}
 			j.Record(Entry{Key: key, Status: StatusFailed, Artifact: s.Artifact, Attempt: attempt, Err: err.Error()})
 			if ctx.Err() != nil {
 				// Campaign-level cancellation, not a shard fault: stop
 				// without burning retries; a resume re-runs this shard.
-				mu.Lock()
-				rep.Canceled = true
-				mu.Unlock()
-				return
+				return retry.Permanent(err)
 			}
-			if attempt > o.Retries {
-				count(&rep.Failed, "shards_failed")
-				mu.Lock()
-				rep.Failures = append(rep.Failures, Failure{Key: key, Err: err.Error()})
-				mu.Unlock()
-				logf("campaign: %s: FAILED after %d attempt(s): %v", key, attempt, err)
-				return
+			return err
+		})
+		switch {
+		case err == nil:
+			count(&rep.Ran, "shards_run")
+			if o.CrashAfterShards > 0 && int(completed.Add(1)) == o.CrashAfterShards {
+				os.Exit(137)
 			}
-			count(&rep.Retries, "retries")
-			delay := backoff.Delay(attempt)
-			logf("campaign: %s: attempt %d failed (%v); retrying in %v", key, attempt, err, delay)
-			_ = retry.Sleep(ctx, delay) // a cancel here is caught at the top of the loop
+		case ctx.Err() != nil:
+			return err
+		default:
+			count(&rep.Failed, "shards_failed")
+			mu.Lock()
+			rep.Failures = append(rep.Failures, Failure{Key: key, Err: err.Error()})
+			mu.Unlock()
 		}
+		return nil
 	}
 
-	workers := o.Workers
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		for _, s := range shards {
-			runShard(s)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(shards) {
-						return
-					}
-					runShard(shards[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if rep.Canceled {
+	if _, err := Map(ctx, o.Workers, len(shards), func(i int) (struct{}, error) {
+		return struct{}{}, runShard(shards[i])
+	}); err != nil {
+		rep.Canceled = true
 		return &rep, fmt.Errorf("campaign: %w", context.Cause(ctx))
 	}
 	return &rep, nil

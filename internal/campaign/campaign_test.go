@@ -3,11 +3,14 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,10 +225,8 @@ func TestRunRerunsFailedAndBadArtifacts(t *testing.T) {
 	mk := func(name string) Shard {
 		return shard(name, func(ctx context.Context) error { ran[name]++; return nil })
 	}
-	var log strings.Builder
 	rep, err := Run([]Shard{mk("bad-artifact"), mk("failed"), mk("interrupted")}, j2, Options{
 		Verify: func(a string) error { return errors.New("torn") },
-		Log:    &log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestRunRerunsFailedAndBadArtifacts(t *testing.T) {
 	// All three are re-run: done-but-bad-artifact, failed, and
 	// started-but-never-finished (killed mid-shard).
 	if rep.Ran != 3 || rep.Rerun != 3 || rep.Skipped != 0 {
-		t.Fatalf("report %+v\n%s", rep, log.String())
+		t.Fatalf("report %+v", rep)
 	}
 	for _, n := range []string{"bad-artifact", "failed", "interrupted"} {
 		if ran[n] != 1 {
@@ -242,8 +243,32 @@ func TestRunRerunsFailedAndBadArtifacts(t *testing.T) {
 	}
 }
 
+// journalEntries replays every entry of the journal at path, in
+// append order.
+func journalEntries(t *testing.T, path string) []Entry {
+	t.Helper()
+	var es []Entry
+	log, err := record.Open(path, journalMagic, journalVersion, func(p []byte) error {
+		var e Entry
+		if err := json.Unmarshal(p, &e); err != nil {
+			return err
+		}
+		es = append(es, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	return es
+}
+
+// TestRunRetriesWithBackoffThenFails: a shard that fails twice succeeds
+// on its third attempt, one that always fails gives up after three,
+// and each waits the campaign's jitter-free 100ms then 200ms between
+// attempts. The journal records every attempt's start and outcome.
 func TestRunRetriesWithBackoffThenFails(t *testing.T) {
-	j, _ := fresh(t, false)
+	j, path := fresh(t, false)
 	attempts := 0
 	flaky := shard("flaky", func(ctx context.Context) error {
 		attempts++
@@ -254,12 +279,33 @@ func TestRunRetriesWithBackoffThenFails(t *testing.T) {
 	})
 	hopeless := shard("hopeless", func(ctx context.Context) error { return errors.New("always") })
 	reg := telemetry.NewRegistry()
-	rep, err := Run([]Shard{flaky, hopeless}, j, Options{Retries: 2, Backoff: time.Millisecond, Metrics: reg})
+	start := time.Now()
+	rep, err := Run([]Shard{flaky, hopeless}, j, Options{Retries: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if elapsed := time.Since(start); elapsed < 2*(100+200)*time.Millisecond {
+		t.Errorf("campaign took %v, want at least 2 x (100ms + 200ms) of backoff", elapsed)
+	}
 	if rep.Ran != 1 || rep.Failed != 1 || rep.Retries != 4 {
 		t.Fatalf("report %+v", rep)
+	}
+	var want []Entry
+	for a := 1; a <= 3; a++ {
+		want = append(want, Entry{Key: flaky.Key(), Status: StatusStarted, Artifact: flaky.Artifact, Attempt: a})
+		if a < 3 {
+			want = append(want, Entry{Key: flaky.Key(), Status: StatusFailed, Artifact: flaky.Artifact,
+				Attempt: a, Err: fmt.Sprintf("transient %d", a)})
+		}
+	}
+	want = append(want, Entry{Key: flaky.Key(), Status: StatusDone, Artifact: flaky.Artifact, Attempt: 3})
+	for a := 1; a <= 3; a++ {
+		want = append(want,
+			Entry{Key: hopeless.Key(), Status: StatusStarted, Artifact: hopeless.Artifact, Attempt: a},
+			Entry{Key: hopeless.Key(), Status: StatusFailed, Artifact: hopeless.Artifact, Attempt: a, Err: "always"})
+	}
+	if got := journalEntries(t, path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal:\n got %+v\nwant %+v", got, want)
 	}
 	if len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0].Err, "always") {
 		t.Fatalf("failures %+v", rep.Failures)
@@ -331,7 +377,7 @@ func TestRunCampaignCancellation(t *testing.T) {
 			return c.Err()
 		})
 	}
-	rep, err := Run([]Shard{mk("first", cancel), mk("second", nil), mk("third", nil)}, j, Options{Context: ctx})
+	rep, err := Run([]Shard{mk("first", cancel), mk("second", nil), mk("third", nil)}, j, Options{Context: ctx, Retries: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -366,6 +412,84 @@ func TestRunParallelWorkers(t *testing.T) {
 		if e, _ := j.State(s.Key()); e.Status != StatusDone {
 			t.Fatalf("%s: %+v", s.Key(), e)
 		}
+	}
+}
+
+// TestMap: results come back in input order for any worker count; of
+// two failing indices the lower one's error wins; and once an f has
+// failed or the context is canceled, no later index starts.
+func TestMap(t *testing.T) {
+	const n = 7
+	for _, workers := range []int{1, 2, n + 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx := context.Background()
+			sq, err := Map(ctx, workers, n, func(i int) (int, error) { return i * i, nil })
+			if err != nil || len(sq) != n {
+				t.Fatalf("Map = %v, %v", sq, err)
+			}
+			for i, v := range sq {
+				if v != i*i {
+					t.Fatalf("result %d = %d, want %d (out of order)", i, v, i*i)
+				}
+			}
+
+			// Indices 2 and 5 fail: index 2's error wins, and the
+			// results before it come back.
+			var calls atomic.Int64
+			got, err := Map(ctx, workers, n, func(i int) (int, error) {
+				calls.Add(1)
+				if i == 2 || i == 5 {
+					return 0, fmt.Errorf("index %d failed", i)
+				}
+				return i, nil
+			})
+			if err == nil || err.Error() != "index 2 failed" {
+				t.Fatalf("err = %v, want index 2's", err)
+			}
+			if !reflect.DeepEqual(got, []int{0, 1}) {
+				t.Fatalf("results before the failure = %v, want [0 1]", got)
+			}
+			// With one worker nothing runs beside the failing index, so
+			// no index after it may start. (With more, indices claimed
+			// before the failure was recorded may still run.)
+			if c := calls.Load(); workers == 1 && c != 3 {
+				t.Fatalf("%d calls with a failure at index 2, want 3", c)
+			}
+
+			// A canceled context starts nothing.
+			canceled, cancel := context.WithCancel(ctx)
+			cancel()
+			calls.Store(0)
+			got, err = Map(canceled, workers, n, func(i int) (int, error) { calls.Add(1); return i, nil })
+			if !errors.Is(err, context.Canceled) || len(got) != 0 || calls.Load() != 0 {
+				t.Fatalf("pre-canceled: %v, %v after %d calls", got, err, calls.Load())
+			}
+
+			// Canceled mid-run: each worker holds one index, those below
+			// the last waiting for the cancel the last one sends, so
+			// exactly workers indices start.
+			if workers >= n {
+				return
+			}
+			mid, cancel := context.WithCancel(ctx)
+			defer cancel()
+			calls.Store(0)
+			got, err = Map(mid, workers, n, func(i int) (int, error) {
+				calls.Add(1)
+				if i == workers-1 {
+					cancel()
+				} else {
+					<-mid.Done()
+				}
+				return i, nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
+			}
+			if c := calls.Load(); c != int64(workers) || len(got) != workers {
+				t.Fatalf("mid-run cancel: %d calls, %d results, want %d", c, len(got), workers)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ func TestAccuracyTxSamplerBeatsNaive(t *testing.T) {
 		Threads: 4, Seed: 5,
 		Periods: periods(300, 2, 8, 0, 0),
 	})
-	col := NewCollector(4, m.Config().Periods, 0)
+	col := NewCollector(4, m.Config().Periods)
 	probe := NewAccuracyProbe(col)
 	m.SetHandler(probe)
 	l := rtm.NewLock(m)
@@ -64,7 +64,7 @@ func TestAccuracyTxSamplerBeatsNaive(t *testing.T) {
 // TestAccuracyProbeForwardsSamples: wrapping must not lose samples.
 func TestAccuracyProbeForwardsSamples(t *testing.T) {
 	m := machine.New(machine.Config{Threads: 2, Seed: 1, Periods: periods(200, 1, 1, 0, 0)})
-	col := NewCollector(2, m.Config().Periods, 0)
+	col := NewCollector(2, m.Config().Periods)
 	probe := NewAccuracyProbe(col)
 	m.SetHandler(probe)
 	l := rtm.NewLock(m)

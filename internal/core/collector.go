@@ -265,10 +265,9 @@ type Collector struct {
 }
 
 // NewCollector returns a collector for n threads sampling with the
-// given periods. contentionWindow is the shadow-memory threshold P in
-// cycles (0 = default).
-func NewCollector(n int, periods pmu.Periods, contentionWindow uint64) *Collector {
-	c := &Collector{periods: periods, Shadow: shadow.New(contentionWindow)}
+// given periods.
+func NewCollector(n int, periods pmu.Periods) *Collector {
+	c := &Collector{periods: periods, Shadow: shadow.New()}
 	for i := 0; i < n; i++ {
 		c.profiles = append(c.profiles, &Profile{TID: i, Tree: cct.NewTree[Metrics]()})
 	}
@@ -279,7 +278,7 @@ func NewCollector(n int, periods pmu.Periods, contentionWindow uint64) *Collecto
 // installs it as the machine's sample handler.
 func Attach(m *machine.Machine) *Collector {
 	cfg := m.Config()
-	c := NewCollector(cfg.Threads, cfg.Periods, 0)
+	c := NewCollector(cfg.Threads, cfg.Periods)
 	m.SetHandler(c)
 	return c
 }

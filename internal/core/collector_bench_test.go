@@ -49,7 +49,7 @@ func benchFlatSample() *machine.Sample {
 }
 
 func BenchmarkContextReconstructInTx(b *testing.B) {
-	c := NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := NewCollector(1, pmu.DefaultPeriods())
 	s := benchInTxSample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +58,7 @@ func BenchmarkContextReconstructInTx(b *testing.B) {
 }
 
 func BenchmarkHandleSampleInTx(b *testing.B) {
-	c := NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := NewCollector(1, pmu.DefaultPeriods())
 	s := benchInTxSample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +67,7 @@ func BenchmarkHandleSampleInTx(b *testing.B) {
 }
 
 func BenchmarkHandleSampleFlat(b *testing.B) {
-	c := NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := NewCollector(1, pmu.DefaultPeriods())
 	s := benchFlatSample()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -92,7 +92,7 @@ func TestReconstructionMatchesGroundTruth(t *testing.T) {
 		Threads: 4, Seed: 13,
 		Periods: periods(400, 3, 10, 150, 150),
 	})
-	col := NewCollector(4, m.Config().Periods, 0)
+	col := NewCollector(4, m.Config().Periods)
 	k := &checker{c: col, t: t}
 	m.SetHandler(k)
 	l := rtm.NewLock(m)
@@ -359,13 +359,15 @@ func TestAbortWeightByCause(t *testing.T) {
 // TestCapacityWeightSplit: read- and write-capacity aborts are
 // distinguished (Figure 9's "capacity abort read/write" metrics).
 func TestCapacityWeightSplit(t *testing.T) {
-	m := machine.New(machine.Config{Threads: 1, Periods: periods(0, 1, 0, 0, 0), MaxReadLines: 8})
+	m := machine.New(machine.Config{Threads: 1, Periods: periods(0, 1, 0, 0, 0)})
 	col := Attach(m)
 	l := rtm.NewLock(m)
-	big := m.Mem.AllocLines(16)
+	geo := m.Config().Cache
+	lines := geo.Sets*geo.Ways + 1
+	big := m.Mem.AllocLines(lines)
 	err := m.RunAll(func(th *machine.Thread) {
-		l.Run(th, func() { // read-capacity abort: touch > 8 lines
-			for j := 0; j < 10; j++ {
+		l.Run(th, func() { // read-capacity abort: touch more lines than the L1 tracks
+			for j := 0; j < lines; j++ {
 				th.Load(big + mem.Addr(j*64))
 			}
 		})

@@ -94,7 +94,7 @@ func hasStep(a *Advice, id int, node string) bool {
 }
 
 func TestTypeIStopsEarly(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 95, 0, false)
 	cycles(c, 5, rtm.InCS, true)
 	a := evaluate(c)
@@ -107,7 +107,7 @@ func TestTypeIStopsEarly(t *testing.T) {
 }
 
 func TestTxDominantNoAction(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 40, 0, false)
 	cycles(c, 55, rtm.InCS, true) // Ttx
 	cycles(c, 5, rtm.InCS|rtm.InOverhead, false)
@@ -119,7 +119,7 @@ func TestTxDominantNoAction(t *testing.T) {
 }
 
 func TestHighOverheadSuggestsMerging(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 30, 0, false)
 	cycles(c, 40, rtm.InCS, true)
 	cycles(c, 30, rtm.InCS|rtm.InOverhead, false) // large Toh
@@ -131,7 +131,7 @@ func TestHighOverheadSuggestsMerging(t *testing.T) {
 }
 
 func TestHighWaitWithTrueSharing(t *testing.T) {
-	c := core.NewCollector(2, uniform(), 0)
+	c := core.NewCollector(2, uniform())
 	cycles(c, 20, 0, false)
 	cycles(c, 30, rtm.InCS|rtm.InLockWaiting, false)
 	cycles(c, 30, rtm.InCS|rtm.InFallback, false)
@@ -154,7 +154,7 @@ func TestHighWaitWithTrueSharing(t *testing.T) {
 }
 
 func TestCapacityDominant(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 20, 0, false)
 	cycles(c, 50, rtm.InCS|rtm.InFallback, false)
 	cycles(c, 30, rtm.InCS, true)
@@ -170,7 +170,7 @@ func TestCapacityDominant(t *testing.T) {
 }
 
 func TestSyncDominantStepSix(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 20, 0, false)
 	cycles(c, 60, rtm.InCS|rtm.InFallback, false)
 	cycles(c, 20, rtm.InCS, true)
@@ -186,7 +186,7 @@ func TestSyncDominantStepSix(t *testing.T) {
 }
 
 func TestMixedCausesAllReported(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 10, 0, false)
 	cycles(c, 60, rtm.InCS|rtm.InFallback, false)
 	cycles(c, 30, rtm.InCS, true)
@@ -201,7 +201,7 @@ func TestMixedCausesAllReported(t *testing.T) {
 }
 
 func TestFalseSharingBranch(t *testing.T) {
-	c := core.NewCollector(2, uniform(), 0)
+	c := core.NewCollector(2, uniform())
 	cycles(c, 10, 0, false)
 	cycles(c, 50, rtm.InCS|rtm.InLockWaiting, false)
 	cycles(c, 40, rtm.InCS, true)
@@ -230,7 +230,7 @@ func TestThresholdDefaults(t *testing.T) {
 }
 
 func TestRenderContainsWalk(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 95, 0, false)
 	cycles(c, 5, rtm.InCS, true)
 	out := evaluate(c).String()
@@ -243,7 +243,7 @@ func TestRenderContainsWalk(t *testing.T) {
 // weight or dominated by sync aborts is flagged even when conflicts
 // dominate the global mix (the §8.1 iterative investigation).
 func TestPerContextRefinement(t *testing.T) {
-	c := core.NewCollector(1, uniform(), 0)
+	c := core.NewCollector(1, uniform())
 	cycles(c, 20, 0, false)
 	cycles(c, 50, rtm.InCS|rtm.InFallback, false)
 	cycles(c, 30, rtm.InCS, true)
@@ -280,7 +280,7 @@ func TestPerContextRefinement(t *testing.T) {
 }
 
 func TestImbalanceBranch(t *testing.T) {
-	c := core.NewCollector(4, uniform(), 0)
+	c := core.NewCollector(4, uniform())
 	cycles(c, 10, 0, false)
 	cycles(c, 60, rtm.InCS|rtm.InFallback, false)
 	cycles(c, 30, rtm.InCS, true)

@@ -133,7 +133,7 @@ func ProfileCampaign(w io.Writer, c CampaignConfig) (*campaign.Report, error) {
 					if err := db.Save(path); err != nil {
 						return err
 					}
-					lines[idx] = groundTruthLine(name, seed, res)
+					lines[idx] = GroundTruthLine(fmt.Sprintf("%-28s seed=%-4d", name, seed), res)
 					return nil
 				},
 			})
@@ -145,7 +145,6 @@ func ProfileCampaign(w io.Writer, c CampaignConfig) (*campaign.Report, error) {
 		Retries: c.Retries,
 		Context: c.Context, Metrics: c.Metrics,
 		Verify:           func(rel string) error { return VerifyArtifact(filepath.Join(c.Dir, rel)) },
-		Log:              nil, // decisions are summarized below, in input order
 		CrashAfterShards: c.CrashAfterShards,
 	})
 
@@ -173,17 +172,17 @@ func ProfileCampaign(w io.Writer, c CampaignConfig) (*campaign.Report, error) {
 	return rep, err
 }
 
-// groundTruthLine formats one shard's native-statistics line (the same
-// shape htmbench prints for plain runs).
-func groundTruthLine(name string, seed int64, res *txsampler.Result) string {
+// GroundTruthLine formats one run's native-statistics line: head (the
+// workload name column, and the seed column in campaigns), then the
+// run's cycles, commits, aborts and abort causes.
+func GroundTruthLine(head string, res *txsampler.Result) string {
 	g := res.GroundTruth
 	var aborts uint64
 	for _, n := range g.Aborts {
 		aborts += n
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s seed=%-4d cycles=%-10d commits=%-7d aborts=%-7d causes:",
-		name, seed, res.ElapsedCycles, g.Commits, aborts)
+	fmt.Fprintf(&b, "%s cycles=%-10d commits=%-7d aborts=%-7d causes:", head, res.ElapsedCycles, g.Commits, aborts)
 	for _, c := range g.AbortCauses() {
 		fmt.Fprintf(&b, " %v=%d", c, g.Aborts[c])
 	}

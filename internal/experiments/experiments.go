@@ -15,11 +15,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"txsampler"
 	"txsampler/internal/analyzer"
+	"txsampler/internal/campaign"
 	"txsampler/internal/decision"
 	"txsampler/internal/htm"
 	"txsampler/internal/htmbench"
@@ -52,58 +51,6 @@ func ctxOrBackground() context.Context {
 		return Context
 	}
 	return context.Background()
-}
-
-// mapIndexed computes f(0..n-1) on min(Parallel, n) workers and
-// returns the results in input order. The first error by index wins.
-func mapIndexed[T any](n int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	workers := Parallel
-	if workers > n {
-		workers = n
-	}
-	ctx := ctxOrBackground()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: sweep canceled: %w", err)
-			}
-			v, err := f(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					// Canceled: drain the queue without starting runs.
-					errs[i] = fmt.Errorf("experiments: sweep canceled: %w", err)
-					continue
-				}
-				out[i], errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Row formats helpers.
@@ -139,7 +86,7 @@ func Fig5(w io.Writer, threads int, seed int64) ([]Fig5Row, float64, error) {
 		}
 		names = append(names, wl.Name)
 	}
-	rows, err := mapIndexed(len(names), func(i int) (Fig5Row, error) {
+	rows, err := campaign.Map(ctxOrBackground(), Parallel, len(names), func(i int) (Fig5Row, error) {
 		return overheadRow(names[i], threads, seed)
 	})
 	if err != nil {
@@ -173,7 +120,7 @@ func Fig6(w io.Writer, seed int64) (map[int]float64, error) {
 			cells = append(cells, cell{ti, wi})
 		}
 	}
-	rows, err := mapIndexed(len(cells), func(i int) (Fig5Row, error) {
+	rows, err := campaign.Map(ctxOrBackground(), Parallel, len(cells), func(i int) (Fig5Row, error) {
 		return overheadRow(stamp[cells[i].wl].Name, counts[cells[i].threads], seed)
 	})
 	if err != nil {
@@ -200,7 +147,7 @@ func overheadRow(name string, threads int, seed int64) (Fig5Row, error) {
 		nat, prof uint64
 		ov        float64
 	}
-	results, err := mapIndexed(runs, func(i int) (run, error) {
+	results, err := campaign.Map(ctxOrBackground(), Parallel, runs, func(i int) (run, error) {
 		native, profiled, ov, err := txsampler.Overhead(name, txsampler.Options{Threads: threads, Seed: seed + int64(i), Hybrid: Hybrid, Context: Context})
 		if err != nil {
 			return run{}, err
@@ -252,7 +199,7 @@ type ClompRow struct {
 func Fig7(w io.Writer, threads int, seed int64) ([]ClompRow, error) {
 	fmt.Fprintf(w, "=== Figure 7: CLOMP-TM decompositions (%d threads) ===\n", threads)
 	cfgs := htmbench.ClompConfigs()
-	rows, err := mapIndexed(len(cfgs), func(i int) (ClompRow, error) {
+	rows, err := campaign.Map(ctxOrBackground(), Parallel, len(cfgs), func(i int) (ClompRow, error) {
 		name := htmbench.ClompName(cfgs[i])
 		res, err := txsampler.Run(name, txsampler.Options{Threads: threads, Seed: seed, Profile: true, Hybrid: Hybrid, Context: Context})
 		if err != nil {
@@ -324,7 +271,7 @@ func Fig8(w io.Writer, threads int, seed int64) ([]Fig8Row, error) {
 		}
 		wls = append(wls, wl)
 	}
-	rows, err := mapIndexed(len(wls), func(i int) (Fig8Row, error) {
+	rows, err := campaign.Map(ctxOrBackground(), Parallel, len(wls), func(i int) (Fig8Row, error) {
 		wl := wls[i]
 		res, err := txsampler.Run(wl.Name, txsampler.Options{Threads: threads, Seed: seed, Profile: true, Hybrid: Hybrid, Context: Context})
 		if err != nil {
@@ -394,7 +341,7 @@ func Table2Pairs() []Table2Row {
 func Table2(w io.Writer, threads int, seed int64) ([]Table2Row, error) {
 	fmt.Fprintf(w, "=== Table 2: optimization overview (%d threads) ===\n", threads)
 	rows := Table2Pairs()
-	speedups, err := mapIndexed(len(rows), func(i int) (float64, error) {
+	speedups, err := campaign.Map(ctxOrBackground(), Parallel, len(rows), func(i int) (float64, error) {
 		return txsampler.Speedup(rows[i].Base, rows[i].Opt, txsampler.Options{Threads: threads, Seed: seed, Hybrid: Hybrid, Context: Context})
 	})
 	if err != nil {
@@ -414,7 +361,7 @@ func Table2(w io.Writer, threads int, seed int64) ([]Table2Row, error) {
 func AccuracyComparison(w io.Writer, threads int, seed int64) error {
 	fmt.Fprintf(w, "=== Attribution accuracy: TxSampler vs conventional profiler (%d threads) ===\n", threads)
 	names := []string{"parsec/dedup", "micro/deep-calls", "synchro/linkedlist", "stamp/vacation"}
-	accs, err := mapIndexed(len(names), func(i int) (txsampler.Accuracy, error) {
+	accs, err := campaign.Map(ctxOrBackground(), Parallel, len(names), func(i int) (txsampler.Accuracy, error) {
 		_, acc, err := txsampler.RunWithAccuracy(names[i], txsampler.Options{Threads: threads, Seed: seed, Hybrid: Hybrid, Context: Context})
 		return acc, err
 	})
@@ -469,7 +416,7 @@ func CaseStudy(w io.Writer, name string, threads int, seed int64) (*analyzer.Rep
 func MemOverhead(w io.Writer, threads int, seed int64) (maxPerThread int, err error) {
 	fmt.Fprintf(w, "=== Collector memory overhead (%d threads) ===\n", threads)
 	names := []string{"parsec/dedup", "stamp/vacation", "synchro/linkedlist", "app/leveldb"}
-	pers, err := mapIndexed(len(names), func(i int) (int, error) {
+	pers, err := campaign.Map(ctxOrBackground(), Parallel, len(names), func(i int) (int, error) {
 		res, err := txsampler.Run(names[i], txsampler.Options{Threads: threads, Seed: seed, Profile: true, Hybrid: Hybrid, Context: Context})
 		if err != nil {
 			return 0, err

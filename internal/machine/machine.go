@@ -66,12 +66,10 @@ const DefaultQuantum = 4096
 
 // Config describes a machine.
 type Config struct {
-	Threads int          // number of simulated threads; one core each
-	Cache   cache.Config // zero value → cache.DefaultConfig()
-	// MaxReadLines bounds the HTM read set (see htm.Config).
-	MaxReadLines int
-	LBRDepth     int   // 0 → 16 (Haswell/Broadwell, paper §3.1)
-	Seed         int64 // workload PRNG seed
+	Threads  int          // number of simulated threads; one core each
+	Cache    cache.Config // zero value → cache.DefaultConfig()
+	LBRDepth int          // 0 → 16 (Haswell/Broadwell, paper §3.1)
+	Seed     int64        // workload PRNG seed
 
 	// Periods enables PMU sampling when any entry is non-zero. With
 	// the zero value the machine runs "native": no interrupts, no
@@ -178,9 +176,6 @@ func (c Config) Validate() error {
 	if c.LBRDepth < 0 {
 		return fmt.Errorf("machine: negative LBR depth %d", c.LBRDepth)
 	}
-	if c.MaxReadLines < 0 {
-		return fmt.Errorf("machine: negative MaxReadLines %d", c.MaxReadLines)
-	}
 	if c.Quantum < 0 {
 		return fmt.Errorf("machine: negative scheduler quantum %d", c.Quantum)
 	}
@@ -190,7 +185,7 @@ func (c Config) Validate() error {
 	if !c.Elision.Valid() {
 		return fmt.Errorf("machine: unknown elision mode %d", int(c.Elision))
 	}
-	if err := (htm.Config{Sets: d.Cache.Sets, Ways: d.Cache.Ways, MaxReadLines: d.MaxReadLines}).Validate(); err != nil {
+	if err := (htm.Config{Sets: d.Cache.Sets, Ways: d.Cache.Ways}).Validate(); err != nil {
 		return err
 	}
 	if err := c.Faults.Validate(); err != nil {
@@ -292,10 +287,8 @@ func New(cfg Config) *Machine {
 		cfg:    cfg,
 		Mem:    mem.NewMemory(),
 		Caches: cache.New(cfg.Threads, cfg.Cache),
-		HTM: htm.NewEngine(htm.Config{
-			Sets: cfg.Cache.Sets, Ways: cfg.Cache.Ways, MaxReadLines: cfg.MaxReadLines,
-		}),
-		sched: &scheduler{done: make(chan error, 1), lastGater: -1},
+		HTM:    htm.NewEngine(htm.Config{Sets: cfg.Cache.Sets, Ways: cfg.Cache.Ways}),
+		sched:  &scheduler{done: make(chan error, 1), lastGater: -1},
 	}
 	if cfg.Pmem.Enabled {
 		m.pmem = pmem.New(cfg.Faults, cfg.Threads)

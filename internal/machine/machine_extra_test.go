@@ -92,13 +92,17 @@ func TestAtomicCASInsideTransaction(t *testing.T) {
 	}
 }
 
+// TestReadCapacityViaLoads: a transaction that loads one line more
+// than the L1 tracks aborts with a read-capacity abort.
 func TestReadCapacityViaLoads(t *testing.T) {
-	m := New(Config{Threads: 1, MaxReadLines: 6})
-	base := m.Mem.AllocLines(10)
+	m := New(Config{Threads: 1})
+	geo := m.Config().Cache
+	lines := geo.Sets*geo.Ways + 1
+	base := m.Mem.AllocLines(lines)
 	var info *AbortInfo
 	err := m.RunAll(func(t *Thread) {
 		info = t.Attempt(func() {
-			for i := 0; i < 8; i++ {
+			for i := 0; i < lines; i++ {
 				t.Load(base + mem.Addr(i*mem.LineSize))
 			}
 		})

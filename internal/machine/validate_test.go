@@ -24,7 +24,6 @@ func TestConfigValidate(t *testing.T) {
 		{"too-many-threads", Config{Threads: 65}, "out of range"},
 		{"negative-threads", Config{Threads: -1}, "out of range"},
 		{"negative-lbr", Config{Threads: 2, LBRDepth: -3}, "LBR depth"},
-		{"negative-readlines", Config{Threads: 2, MaxReadLines: -1}, "MaxReadLines"},
 		{"bad-cache-sets", Config{Threads: 2, Cache: cache.Config{Sets: 3, Ways: 2}}, "power of two"},
 		{"negative-latency", Config{Threads: 2, Cache: cache.Config{Sets: 4, Ways: 2, HitLatency: -1}}, "latency"},
 		{"bad-fault-rate", Config{Threads: 2, Faults: faults.Plan{SampleDropRate: 1.5}}, "drop"},

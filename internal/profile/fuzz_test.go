@@ -30,7 +30,7 @@ import (
 // as a seed: its 370 KB mutations stall the fuzzer in minimization,
 // and TestDecodeRefusesHostileBodies covers it.
 func FuzzRead(f *testing.F) {
-	c := core.NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := core.NewCollector(1, pmu.DefaultPeriods())
 	c.HandleSample(&machine.Sample{
 		Event: pmu.Cycles, State: rtm.InCS,
 		Stack: []lbr.IP{{Fn: "main"}, {Fn: "f", Site: "3"}},

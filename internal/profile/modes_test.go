@@ -46,7 +46,7 @@ func modeFrames(mode rtm.Mode) []lbr.IP {
 // each under its own calling context.
 func allModesReport(t testing.TB) *analyzer.Report {
 	t.Helper()
-	c := core.NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := core.NewCollector(1, pmu.DefaultPeriods())
 	for md := rtm.ModeNone; md < rtm.NumModes; md++ {
 		state, inTx := modeState(md)
 		frames := modeFrames(md)

@@ -20,7 +20,7 @@ import (
 // buildReport produces a small but non-trivial report.
 func buildReport(t *testing.T) *analyzer.Report {
 	t.Helper()
-	c := core.NewCollector(2, pmu.DefaultPeriods(), 0)
+	c := core.NewCollector(2, pmu.DefaultPeriods())
 	mk := func(tid int, ev pmu.Event, state uint32, inTx bool, fns ...string) *machine.Sample {
 		stack := make([]lbr.IP, len(fns))
 		for i, f := range fns {
@@ -115,7 +115,7 @@ func TestLoadMissingFile(t *testing.T) {
 // round trip with identical structure and payloads.
 func TestQuickTreeRoundTrip(t *testing.T) {
 	f := func(spec []uint16) bool {
-		c := core.NewCollector(1, pmu.DefaultPeriods(), 0)
+		c := core.NewCollector(1, pmu.DefaultPeriods())
 		for _, v := range spec {
 			depth := int(v%3) + 1
 			frames := make([]lbr.IP, depth)

@@ -32,9 +32,6 @@ type Breaker struct {
 	open     bool
 	openedAt time.Time
 	probing  bool
-
-	// trips counts open transitions, for telemetry.
-	trips uint64
 }
 
 func (b *Breaker) threshold() int {
@@ -93,13 +90,11 @@ func (b *Breaker) Record(success bool) {
 		// Failed half-open probe: re-open for a fresh cooldown.
 		b.probing = false
 		b.openedAt = b.now()
-		b.trips++
 		return
 	}
 	if !b.open && b.failures >= b.threshold() {
 		b.open = true
 		b.openedAt = b.now()
-		b.trips++
 	}
 }
 
@@ -123,11 +118,4 @@ func (b *Breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.open
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

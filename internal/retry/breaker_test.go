@@ -34,9 +34,6 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Allow while open = %v, want ErrOpen", err)
 	}
-	if b.Trips() != 1 {
-		t.Errorf("trips = %d, want 1", b.Trips())
-	}
 	if rem := b.RemainingCooldown(); rem != time.Second {
 		t.Errorf("RemainingCooldown = %v, want 1s", rem)
 	}
@@ -58,9 +55,6 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	b.Record(false)
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Allow after failed probe = %v, want ErrOpen", err)
-	}
-	if b.Trips() != 2 {
-		t.Errorf("trips = %d, want 2", b.Trips())
 	}
 	clk.advance(time.Second)
 	if err := b.Allow(); err != nil {

@@ -2,15 +2,16 @@
 // exponential backoff with optional jitter, context-aware sleeping,
 // permanent-error short-circuiting, server-directed delay hints
 // (Retry-After), and a per-peer circuit breaker. The campaign runner
-// and the fleet uploader both build their retry loops on it, so one
-// backoff implementation — with one deterministic-delay contract —
-// serves every degraded path in the system.
+// and the fleet uploader both retry through Policy.Do, so one retry
+// loop — with one deterministic-delay contract — serves every
+// degraded path in the system.
 package retry
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -22,12 +23,9 @@ type Policy struct {
 	// MaxAttempts is the total number of attempts Do makes (first try
 	// included). <= 0 means exactly one attempt.
 	MaxAttempts int
-	// BaseDelay is the delay after the first failure (default 100ms).
+	// BaseDelay is the delay after the first failure (default 100ms);
+	// each further failure doubles it.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown delay; 0 leaves it uncapped.
-	MaxDelay time.Duration
-	// Multiplier is the per-attempt growth factor (default 2).
-	Multiplier float64
 	// Jitter randomizes each delay down into [(1-Jitter)*d, d]. 0 (the
 	// default) keeps delays fully deterministic — the campaign runner
 	// relies on that — while distributed clients should set ~0.2 so a
@@ -47,28 +45,13 @@ type Policy struct {
 }
 
 // Delay returns the backoff delay after the given 1-based failed
-// attempt: BaseDelay * Multiplier^(attempt-1), capped at MaxDelay,
-// then jittered down by up to Jitter.
+// attempt: BaseDelay * 2^(attempt-1), jittered down by up to Jitter.
 func (p Policy) Delay(attempt int) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	mult := p.Multiplier
-	if mult <= 0 {
-		mult = 2
-	}
-	d := float64(base)
-	for i := 1; i < attempt; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
+	d := math.Ldexp(float64(base), attempt-1)
 	if p.Jitter > 0 {
 		u := 0.5
 		if p.Rand != nil {
@@ -112,19 +95,19 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, d)
 		}
-		sleep := p.Sleep
-		if sleep == nil {
-			sleep = Sleep
+		wait := p.Sleep
+		if wait == nil {
+			wait = sleep
 		}
-		if serr := sleep(ctx, d); serr != nil {
+		if serr := wait(ctx, d); serr != nil {
 			return fmt.Errorf("retry: canceled during backoff after attempt %d: %w (last error: %v)", attempt, serr, err)
 		}
 	}
 }
 
-// Sleep waits d or until the context is done, returning the context's
+// sleep waits d or until the context is done, returning the context's
 // error in the latter case.
-func Sleep(ctx context.Context, d time.Duration) error {
+func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -192,13 +175,4 @@ func After(err error, delay time.Duration) error {
 		return nil
 	}
 	return &afterError{err: err, delay: delay}
-}
-
-// AfterDelay extracts a delay attached with After (0 if none).
-func AfterDelay(err error) time.Duration {
-	var hint *afterError
-	if errors.As(err, &hint) {
-		return hint.delay
-	}
-	return 0
 }

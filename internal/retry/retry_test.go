@@ -18,18 +18,14 @@ func TestDelayGrowsExponentiallyUncapped(t *testing.T) {
 	}
 }
 
-func TestDelayDefaultsAndCap(t *testing.T) {
+func TestDelayDefaults(t *testing.T) {
+	// The zero policy is the campaign runner's: 100ms, doubling.
 	p := Policy{}
-	if got := p.Delay(1); got != 100*time.Millisecond {
-		t.Errorf("zero policy Delay(1) = %v, want 100ms", got)
-	}
-	p = Policy{BaseDelay: 50 * time.Millisecond, MaxDelay: 180 * time.Millisecond}
-	if got := p.Delay(3); got != 180*time.Millisecond {
-		t.Errorf("capped Delay(3) = %v, want 180ms", got)
-	}
-	// Huge attempt numbers must not overflow past the cap.
-	if got := p.Delay(200); got != 180*time.Millisecond {
-		t.Errorf("capped Delay(200) = %v, want 180ms", got)
+	want := []time.Duration{100, 200, 400}
+	for i, w := range want {
+		if got := p.Delay(i + 1); got != w*time.Millisecond {
+			t.Errorf("zero policy Delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		}
 	}
 }
 
@@ -136,12 +132,6 @@ func TestDoHonorsAfterHint(t *testing.T) {
 	if After(nil, time.Second) != nil {
 		t.Error("After(nil) != nil")
 	}
-	if d := AfterDelay(After(errors.New("x"), 2*time.Second)); d != 2*time.Second {
-		t.Errorf("AfterDelay = %v, want 2s", d)
-	}
-	if d := AfterDelay(errors.New("x")); d != 0 {
-		t.Errorf("AfterDelay(plain) = %v, want 0", d)
-	}
 }
 
 func TestDoCanceledContext(t *testing.T) {
@@ -176,19 +166,19 @@ func TestDoCanceledDuringBackoff(t *testing.T) {
 }
 
 func TestSleepContextAware(t *testing.T) {
-	if err := Sleep(context.Background(), 0); err != nil {
-		t.Errorf("Sleep(0) = %v", err)
+	if err := sleep(context.Background(), 0); err != nil {
+		t.Errorf("sleep(0) = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Errorf("Sleep on canceled ctx = %v", err)
+	if err := sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Errorf("sleep on canceled ctx = %v", err)
 	}
 	start := time.Now()
-	if err := Sleep(context.Background(), time.Millisecond); err != nil {
-		t.Errorf("Sleep(1ms) = %v", err)
+	if err := sleep(context.Background(), time.Millisecond); err != nil {
+		t.Errorf("sleep(1ms) = %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Error("Sleep overslept wildly")
+		t.Error("sleep overslept wildly")
 	}
 }

@@ -61,14 +61,11 @@ type Memory struct {
 // cycles: effectively "recent" for any workload this simulator runs.
 const DefaultThreshold = 5_000_000
 
-// New returns an empty shadow memory with the given threshold
-// (0 means DefaultThreshold).
-func New(threshold uint64) *Memory {
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
+// New returns an empty shadow memory with the DefaultThreshold
+// contention window.
+func New() *Memory {
 	return &Memory{
-		Threshold: threshold,
+		Threshold: DefaultThreshold,
 		byLine:    make(map[mem.Addr]record),
 		byWord:    make(map[mem.Addr]record),
 	}

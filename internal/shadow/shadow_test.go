@@ -8,14 +8,14 @@ import (
 )
 
 func TestFirstAccessNeverContends(t *testing.T) {
-	m := New(0)
+	m := New()
 	if got := m.Observe(0, 0x1000, true, 10); got != NoSharing {
 		t.Fatalf("first access = %v", got)
 	}
 }
 
 func TestSameThreadNeverContends(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(1, 0x1000, true, 10)
 	if got := m.Observe(1, 0x1000, true, 20); got != NoSharing {
 		t.Fatalf("same-thread reaccess = %v", got)
@@ -23,7 +23,7 @@ func TestSameThreadNeverContends(t *testing.T) {
 }
 
 func TestTrueSharingSameWord(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x1000, true, 10)
 	if got := m.Observe(1, 0x1000, false, 20); got != TrueSharing {
 		t.Fatalf("remote read after write of same word = %v, want true sharing", got)
@@ -34,7 +34,7 @@ func TestTrueSharingSameWord(t *testing.T) {
 }
 
 func TestFalseSharingDifferentWords(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x1000, true, 10)
 	if got := m.Observe(1, 0x1008, true, 20); got != FalseSharing {
 		t.Fatalf("remote write to sibling word = %v, want false sharing", got)
@@ -45,7 +45,7 @@ func TestFalseSharingDifferentWords(t *testing.T) {
 }
 
 func TestReadReadNeverContends(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x1000, false, 10)
 	if got := m.Observe(1, 0x1000, false, 20); got != NoSharing {
 		t.Fatalf("read-read = %v, want none", got)
@@ -56,7 +56,7 @@ func TestReadReadNeverContends(t *testing.T) {
 }
 
 func TestWriteAfterRemoteReadContends(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x2000, false, 10)
 	if got := m.Observe(1, 0x2000, true, 20); got != TrueSharing {
 		t.Fatalf("write after remote read = %v, want true sharing", got)
@@ -64,7 +64,8 @@ func TestWriteAfterRemoteReadContends(t *testing.T) {
 }
 
 func TestThresholdWindow(t *testing.T) {
-	m := New(100)
+	m := New()
+	m.Threshold = 100
 	m.Observe(0, 0x3000, true, 10)
 	if got := m.Observe(1, 0x3000, true, 200); got != NoSharing {
 		t.Fatalf("accesses %d cycles apart with window 100 = %v", 190, got)
@@ -78,7 +79,8 @@ func TestThresholdWindow(t *testing.T) {
 func TestOutOfOrderTimestampsTolerated(t *testing.T) {
 	// Thread clocks are only loosely synchronized: an earlier
 	// timestamp arriving after a later one must still classify.
-	m := New(100)
+	m := New()
+	m.Threshold = 100
 	m.Observe(0, 0x4000, true, 500)
 	if got := m.Observe(1, 0x4000, true, 460); got != TrueSharing {
 		t.Fatalf("out-of-order contention = %v", got)
@@ -86,7 +88,7 @@ func TestOutOfOrderTimestampsTolerated(t *testing.T) {
 }
 
 func TestDistinctLinesIndependent(t *testing.T) {
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x5000, true, 10)
 	if got := m.Observe(1, 0x5040, true, 20); got != NoSharing {
 		t.Fatalf("adjacent line = %v, want none", got)
@@ -97,7 +99,7 @@ func TestTrueSharingTakesPrecedenceOverStaleWord(t *testing.T) {
 	// Thread 0 writes word A; thread 1 writes word B (false sharing);
 	// thread 0 then writes word B: the word shadow shows thread 1 →
 	// true sharing.
-	m := New(0)
+	m := New()
 	m.Observe(0, 0x6000, true, 10)
 	m.Observe(1, 0x6008, true, 20)
 	if got := m.Observe(0, 0x6008, true, 30); got != TrueSharing {
@@ -106,7 +108,7 @@ func TestTrueSharingTakesPrecedenceOverStaleWord(t *testing.T) {
 }
 
 func TestFootprintGrowsPerAddress(t *testing.T) {
-	m := New(0)
+	m := New()
 	for i := 0; i < 10; i++ {
 		m.Observe(0, mem.Addr(0x7000+i*8), false, uint64(i))
 	}
@@ -129,7 +131,8 @@ func TestSharingString(t *testing.T) {
 // previously touched by a different thread; FalseSharing implies the
 // line was contended; counters always sum consistently.
 func TestQuickClassificationConsistency(t *testing.T) {
-	m := New(1 << 62)
+	m := New()
+	m.Threshold = 1 << 62
 	lastWordTID := map[mem.Addr]int{}
 	lastLine := map[mem.Addr]struct {
 		tid   int

@@ -14,7 +14,7 @@ func TestLineStraddleBoundary(t *testing.T) {
 	last := base.Offset(mem.WordsPerLine - 1) // 0x1038: final word of the line
 	next := base.Offset(mem.WordsPerLine)     // 0x1040: first word of the next line
 
-	m := New(0)
+	m := New()
 	m.Observe(0, last, true, 10)
 	if got := m.Observe(1, next, true, 20); got != NoSharing {
 		t.Fatalf("straddling accesses %s/%s classified %v, want none", last, next, got)
@@ -36,11 +36,11 @@ func TestAdjacentWordAllOffsets(t *testing.T) {
 	for w := 0; w < mem.WordsPerLine; w++ {
 		base := mem.Addr(0x2000 + uint64(w)*0x100) // fresh line per sub-case
 		owned := base.Offset(w)
-		m := New(0)
+		m := New()
 		m.Observe(0, owned, true, 10)
 		now := uint64(20)
 		for o := 0; o < mem.WordsPerLine; o++ {
-			m2 := New(0)
+			m2 := New()
 			m2.Observe(0, owned, true, 10)
 			want := FalseSharing
 			if o == w {
@@ -85,14 +85,16 @@ func TestContentionWindowBoundary(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m := New(window)
+			m := New()
+			m.Threshold = window
 			m.Observe(0, 0x3000, true, 1000)
 			if got := m.Observe(1, 0x3000, true, 1000+c.gap); got != c.want {
 				t.Fatalf("gap %d with window %d = %v, want %v", c.gap, window, got, c.want)
 			}
 			// Same boundary holds with the timestamps reversed (loosely
 			// synchronized thread clocks).
-			m2 := New(window)
+			m2 := New()
+			m2.Threshold = window
 			m2.Observe(0, 0x3000, true, 1000+c.gap)
 			if got := m2.Observe(1, 0x3000, true, 1000); got != c.want {
 				t.Fatalf("reversed gap %d with window %d = %v, want %v", c.gap, window, got, c.want)
@@ -104,7 +106,7 @@ func TestContentionWindowBoundary(t *testing.T) {
 // TestStraddleFootprint: a straddling pair costs two line entries and
 // two word entries — the shadow never aliases across the boundary.
 func TestStraddleFootprint(t *testing.T) {
-	m := New(0)
+	m := New()
 	base := mem.Addr(0x4000)
 	m.Observe(0, base.Offset(mem.WordsPerLine-1), true, 10)
 	m.Observe(0, base.Offset(mem.WordsPerLine), true, 20)

@@ -1,11 +1,8 @@
 package tsxprof
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"txsampler/internal/rtm"
 )
 
 func TestProfilePhases(t *testing.T) {
@@ -85,54 +82,6 @@ func TestCompareRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	events, err := RecordTrace("micro/sync-abort", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	var b strings.Builder
-	if err := WriteChromeTrace(&b, events); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{`"ph":"X"`, `"ph":"i"`, `"name":"commit"`, `"name":"fallback"`, `"name":"abort"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %s", want)
-		}
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(parsed) == 0 {
-		t.Fatal("empty trace")
-	}
-}
-
-func TestChromeTraceHandlesUnpairedEvents(t *testing.T) {
-	// A commit without a recorded begin must not panic and still emit
-	// a (zero-duration) slice.
-	events := []Event{
-		{TID: 0, Kind: rtm.EventCommit, Cycle: 100},
-		{TID: 1, Kind: rtm.EventBegin, Cycle: 50},
-		{TID: 1, Kind: rtm.EventFallback, Cycle: 400},
-	}
-	var b strings.Builder
-	if err := WriteChromeTrace(&b, events); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != 2 {
-		t.Fatalf("entries = %d, want 2", len(parsed))
 	}
 }
 

@@ -117,7 +117,7 @@ capacity {{printf "%.1f" .Capacity}}%, sync {{printf "%.1f" .Sync}}%</p>
 // HTML renders a standalone HTML report for a profile: the
 // calling-context view, the per-thread histogram, and the decision
 // tree's advice — the paper's GUI deliverable as a single file.
-func HTML(w io.Writer, r *analyzer.Report, advice *decision.Advice, opt TreeOptions) error {
+func HTML(w io.Writer, r *analyzer.Report, advice *decision.Advice) error {
 	sh := r.TimeShares()
 	data := &htmlReport{
 		Program:  r.Program,
@@ -135,7 +135,7 @@ func HTML(w io.Writer, r *analyzer.Report, advice *decision.Advice, opt TreeOpti
 		Capacity: 100 * r.CauseShare(htm.Capacity),
 		Sync:     100 * r.CauseShare(htm.Sync),
 		Category: r.Categorize().String(),
-		Nodes:    contextRows(r, opt),
+		Nodes:    contextRows(r),
 	}
 	for _, s := range r.ElisionSites() {
 		data.Elision = append(data.Elision, htmlElisionSite{

@@ -15,21 +15,9 @@ import (
 	"txsampler/internal/telemetry"
 )
 
-// TreeOptions controls the calling-context view.
-type TreeOptions struct {
-	// MaxDepth prunes the tree (0 = unlimited).
-	MaxDepth int
-	// MinShare hides contexts holding less than this share of the
-	// total critical-section samples and abort weight (default 0.01).
-	MinShare float64
-}
-
-func (o TreeOptions) withDefaults() TreeOptions {
-	if o.MinShare == 0 {
-		o.MinShare = 0.01
-	}
-	return o
-}
+// minShare hides contexts holding less than 1% of both the total
+// critical-section samples and the abort weight.
+const minShare = 0.01
 
 // contextRow is one line of the calling-context view: a context's
 // inclusive (subtree) shares of the profile's critical-section time,
@@ -42,25 +30,20 @@ type contextRow struct {
 }
 
 // contextRows walks the merged calling context tree into the rows
-// that Tree and HTML render. It prunes contexts deeper than
-// opt.MaxDepth and those below opt.MinShare of both critical-section
-// time and abort weight.
-func contextRows(r *analyzer.Report, opt TreeOptions) []contextRow {
-	opt = opt.withDefaults()
+// that Tree and HTML render. It prunes contexts below minShare of both
+// critical-section time and abort weight.
+func contextRows(r *analyzer.Report) []contextRow {
 	totalT := float64(r.Totals.T())
 	totalAW := float64(r.Totals.AppAbortWeight())
 	totalCap := float64(r.Totals.CapReadW + r.Totals.CapWriteW)
 	var rows []contextRow
 	var rec func(n *core.Node, depth int)
 	rec = func(n *core.Node, depth int) {
-		if opt.MaxDepth > 0 && depth > opt.MaxDepth {
-			return
-		}
 		// Inclusive metrics: sum over the subtree.
 		inc := subtreeMetrics(n)
 		tShare := share(float64(inc.T()), totalT)
 		awShare := share(float64(inc.AppAbortWeight()), totalAW)
-		if depth > 0 && tShare < opt.MinShare && awShare < opt.MinShare {
+		if depth > 0 && tShare < minShare && awShare < minShare {
 			return
 		}
 		label := n.Frame.String()
@@ -84,10 +67,10 @@ func contextRows(r *analyzer.Report, opt TreeOptions) []contextRow {
 // Tree writes the calling-context view: every context's share of
 // critical-section time, abort weight, and capacity abort weight —
 // the columns of the paper's Figure 9 screenshot.
-func Tree(w io.Writer, r *analyzer.Report, opt TreeOptions) {
+func Tree(w io.Writer, r *analyzer.Report) {
 	fmt.Fprintf(w, "%-64s %9s %12s %14s\n", "scope", "CS time", "abort weight", "capacity abort")
 	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 102))
-	for _, row := range contextRows(r, opt) {
+	for _, row := range contextRows(r) {
 		fmt.Fprintf(w, "%-64s %8.1f%% %11.1f%% %13.1f%%\n", row.Label, row.TShare, row.AWShare, row.CapShare)
 	}
 }

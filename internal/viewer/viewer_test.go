@@ -16,7 +16,7 @@ import (
 
 func report(t *testing.T) *analyzer.Report {
 	t.Helper()
-	c := core.NewCollector(2, pmu.DefaultPeriods(), 0)
+	c := core.NewCollector(2, pmu.DefaultPeriods())
 	mk := func(tid int, ev pmu.Event, inTx bool, fns ...string) *machine.Sample {
 		stack := make([]lbr.IP, len(fns))
 		for i, f := range fns {
@@ -46,7 +46,7 @@ func report(t *testing.T) *analyzer.Report {
 
 func TestTreeShowsHotContextWithShares(t *testing.T) {
 	var b strings.Builder
-	Tree(&b, report(t), TreeOptions{})
+	Tree(&b, report(t))
 	out := b.String()
 	if !strings.Contains(out, "hashtable_search") {
 		t.Fatalf("hot context missing:\n%s", out)
@@ -65,26 +65,25 @@ func TestTreeShowsHotContextWithShares(t *testing.T) {
 	}
 }
 
+// TestTreeMinShareHidesNoise: the tree hides a context holding less
+// than 1% of both critical-section time and abort weight, and shows
+// one at exactly 1%.
 func TestTreeMinShareHidesNoise(t *testing.T) {
-	var loose, tight strings.Builder
-	Tree(&loose, report(t), TreeOptions{MinShare: 0.001})
-	Tree(&tight, report(t), TreeOptions{MinShare: 0.5})
-	if !strings.Contains(loose.String(), "minor") {
-		t.Fatal("low threshold should show the minor context")
+	c := core.NewCollector(1, pmu.DefaultPeriods())
+	for fn, n := range map[string]int{"hot": 197, "edge": 2, "noise": 1} {
+		for i := 0; i < n; i++ {
+			stack := []lbr.IP{{Fn: "main"}, {Fn: fn}}
+			c.HandleSample(&machine.Sample{Event: pmu.Cycles, State: rtm.InCS, Stack: stack, IP: stack[1]})
+		}
 	}
-	if strings.Contains(tight.String(), "minor") {
-		t.Fatal("high threshold should hide the minor context")
-	}
-}
-
-func TestTreeMaxDepth(t *testing.T) {
 	var b strings.Builder
-	Tree(&b, report(t), TreeOptions{MaxDepth: 1})
-	if strings.Contains(b.String(), "hashtable_search") {
-		t.Fatal("depth-limited tree leaked a deep context")
+	Tree(&b, analyzer.Analyze("view/noise", c))
+	out := b.String()
+	if !strings.Contains(out, "edge") || !strings.Contains(out, "1.0%") {
+		t.Fatalf("context at exactly 1%% hidden:\n%s", out)
 	}
-	if !strings.Contains(b.String(), "main") {
-		t.Fatal("depth-1 context missing")
+	if strings.Contains(out, "noise") {
+		t.Fatalf("context at 0.5%% shown:\n%s", out)
 	}
 }
 
@@ -148,7 +147,7 @@ func TestHTMLReport(t *testing.T) {
 	r := report(t)
 	adv := decision.Evaluate(r, decision.Thresholds{})
 	var b strings.Builder
-	if err := HTML(&b, r, adv, TreeOptions{}); err != nil {
+	if err := HTML(&b, r, adv); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -164,7 +163,7 @@ func TestHTMLReport(t *testing.T) {
 
 func TestHTMLNilAdvice(t *testing.T) {
 	var b strings.Builder
-	if err := HTML(&b, report(t), nil, TreeOptions{}); err != nil {
+	if err := HTML(&b, report(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Calling context view") {
@@ -173,7 +172,7 @@ func TestHTMLNilAdvice(t *testing.T) {
 }
 
 func TestHTMLEscapesUntrustedNames(t *testing.T) {
-	c := core.NewCollector(1, pmu.DefaultPeriods(), 0)
+	c := core.NewCollector(1, pmu.DefaultPeriods())
 	c.HandleSample(&machine.Sample{
 		Event: pmu.Cycles, State: rtm.InCS,
 		Stack: []lbr.IP{{Fn: "<script>alert(1)</script>"}},
@@ -181,7 +180,7 @@ func TestHTMLEscapesUntrustedNames(t *testing.T) {
 	})
 	r := analyzer.Analyze("<b>evil</b>", c)
 	var b strings.Builder
-	if err := HTML(&b, r, nil, TreeOptions{MinShare: 0.0001}); err != nil {
+	if err := HTML(&b, r, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

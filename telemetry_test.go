@@ -131,7 +131,7 @@ func TestSchedulerSelfReport(t *testing.T) {
 
 	var text, html bytes.Buffer
 	viewer.SelfReport(&text, res.Report)
-	if err := viewer.HTML(&html, res.Report, nil, viewer.TreeOptions{}); err != nil {
+	if err := viewer.HTML(&html, res.Report, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"machine.sched.interleavings", "machine.sched.handoffs", "machine.spin.iterations", "machine.spin.skipped"} {
