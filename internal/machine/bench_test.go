@@ -98,11 +98,14 @@ func BenchmarkOpThroughput8Threads(b *testing.B) {
 // number: simulated operations per second in native mode (no PMU, no
 // handler) when every operation passes a gate, so the gate check and
 // the baton handoffs it forces are the only cost besides the cache
-// model. handoffs/op shows how often the baton moved. 8threads-spin is
-// one lock holder and seven spin-waiters, whose loads would each pass
-// a gate were they not asleep on the lock line.
+// model. handoffs/op shows how often the baton moved. 14threads is
+// HTMBench's default thread count; its threads move in lockstep, so
+// every handoff sinks the holder past all 13 others in the ordered live
+// set: the worst case of the sink. 8threads-spin is one lock holder and
+// seven spin-waiters, whose loads would each pass a gate were they not
+// asleep on the lock line.
 func BenchmarkSchedulerOpsPerSec(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
+	for _, n := range []int{1, 2, 4, 8, 14} {
 		b.Run(fmt.Sprintf("%dthreads", n), func(b *testing.B) {
 			benchOps(b, Config{Threads: n}, gated)
 		})

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -239,9 +240,16 @@ type Machine struct {
 // atomics because the watchdog reads and sets them while a stuck holder
 // runs; mu guards only the status snapshots, the cancellation the
 // context watcher posts, and the terminal result.
+//
+// live is the ordered live set: the baton holder first, then every
+// other unfinished thread in pending-position (lastPub, ID) order. Only
+// the holder's position and those of the sleepers it wakes change while
+// it holds the baton, so only they move (see sink and raise), and once
+// the holder has sunk to its place or left, the successor and its
+// horizon are the first two entries (see pickNext).
 type scheduler struct {
 	mu       sync.Mutex
-	live     []*Thread      // threads not yet finished, thread-ID order
+	live     []*Thread      // holder first, then by (lastPub, ID)
 	status   []threadStatus // written under mu
 	running  atomic.Int32   // ID of the thread holding the baton
 	stopped  atomic.Bool    // terminal, set under mu: the driver resumes no one
@@ -342,6 +350,7 @@ func (m *Machine) Run(bodies ...func(*Thread)) error {
 	s := m.sched
 	s.live = make([]*Thread, len(m.threads))
 	copy(s.live, m.threads)
+	sort.Slice(s.live, func(i, j int) bool { return precedes(s.live[i], s.live[j]) })
 	s.status = make([]threadStatus, len(m.threads))
 	if ctx := m.cfg.Context; ctx != nil && ctx.Err() != nil {
 		// A context canceled before Run is visible synchronously, so
@@ -395,22 +404,54 @@ func statusOf(t *Thread) threadStatus {
 	}
 }
 
-// pickNext orders the live threads by pending position (lastPub, ID)
-// and returns the first — the thread the canonical per-op schedule
-// runs next — and the second, which becomes the first's horizon (nil
-// when it runs alone). Both are nil when every thread has finished;
-// the error is the MaxCycles livelock, once even the first is past the
-// budget. Only the baton holder calls it.
-func (m *Machine) pickNext() (first, second *Thread, err error) {
-	for _, c := range m.sched.live { // ID order: strict < keeps ties by ID
-		switch {
-		case first == nil || c.lastPub < first.lastPub:
-			first, second = c, first
-		case second == nil || c.lastPub < second.lastPub:
-			second = c
-		}
+// precedes reports whether a's pending position (lastPub, ID) comes
+// before b's in the canonical order.
+func precedes(a, b *Thread) bool {
+	return a.lastPub < b.lastPub || (a.lastPub == b.lastPub && a.ID < b.ID)
+}
+
+// sink moves the baton holder, live[0], to its place in the live set
+// once its pending position has grown: past each thread whose position
+// precedes its own, stopping at the first that does not. The other
+// entries are already in order, so afterwards the whole set is.
+func (s *scheduler) sink() {
+	live := s.live
+	t := live[0]
+	i := 1
+	for ; i < len(live) && precedes(live[i], t); i++ {
+		live[i-1] = live[i]
 	}
-	if first != nil && m.cfg.MaxCycles > 0 && first.lastPub > m.cfg.MaxCycles {
+	live[i-1] = t
+}
+
+// raise moves sp, a thread behind the holder whose pending position
+// just shrank, forward to its place in the live set — never past the
+// holder, which keeps the first entry until it yields.
+func (s *scheduler) raise(sp *Thread) {
+	live := s.live
+	i := slices.Index(live, sp)
+	for ; i > 1 && precedes(sp, live[i-1]); i-- {
+		live[i] = live[i-1]
+	}
+	live[i] = sp
+}
+
+// pickNext returns the first two entries of the ordered live set: the
+// thread the canonical per-op schedule runs next, and the one whose
+// pending position becomes its horizon (nil when it runs alone). Both
+// are nil when every thread has finished; the error is the MaxCycles
+// livelock, once even the first is past the budget. Only the baton
+// holder calls it, after putting the set in order: yield sinks the
+// holder first, finish drops it.
+func (m *Machine) pickNext() (first, second *Thread, err error) {
+	live := m.sched.live
+	if len(live) == 0 {
+		return nil, nil, nil
+	}
+	if first = live[0]; len(live) > 1 {
+		second = live[1]
+	}
+	if m.cfg.MaxCycles > 0 && first.lastPub > m.cfg.MaxCycles {
 		return nil, nil, fmt.Errorf("machine: watchdog: slowest live thread passed MaxCycles=%d without completing (livelock?)\n%s",
 			m.cfg.MaxCycles, dumpStatus(m.sched.status, -1))
 	}
@@ -428,8 +469,10 @@ func (m *Machine) grant(t, h *Thread) {
 // writer's pending position: every spinner asleep on the line first
 // applies the skipped iterations whose loads precede that position —
 // they hit and read the old value — and resumes pending at its next
-// load, which observes the write. The writer, holding the baton, lowers
-// its own horizon to a woken spinner's position when that is smaller.
+// load, which observes the write. That position is no later than the
+// one it slept at, so the spinner rises in the live set; the writer,
+// holding the baton, takes it as its horizon when it lands right
+// behind.
 func (m *Machine) wakeSpinners(writer *Thread, line mem.Addr) {
 	s := m.sched
 	for set := s.sleeping; set != 0; set &= set - 1 {
@@ -439,16 +482,18 @@ func (m *Machine) wakeSpinners(writer *Thread, line mem.Addr) {
 		}
 		s.sleeping &^= 1 << uint(sp.ID)
 		sp.skipSpins(sp.spin.before(writer.lastPub, writer.ID, sp.ID))
-		if sp.lastPub < writer.hClock || (sp.lastPub == writer.hClock && sp.ID < writer.hID) {
-			writer.hClock, writer.hID = sp.lastPub, sp.ID
+		s.raise(sp)
+		if s.live[1] == sp {
+			writer.setHorizon(sp)
 		}
 	}
 }
 
 // setHorizon freezes h's pending position as t's horizon: no other live
-// thread's position can change while t holds the baton, so t passes
-// every gate whose position stays below it. A thread running alone (h
-// nil) gets a horizon no position reaches.
+// thread's position changes while t holds the baton, except a spinner's
+// that t wakes (see wakeSpinners), so t passes every gate whose position
+// stays below it. A thread running alone (h nil) gets a horizon no
+// position reaches.
 func (t *Thread) setHorizon(h *Thread) {
 	if h == nil {
 		t.hClock, t.hID = math.MaxUint64, math.MaxInt

@@ -310,6 +310,23 @@ func TestSpinWaitEquivalence(t *testing.T) {
 		requireSameRun(t, "StartSkew 0", got, oracle)
 	})
 
+	// Thirteen waiters on one lock, HTMBench's default of 14 threads:
+	// each release wakes every sleeper on the line at once, and each
+	// rises from the tail of the live set to its own place.
+	t.Run("14threads", func(t *testing.T) {
+		c := cfg(1, 512)
+		c.Threads = 14
+		oracle, _ := run(t, c, spinLockBodies(20))
+		for _, q := range []int{7, 0} {
+			c.Quantum = q
+			got, skipped := run(t, c, spinLockBodies(20))
+			requireSameRun(t, fmt.Sprintf("quantum %d", q), got, oracle)
+			if q == 0 && skipped == 0 {
+				t.Fatal("no spin iteration was fast-forwarded; the comparison is vacuous")
+			}
+		}
+	})
+
 	// One spinner and one writer, both starting at cycle 0: the
 	// spinner's first load misses (60 cycles) and its loads then sit at
 	// 62 + 6i; the writer releases the lock at cycle x. Sweeping x puts

@@ -183,12 +183,7 @@ func (t *Thread) finish(panicked any) {
 		t.emitRunSlice(t.clock)
 		t.flushTrace()
 	}
-	for i, c := range s.live {
-		if c == t {
-			s.live = append(s.live[:i], s.live[i+1:]...)
-			break
-		}
-	}
+	s.live = s.live[1:] // t holds the baton, so it is first
 	if s.stopped.Load() {
 		return
 	}
@@ -243,6 +238,7 @@ func (t *Thread) yield() {
 	if s.stopped.Load() {
 		t.park()
 	}
+	s.sink()
 	next, horizon, err := t.m.pickNext()
 	if err != nil {
 		s.mu.Lock()

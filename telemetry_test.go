@@ -10,11 +10,13 @@ package txsampler_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"txsampler"
+	"txsampler/internal/htm"
 	"txsampler/internal/profile"
 	"txsampler/internal/telemetry"
 	"txsampler/internal/viewer"
@@ -210,5 +212,52 @@ func TestDisabledTelemetryMatchesBaselineResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare.GroundTruth, traced.GroundTruth) {
 		t.Fatal("telemetry perturbed ground truth")
+	}
+}
+
+// TestSelfReportMatchesMachine is the self-report's ground-truth gate:
+// on 14-thread suite programs, run natively and profiled, each
+// deterministic machine counter that has a second source must equal
+// it — commits and aborts by cause against GroundTruth, the cycle
+// totals against the Result — and every sample the machine delivered
+// must reach the collector.
+func TestSelfReportMatchesMachine(t *testing.T) {
+	for _, name := range []string{"stamp/vacation", "synchro/linkedlist", "app/leveldb", "micro/false-sharing"} {
+		for _, profiled := range []bool{false, true} {
+			reg := telemetry.NewRegistry()
+			res, err := txsampler.Run(name, txsampler.Options{Seed: 1, Threads: 14, Profile: profiled, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s profiled=%v", name, profiled)
+			got := map[string]uint64{}
+			for _, mv := range reg.Snapshot(false) {
+				got[mv.Name] = mv.Value
+			}
+			check := func(metric string, want uint64) {
+				t.Helper()
+				if v, ok := got[metric]; !ok || v != want {
+					t.Errorf("%s: %s = %d (published %v), machine says %d", label, metric, v, ok, want)
+				}
+			}
+			g := res.GroundTruth
+			check("machine.commits", g.Commits)
+			if g.Aborts[htm.None] != 0 {
+				t.Errorf("%s: ground truth counts %d aborts without a cause", label, g.Aborts[htm.None])
+			}
+			for c := htm.None + 1; c < htm.NumCauses; c++ {
+				check("machine.aborts."+c.String(), g.Aborts[c])
+			}
+			check("machine.cycles.total", res.TotalCycles)
+			check("machine.cycles.elapsed", res.ElapsedCycles)
+			if !profiled {
+				check("machine.samples.delivered", 0)
+				continue
+			}
+			if got["machine.samples.delivered"] == 0 {
+				t.Errorf("%s: no sample delivered; the sample check is vacuous", label)
+			}
+			check("collector.samples.ingested", got["machine.samples.delivered"])
+		}
 	}
 }
