@@ -14,7 +14,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 
 	"txsampler"
 	"txsampler/internal/analyzer"
@@ -435,20 +434,4 @@ func MemOverhead(w io.Writer, threads int, seed int64) (maxPerThread int, err er
 	}
 	fmt.Fprintln(w, "  paper bound: < 5 MiB per thread")
 	return maxPerThread, nil
-}
-
-// SamplingRate verifies the paper's §6 guidance (50-200 samples per
-// thread per second, rescaled here to samples per run) by reporting
-// samples taken per thread for one workload at the default periods.
-func SamplingRate(w io.Writer, threads int, seed int64) error {
-	res, err := txsampler.Run("stamp/vacation", txsampler.Options{Threads: threads, Seed: seed, Profile: true, Hybrid: Hybrid, Context: Context})
-	if err != nil {
-		return err
-	}
-	var per []string
-	for _, t := range res.Report.PerThread {
-		per = append(per, fmt.Sprintf("%d", t.CommitSamples+t.AbortSamples))
-	}
-	fmt.Fprintf(w, "per-thread RTM samples: %s\n", strings.Join(per, " "))
-	return nil
 }

@@ -139,16 +139,6 @@ func TestMemOverheadUnderPaperBound(t *testing.T) {
 	}
 }
 
-func TestSamplingRatePrints(t *testing.T) {
-	var b strings.Builder
-	if err := SamplingRate(&b, 6, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "per-thread RTM samples") {
-		t.Error("missing sampling rate output")
-	}
-}
-
 func TestAccuracyComparisonRendering(t *testing.T) {
 	var b strings.Builder
 	if err := AccuracyComparison(&b, 6, 1); err != nil {

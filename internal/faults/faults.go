@@ -15,32 +15,33 @@ package faults
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"txsampler/internal/lbr"
 )
 
 // Plan configures the fault regimes. The zero value injects nothing.
-// All rates are per-decision-point probabilities in [0,1].
+// All rates are per-decision-point probabilities in [0,1]. Each
+// field's `fault` tag spells its key in the form ParsePlan reads and
+// String writes (see spell.go).
 type Plan struct {
 	// SpuriousAbortRate injects transient aborts into in-flight
 	// transactions, checked once per operation executed inside a
 	// transaction. They model real TSX's spurious aborts whose EAX
 	// status is completely clear (not even _XABORT_RETRY), yet which
 	// succeed when simply retried.
-	SpuriousAbortRate float64
+	SpuriousAbortRate float64 `fault:"spurious,rate"`
 
 	// SampleDropRate drops delivered PMU samples (the overflow and any
 	// transaction abort it caused still happen; only the sample data is
 	// lost), modelling dropped PMI records under buffer pressure.
-	SampleDropRate float64
+	SampleDropRate float64 `fault:"drop,rate"`
 	// CoalesceWindow, when non-zero, coalesces samples delivered within
 	// the window (in cycles) of the previous delivery on the same
 	// thread: the later sample is merged away, modelling interrupt
 	// coalescing under handler backpressure.
-	CoalesceWindow uint64
+	CoalesceWindow uint64 `fault:"coalesce,count"`
 
 	// LBR corruption regimes, checked once per sample delivery.
 	// LBRTruncateRate truncates the snapshot to a random shorter
@@ -48,22 +49,22 @@ type Plan struct {
 	// over the tail (stale records from a prior transaction);
 	// LBRClearAbortRate clears the abort bit on LBR[0], hiding the
 	// evidence the profiler's in-transaction classification needs.
-	LBRTruncateRate   float64
-	LBRStaleRate      float64
-	LBRClearAbortRate float64
+	LBRTruncateRate   float64 `fault:"lbr-trunc,rate"`
+	LBRStaleRate      float64 `fault:"lbr-stale,rate"`
+	LBRClearAbortRate float64 `fault:"lbr-noabort,rate"`
 
 	// StallRate preempts the thread for up to StallCycles cycles
 	// (uniform in [1, StallCycles]), checked once per operation —
 	// thread stalls and preemption bursts. StallCycles defaults to
 	// 5000 when a rate is set.
-	StallRate   float64
-	StallCycles uint64
+	StallRate   float64 `fault:"stall,rate"`
+	StallCycles uint64  `fault:"stall-cycles,count"`
 	// ClockSkewRate perturbs a delivered sample's timestamp by up to
 	// ±ClockSkewCycles cycles (default 2000), modelling cross-core TSC
 	// skew spikes. The thread's own clock is unaffected, so only
 	// time-keyed analyses (shadow-memory windows) observe the skew.
-	ClockSkewRate   float64
-	ClockSkewCycles uint64
+	ClockSkewRate   float64 `fault:"skew,rate"`
+	ClockSkewCycles uint64  `fault:"skew-cycles,count"`
 
 	// CrashWriteOffset, when non-zero, arms the crash-at-write-offset
 	// mode: the first profile database persisted after the run is torn
@@ -72,7 +73,7 @@ type Plan struct {
 	// the recovery paths to detect. It is a storage fault: it does not
 	// perturb the run itself and is excluded from Enabled and from
 	// campaign config hashes.
-	CrashWriteOffset uint64
+	CrashWriteOffset uint64 `fault:"crash-write,count"`
 
 	// PmemCrashPoint, when set, arms persistent-memory crash injection
 	// (the machine's pmem tier must be enabled): at each triggering
@@ -85,18 +86,18 @@ type Plan struct {
 	// commit; PmemCrashEvery fires at every Nth durable commit (a crash
 	// storm). With a point set and neither trigger, PmemCrashTx
 	// defaults to 1.
-	PmemCrashPoint string
-	PmemCrashTx    uint64
-	PmemCrashEvery uint64
+	PmemCrashPoint string `fault:"pmem-crash,name"`
+	PmemCrashTx    uint64 `fault:"pmem-crash-tx,count"`
+	PmemCrashEvery uint64 `fault:"pmem-crash-every,count"`
 
 	// Storms inject bursty correlated faults: every StormPeriod
 	// operations a storm runs for StormLength operations during which
 	// every rate above is multiplied by StormFactor (default 10,
 	// capped so probabilities stay <= 1). StormPeriod = 0 disables
 	// storms.
-	StormPeriod uint64
-	StormLength uint64
-	StormFactor float64
+	StormPeriod uint64  `fault:"storm-period,count"`
+	StormLength uint64  `fault:"storm-len,count"`
+	StormFactor float64 `fault:"storm-factor,factor"`
 }
 
 // The persistent-memory crash-point taxonomy (DESIGN.md §13): where in
@@ -151,30 +152,12 @@ func (p Plan) MachineOnly() Plan {
 	return p
 }
 
-// Validate checks that every rate is a probability and the storm
-// geometry is coherent.
+// Validate checks that every rate is a probability, the storm factor
+// is finite and non-negative, the storm geometry is coherent, and a
+// pmem crash point is a known one and set whenever a trigger is.
 func (p Plan) Validate() error {
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"spurious", p.SpuriousAbortRate},
-		{"drop", p.SampleDropRate},
-		{"lbr-trunc", p.LBRTruncateRate},
-		{"lbr-stale", p.LBRStaleRate},
-		{"lbr-noabort", p.LBRClearAbortRate},
-		{"stall", p.StallRate},
-		{"skew", p.ClockSkewRate},
-	}
-	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("faults: %s rate %g outside [0,1] (valid presets: %s)",
-				r.name, r.v, strings.Join(PresetNames(), ", "))
-		}
-	}
-	if p.StormFactor < 0 {
-		return fmt.Errorf("faults: storm factor %g negative (valid presets: %s)",
-			p.StormFactor, strings.Join(PresetNames(), ", "))
+	if err := checkRanges(p); err != nil {
+		return err
 	}
 	if p.StormPeriod > 0 && p.StormLength == 0 {
 		return fmt.Errorf("faults: storm period set but storm length is zero")
@@ -183,14 +166,7 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("faults: storm length %d exceeds period %d", p.StormLength, p.StormPeriod)
 	}
 	if p.PmemCrashPoint != "" {
-		valid := false
-		for _, pt := range PmemCrashPoints {
-			if p.PmemCrashPoint == pt {
-				valid = true
-				break
-			}
-		}
-		if !valid {
+		if !slices.Contains(PmemCrashPoints, p.PmemCrashPoint) {
 			return fmt.Errorf("faults: unknown pmem crash point %q (valid points: %s; valid presets: %s)",
 				p.PmemCrashPoint, strings.Join(PmemCrashPoints, ", "), strings.Join(PresetNames(), ", "))
 		}
@@ -222,42 +198,7 @@ func (p Plan) withDefaults() Plan {
 func (p Plan) WithDefaults() Plan { return p.withDefaults() }
 
 // String renders the plan in the key=value form ParsePlan accepts.
-func (p Plan) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	addU := func(k string, v uint64) {
-		if v > 0 {
-			parts = append(parts, k+"="+strconv.FormatUint(v, 10))
-		}
-	}
-	add("spurious", p.SpuriousAbortRate)
-	add("drop", p.SampleDropRate)
-	addU("coalesce", p.CoalesceWindow)
-	add("lbr-trunc", p.LBRTruncateRate)
-	add("lbr-stale", p.LBRStaleRate)
-	add("lbr-noabort", p.LBRClearAbortRate)
-	add("stall", p.StallRate)
-	addU("stall-cycles", p.StallCycles)
-	add("skew", p.ClockSkewRate)
-	addU("skew-cycles", p.ClockSkewCycles)
-	addU("crash-write", p.CrashWriteOffset)
-	if p.PmemCrashPoint != "" {
-		parts = append(parts, "pmem-crash="+p.PmemCrashPoint)
-	}
-	addU("pmem-crash-tx", p.PmemCrashTx)
-	addU("pmem-crash-every", p.PmemCrashEvery)
-	addU("storm-period", p.StormPeriod)
-	addU("storm-len", p.StormLength)
-	add("storm-factor", p.StormFactor)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p Plan) String() string { return spell(p) }
 
 // Presets name ready-made plans for the CLI and the chaos suite.
 var Presets = map[string]Plan{
@@ -299,92 +240,13 @@ func PmemPreset(name string) bool {
 }
 
 // PresetNames returns the preset names, sorted.
-func PresetNames() []string {
-	out := make([]string, 0, len(Presets))
-	for n := range Presets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func PresetNames() []string { return presetNames(Presets) }
 
 // ParsePlan parses a comma-separated key=value fault specification,
 // e.g. "spurious=0.01,drop=0.2,storm-period=4000,storm-len=400".
-// A bare preset name ("spurious", "drops", "lbr", "sched", "storm",
-// "all") or "none" is also accepted. The result is validated.
-func ParsePlan(s string) (Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
-		return Plan{}, nil
-	}
-	if p, ok := Presets[s]; ok {
-		return p, nil
-	}
-	var p Plan
-	for _, kv := range strings.Split(s, ",") {
-		key, val, found := strings.Cut(strings.TrimSpace(kv), "=")
-		if !found {
-			return Plan{}, fmt.Errorf("faults: %q is not key=value and not a preset (presets: %s)",
-				kv, strings.Join(PresetNames(), ", "))
-		}
-		fv, ferr := strconv.ParseFloat(val, 64)
-		uv, uerr := strconv.ParseUint(val, 10, 64)
-		switch key {
-		case "spurious":
-			p.SpuriousAbortRate = fv
-		case "drop":
-			p.SampleDropRate = fv
-		case "coalesce":
-			p.CoalesceWindow = uv
-			ferr = uerr
-		case "lbr-trunc":
-			p.LBRTruncateRate = fv
-		case "lbr-stale":
-			p.LBRStaleRate = fv
-		case "lbr-noabort":
-			p.LBRClearAbortRate = fv
-		case "stall":
-			p.StallRate = fv
-		case "stall-cycles":
-			p.StallCycles = uv
-			ferr = uerr
-		case "skew":
-			p.ClockSkewRate = fv
-		case "skew-cycles":
-			p.ClockSkewCycles = uv
-			ferr = uerr
-		case "crash-write":
-			p.CrashWriteOffset = uv
-			ferr = uerr
-		case "pmem-crash":
-			p.PmemCrashPoint = val
-			ferr = nil
-		case "pmem-crash-tx":
-			p.PmemCrashTx = uv
-			ferr = uerr
-		case "pmem-crash-every":
-			p.PmemCrashEvery = uv
-			ferr = uerr
-		case "storm-period":
-			p.StormPeriod = uv
-			ferr = uerr
-		case "storm-len":
-			p.StormLength = uv
-			ferr = uerr
-		case "storm-factor":
-			p.StormFactor = fv
-		default:
-			return Plan{}, fmt.Errorf("faults: unknown key %q", key)
-		}
-		if ferr != nil {
-			return Plan{}, fmt.Errorf("faults: bad value for %s: %q", key, val)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
-}
+// A bare preset name (see PresetNames) or "none" is also accepted.
+// The result is validated.
+func ParsePlan(s string) (Plan, error) { return parse(s, Presets) }
 
 // Stats counts the faults one injector actually delivered. The machine
 // aggregates per-thread stats into its fault report.
@@ -439,7 +301,7 @@ func (s Stats) Total() uint64 {
 // machine's deterministic total order.
 type Injector struct {
 	plan  Plan
-	rng   uint64 // xorshift64 state; never zero
+	rng   stream
 	ops   uint64 // operations seen, drives the storm phase
 	last  uint64 // clock of the last delivered (not dropped) sample
 	any   bool   // a sample was delivered before
@@ -458,36 +320,46 @@ func NewInjector(p Plan, seed uint64) *Injector {
 	if !p.perThread() {
 		return nil
 	}
-	rng := seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	if rng == 0 {
-		rng = 0x9e3779b97f4a7c15
-	}
-	return &Injector{plan: p, rng: rng}
+	return &Injector{plan: p, rng: newStream(seed)}
 }
 
-// next advances the xorshift64 PRNG.
-func (in *Injector) next() uint64 {
-	x := in.rng
+// stream is a seeded xorshift64 generator, the one source of both
+// injectors' decisions. Its state is never zero.
+type stream uint64
+
+func newStream(seed uint64) stream {
+	s := stream(seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
+	if s == 0 {
+		s = 0x9e3779b97f4a7c15
+	}
+	return s
+}
+
+// next advances the generator.
+func (s *stream) next() uint64 {
+	x := uint64(*s)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	in.rng = x
+	*s = stream(x)
 	return x
 }
 
-// chance returns true with probability p (scaled by the storm factor
-// when a storm is active).
-func (in *Injector) chance(p float64) bool {
+// chance returns true with probability p, drawing nothing when p <= 0.
+func (s *stream) chance(p float64) bool {
 	if p <= 0 {
 		return false
 	}
+	return float64(s.next()%1_000_000_000) < p*1_000_000_000
+}
+
+// chance returns true with probability p, scaled by the storm factor
+// (and capped at 1) when a storm is active.
+func (in *Injector) chance(p float64) bool {
 	if in.storming() {
-		p *= in.plan.StormFactor
-		if p > 1 {
-			p = 1
-		}
+		p = min(p*in.plan.StormFactor, 1)
 	}
-	return float64(in.next()%1_000_000_000) < p*1_000_000_000
+	return in.rng.chance(p)
 }
 
 // storming reports whether the current operation falls in a storm
@@ -522,7 +394,7 @@ func (in *Injector) Stall() uint64 {
 	if in.plan.StallCycles == 0 || !in.chance(in.plan.StallRate) {
 		return 0
 	}
-	n := in.next()%in.plan.StallCycles + 1
+	n := in.rng.next()%in.plan.StallCycles + 1
 	in.Stats.Stalls++
 	in.Stats.StallCycles += n
 	return n
@@ -552,7 +424,7 @@ func (in *Injector) SkewTime(now uint64) uint64 {
 		return now
 	}
 	in.Stats.ClockSkews++
-	d := in.next() % (2*in.plan.ClockSkewCycles + 1)
+	d := in.rng.next() % (2*in.plan.ClockSkewCycles + 1)
 	skewed := now + d
 	if skewed < in.plan.ClockSkewCycles {
 		return 0
@@ -570,7 +442,7 @@ func (in *Injector) CorruptLBR(snapshot []lbr.Entry) []lbr.Entry {
 		in.Stats.ClearedAbortBits++
 	}
 	if len(snapshot) > 1 && in.chance(in.plan.LBRTruncateRate) {
-		keep := int(in.next()%uint64(len(snapshot)-1)) + 1
+		keep := int(in.rng.next()%uint64(len(snapshot)-1)) + 1
 		snapshot = snapshot[:keep]
 		in.Stats.TruncatedLBRs++
 	}
@@ -578,7 +450,7 @@ func (in *Injector) CorruptLBR(snapshot []lbr.Entry) []lbr.Entry {
 		// Splice stale history over the tail: entries from an earlier
 		// snapshot appear beyond a random split point, exactly the
 		// misaligned window a late LBR freeze produces.
-		at := int(in.next()%uint64(len(snapshot)-1)) + 1
+		at := int(in.rng.next()%uint64(len(snapshot)-1)) + 1
 		n := copy(snapshot[at:], in.stale)
 		snapshot = snapshot[:at+n]
 		in.Stats.StaleLBRs++

@@ -15,9 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -35,31 +32,33 @@ var (
 
 // NetPlan configures the network fault regimes. The zero value
 // injects nothing. All rates are per-request probabilities in [0,1].
+// Each field's `fault` tag spells its key in the form ParseNetPlan
+// reads and String writes (see spell.go).
 type NetPlan struct {
 	// LatencyRate delays a request before it is forwarded, by a
 	// uniform 1..LatencyMaxMS milliseconds (default 50). Latency is
 	// the benign regime: it exercises deadlines and pacing without
 	// losing anything.
-	LatencyRate  float64
-	LatencyMaxMS uint64
+	LatencyRate  float64 `fault:"latency,rate"`
+	LatencyMaxMS uint64  `fault:"latency-ms,count"`
 
 	// DropRate makes the request vanish: the server never sees it and
 	// the client gets ErrNetDrop, as for a refused connection or a
 	// black-holed packet. Retries are the only remedy.
-	DropRate float64
+	DropRate float64 `fault:"net-drop,rate"`
 
 	// DupRate delivers the request twice (a retransmit whose original
 	// also arrived). The client sees the second response. Duplicates
 	// are the regime idempotency keys exist for: without dedup the
 	// server double-counts.
-	DupRate float64
+	DupRate float64 `fault:"dup,rate"`
 
 	// ResetRate tears the connection mid-body: the server receives a
 	// truncated request (its framed-payload integrity check fails)
 	// and the client gets ErrNetReset without knowing how much
 	// arrived — the ambiguous-outcome case that forces
 	// acknowledged-only-once semantics.
-	ResetRate float64
+	ResetRate float64 `fault:"reset,rate"`
 }
 
 // Enabled reports whether the plan injects anything.
@@ -68,23 +67,7 @@ func (p NetPlan) Enabled() bool {
 }
 
 // Validate checks that every rate is a probability.
-func (p NetPlan) Validate() error {
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"latency", p.LatencyRate},
-		{"net-drop", p.DropRate},
-		{"dup", p.DupRate},
-		{"reset", p.ResetRate},
-	}
-	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("faults: %s rate %g outside [0,1]", r.name, r.v)
-		}
-	}
-	return nil
-}
+func (p NetPlan) Validate() error { return checkRanges(p) }
 
 func (p NetPlan) withDefaults() NetPlan {
 	if p.LatencyRate > 0 && p.LatencyMaxMS == 0 {
@@ -94,25 +77,7 @@ func (p NetPlan) withDefaults() NetPlan {
 }
 
 // String renders the plan in the key=value form ParseNetPlan accepts.
-func (p NetPlan) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	add("latency", p.LatencyRate)
-	if p.LatencyMaxMS > 0 {
-		parts = append(parts, "latency-ms="+strconv.FormatUint(p.LatencyMaxMS, 10))
-	}
-	add("net-drop", p.DropRate)
-	add("dup", p.DupRate)
-	add("reset", p.ResetRate)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (p NetPlan) String() string { return spell(p) }
 
 // NetPresets name ready-made network fault plans for the CLI and the
 // chaos suite.
@@ -123,60 +88,13 @@ var NetPresets = map[string]NetPlan{
 }
 
 // NetPresetNames returns the preset names, sorted.
-func NetPresetNames() []string {
-	out := make([]string, 0, len(NetPresets))
-	for n := range NetPresets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func NetPresetNames() []string { return presetNames(NetPresets) }
 
 // ParseNetPlan parses a comma-separated key=value network fault
 // specification, e.g. "net-drop=0.1,dup=0.05,reset=0.02". A bare
 // preset name ("slow", "lossy", "chaos") or "none" is also accepted.
 // The result is validated.
-func ParseNetPlan(s string) (NetPlan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
-		return NetPlan{}, nil
-	}
-	if p, ok := NetPresets[s]; ok {
-		return p, nil
-	}
-	var p NetPlan
-	for _, kv := range strings.Split(s, ",") {
-		key, val, found := strings.Cut(strings.TrimSpace(kv), "=")
-		if !found {
-			return NetPlan{}, fmt.Errorf("faults: %q is not key=value and not a preset (presets: %s)",
-				kv, strings.Join(NetPresetNames(), ", "))
-		}
-		fv, ferr := strconv.ParseFloat(val, 64)
-		uv, uerr := strconv.ParseUint(val, 10, 64)
-		switch key {
-		case "latency":
-			p.LatencyRate = fv
-		case "latency-ms":
-			p.LatencyMaxMS = uv
-			ferr = uerr
-		case "net-drop":
-			p.DropRate = fv
-		case "dup":
-			p.DupRate = fv
-		case "reset":
-			p.ResetRate = fv
-		default:
-			return NetPlan{}, fmt.Errorf("faults: unknown network fault key %q", key)
-		}
-		if ferr != nil {
-			return NetPlan{}, fmt.Errorf("faults: bad value for %s: %q", key, val)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return NetPlan{}, err
-	}
-	return p, nil
-}
+func ParseNetPlan(s string) (NetPlan, error) { return parse(s, NetPresets) }
 
 // NetStats counts the network faults one injector delivered.
 type NetStats struct {
@@ -212,7 +130,7 @@ type NetDecision struct {
 type NetInjector struct {
 	mu    sync.Mutex
 	plan  NetPlan
-	rng   uint64 // xorshift64 state; never zero
+	rng   stream
 	Stats NetStats
 }
 
@@ -224,27 +142,7 @@ func NewNetInjector(p NetPlan, seed uint64) *NetInjector {
 	if !p.Enabled() {
 		return nil
 	}
-	rng := seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	if rng == 0 {
-		rng = 0x9e3779b97f4a7c15
-	}
-	return &NetInjector{plan: p, rng: rng}
-}
-
-func (in *NetInjector) next() uint64 {
-	x := in.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	in.rng = x
-	return x
-}
-
-func (in *NetInjector) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return float64(in.next()%1_000_000_000) < p*1_000_000_000
+	return &NetInjector{plan: p, rng: newStream(seed)}
 }
 
 // Decide draws the fate of the next request. Drop wins over
@@ -254,15 +152,15 @@ func (in *NetInjector) Decide() NetDecision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var d NetDecision
-	if in.chance(in.plan.LatencyRate) {
-		ms := in.next()%in.plan.LatencyMaxMS + 1
+	if in.rng.chance(in.plan.LatencyRate) {
+		ms := in.rng.next()%in.plan.LatencyMaxMS + 1
 		d.Delay = time.Duration(ms) * time.Millisecond
 		in.Stats.Delayed++
 		in.Stats.DelayedMS += ms
 	}
-	drop := in.chance(in.plan.DropRate)
-	reset := in.chance(in.plan.ResetRate)
-	dup := in.chance(in.plan.DupRate)
+	drop := in.rng.chance(in.plan.DropRate)
+	reset := in.rng.chance(in.plan.ResetRate)
+	dup := in.rng.chance(in.plan.DupRate)
 	switch {
 	case drop:
 		d.Drop = true

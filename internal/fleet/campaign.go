@@ -44,10 +44,6 @@ type FleetConfig struct {
 	// Hybrid selects the slow-path execution mode of every workload
 	// lock.
 	Hybrid machine.HybridPolicy
-	// Retries and Backoff shape each uploader's retry policy
-	// (defaults: 5 attempts from a 50ms base).
-	Retries int
-	Backoff time.Duration
 	// ShardTimeout bounds each upload attempt.
 	ShardTimeout time.Duration
 	// Context cancels the campaign: the profiled runs stop at a
@@ -57,6 +53,14 @@ type FleetConfig struct {
 	Metrics *telemetry.Registry
 	Log     io.Writer
 }
+
+// Each uploader makes up to uploadAttempts attempts per shard, backing
+// off from uploadBackoff, behind a breaker that opens after as many
+// consecutive failures for as long.
+const (
+	uploadAttempts = 5
+	uploadBackoff  = 50 * time.Millisecond
+)
 
 // FleetReport summarizes a fleet campaign.
 type FleetReport struct {
@@ -83,14 +87,11 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("fleet: no workloads configured")
 	}
+	if err := cfg.Net.Validate(); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 5
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
 	}
 	ctx := cfg.Context
 	if ctx == nil {
@@ -143,12 +144,12 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			BaseURL: cfg.BaseURL,
 			Client:  &http.Client{Transport: transport},
 			Policy: retry.Policy{
-				MaxAttempts: cfg.Retries,
-				BaseDelay:   cfg.Backoff,
+				MaxAttempts: uploadAttempts,
+				BaseDelay:   uploadBackoff,
 				Jitter:      0.2,
 				Rand:        retry.SeededRand(cfg.Seed ^ int64(node+1)),
 			},
-			Breaker:      &retry.Breaker{Threshold: cfg.Retries, Cooldown: cfg.Backoff},
+			Breaker:      &retry.Breaker{Threshold: uploadAttempts, Cooldown: uploadBackoff},
 			ShardTimeout: cfg.ShardTimeout,
 			Metrics:      cfg.Metrics,
 		}

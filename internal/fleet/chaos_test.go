@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -188,8 +189,6 @@ func TestRunFleetEndToEnd(t *testing.T) {
 		Workloads: []string{"micro/low-abort"},
 		Seed:      7,
 		Net:       faults.NetPlan{DropRate: 0.2, DupRate: 0.1, ResetRate: 0.1},
-		Retries:   8,
-		Backoff:   time.Millisecond,
 	}
 	rep, err := RunFleet(cfg)
 	if err != nil {
@@ -228,6 +227,9 @@ func TestRunFleetEndToEnd(t *testing.T) {
 	if _, err := RunFleet(FleetConfig{BaseURL: ts.URL, Workloads: []string{"no/such-workload"}}); err == nil {
 		t.Error("RunFleet with unknown workload succeeded")
 	}
+	if _, err := RunFleet(FleetConfig{BaseURL: ts.URL, Workloads: cfg.Workloads, Net: faults.NetPlan{DropRate: math.NaN()}}); err == nil {
+		t.Error("RunFleet with a NaN network drop rate succeeded")
+	}
 }
 
 // TestRunFleetQuantumIsNotIdentity: profiles are invariant to the
@@ -241,7 +243,6 @@ func TestRunFleetQuantumIsNotIdentity(t *testing.T) {
 		Nodes:     2,
 		Workloads: []string{"micro/low-abort"},
 		Seed:      7,
-		Backoff:   time.Millisecond,
 	}
 	rep, err := RunFleet(cfg)
 	if err != nil || rep.Failed != 0 || rep.Accepted != 2 {
@@ -276,7 +277,6 @@ func TestRunFleetReturnsCancellation(t *testing.T) {
 		Nodes:     2,
 		Workloads: []string{"micro/low-abort"},
 		Seed:      7,
-		Backoff:   time.Millisecond,
 		Context:   ctx,
 	})
 	if !errors.Is(err, stopped) || rep == nil || rep.Shards != 2 {

@@ -118,8 +118,8 @@ func BenchmarkSchedulerOpsPerSec(b *testing.B) {
 // BenchmarkTelemetryOverhead bounds what the telemetry hooks cost the
 // scheduler hot path on the gated workload. "off" is the shipping
 // default — a nil tracer, one predictable branch per instrumentation
-// site; "on" records run slices and flushes trace batches at every
-// handoff, and is expected to stay within ~2x of "off".
+// site; "on" records every run slice in the ring, and is expected to
+// stay within ~2x of "off".
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		benchOps(b, Config{Threads: 8}, gated)

@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ElisionMode selects whether lock-shaped critical sections
 // (rtm.ElidedLock) speculate through the TM runtime instead of
@@ -41,22 +38,3 @@ func (e ElisionMode) String() string {
 
 // Valid reports whether e is a defined mode.
 func (e ElisionMode) Valid() bool { return e >= 0 && e < numElisionModes }
-
-// ElisionModes lists every defined mode in flag spelling, for CLI
-// usage strings.
-func ElisionModes() []string {
-	out := make([]string, len(elisionNames))
-	copy(out, elisionNames[:])
-	return out
-}
-
-// ParseElisionMode parses a flag spelling ("off", "on").
-func ParseElisionMode(s string) (ElisionMode, error) {
-	for i, name := range elisionNames {
-		if s == name {
-			return ElisionMode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("machine: unknown elision mode %q (want one of %s)",
-		s, strings.Join(ElisionModes(), ", "))
-}

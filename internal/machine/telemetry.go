@@ -35,39 +35,11 @@ var pmiEventNames = func() [pmu.NumEvents]string {
 	return names
 }()
 
-// Tracer returns the tracer the machine was configured with, or nil.
-// Runtime libraries layered on the machine (e.g. internal/rtm) use it
-// to put their own spans on the same virtual timeline.
-func (m *Machine) Tracer() *telemetry.Tracer { return m.cfg.Trace }
-
-// traceBatchSize is the per-thread trace-event buffer capacity: big
-// enough to amortize the ring mutex across a quantum, small enough
-// that flushes stay cache-resident.
-const traceBatchSize = 256
-
-// TraceEvent records ev on the machine's virtual timeline through the
-// thread's local batch, flushing to the tracer ring when the batch
-// fills (and at scheduler handoffs). Runtime libraries layered on the
-// machine (e.g. internal/rtm) use it instead of Tracer().Emit so
-// their spans ride the same amortized path. No-op when tracing is
-// disabled.
-func (t *Thread) TraceEvent(ev telemetry.Event) {
-	if t.evBatch == nil {
-		return
-	}
-	t.evBatch = append(t.evBatch, ev)
-	if len(t.evBatch) == cap(t.evBatch) {
-		t.flushTrace()
-	}
-}
-
-// flushTrace drains the thread's trace batch into the tracer ring.
-func (t *Thread) flushTrace() {
-	if len(t.evBatch) > 0 {
-		t.m.cfg.Trace.EmitBatch(t.evBatch)
-		t.evBatch = t.evBatch[:0]
-	}
-}
+// TraceEvent records ev on the machine's virtual timeline. Runtime
+// libraries layered on the machine (e.g. internal/rtm) use it to put
+// their own spans there. Only the baton holder runs, so the ring
+// receives events in emission order. No-op when tracing is disabled.
+func (t *Thread) TraceEvent(ev telemetry.Event) { t.m.cfg.Trace.Emit(ev) }
 
 // emitRunSlice records t's current run slice as ending at clock end;
 // called at slice-ending gate passes and at thread completion.

@@ -119,11 +119,6 @@ type Thread struct {
 	lbrScratch    []lbr.Entry
 	truthScratch  []lbr.IP
 	stackScratch  []lbr.IP
-
-	// evBatch buffers this thread's trace events between flushes so
-	// the tracer's ring mutex is taken once per batch, not per event.
-	// Nil when tracing is disabled.
-	evBatch []telemetry.Event
 }
 
 func newThread(m *Machine, id int) *Thread {
@@ -137,9 +132,6 @@ func newThread(m *Machine, id int) *Thread {
 		maxCycles: m.cfg.MaxCycles,
 	}
 	t.counters.SetPeriods(m.cfg.Periods)
-	if m.cfg.Trace != nil {
-		t.evBatch = make([]telemetry.Event, 0, traceBatchSize)
-	}
 	t.inj = faults.NewInjector(m.cfg.Faults, uint64(m.cfg.Seed)*64+uint64(id)+1)
 	if m.cfg.StartSkew > 0 {
 		// Sampling-period jitter accompanies start skew: both break
@@ -179,10 +171,7 @@ func (t *Thread) finish(panicked any) {
 	st.done = true
 	s.status[t.ID] = st
 	s.progress.Add(1)
-	if t.m.cfg.Trace != nil {
-		t.emitRunSlice(t.clock)
-		t.flushTrace()
-	}
+	t.emitRunSlice(t.clock)
 	s.live = s.live[1:] // t holds the baton, so it is first
 	if s.stopped.Load() {
 		return
@@ -251,7 +240,6 @@ func (t *Thread) yield() {
 		return
 	}
 	t.handoffs++
-	t.flushTrace() // hand off with an empty batch: ring stays near-ordered
 	t.m.grant(next, horizon)
 	if !t.suspend(struct{}{}) {
 		// The machine stopped while t waited: returning would run the
@@ -264,7 +252,6 @@ func (t *Thread) yield() {
 // resumes no one and stops every coroutine, and t unwinds to finish.
 // Never returns.
 func (t *Thread) park() {
-	t.flushTrace() // retire buffered trace events before unwinding
 	t.suspend(struct{}{})
 	panic(stopSentinel{})
 }

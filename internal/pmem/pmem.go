@@ -133,9 +133,6 @@ func (d *Domain) Track(base mem.Addr, words int) {
 	}
 }
 
-// Tracked reports whether the line containing a is durable.
-func (d *Domain) Tracked(a mem.Addr) bool { return d.tracked[a.Line()] }
-
 // Sync copies the tracked regions' current volatile contents into the
 // persist image — the machine calls it once at run start, after the
 // workload's build-time initialization stores.

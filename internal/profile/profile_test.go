@@ -10,6 +10,7 @@ import (
 
 	"txsampler/internal/analyzer"
 	"txsampler/internal/core"
+	"txsampler/internal/faults"
 	"txsampler/internal/htm"
 	"txsampler/internal/lbr"
 	"txsampler/internal/machine"
@@ -154,5 +155,86 @@ func TestQuickTreeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigHashMatchesRecorded pins ConfigHash, the key of every
+// campaign journal entry and fleet upload, to recorded values for the
+// zero plan, a plan setting every key, and each preset, under every
+// hybrid policy: a journal written earlier must resume with its shards
+// skipped.
+func TestConfigHashMatchesRecorded(t *testing.T) {
+	want := map[string]string{
+		"none lock-only":                      "05475f6487ca33ec",
+		"none stm-fallback":                   "939d9a54fa677c41",
+		"none serialize-on-conflict":          "c2c3326e3b4ea58f",
+		"none sandboxed":                      "1cb758751aa69376",
+		"full lock-only":                      "89ea2e0bd704c151",
+		"full stm-fallback":                   "fd8bf805b8d3779e",
+		"full serialize-on-conflict":          "28ece975be3b133a",
+		"full sandboxed":                      "e9601efa59b564ab",
+		"all lock-only":                       "cb41fefc3036b3c4",
+		"all stm-fallback":                    "73fa5ddf69f87a99",
+		"all serialize-on-conflict":           "04266caa1bcfce07",
+		"all sandboxed":                       "bdca3a84c56ff29e",
+		"crash-mid-log lock-only":             "629613140910b872",
+		"crash-mid-log stm-fallback":          "416cd3b037fe060b",
+		"crash-mid-log serialize-on-conflict": "b20fec327c0d8231",
+		"crash-mid-log sandboxed":             "41cdd5ac21f1ba10",
+		"drops lock-only":                     "581bee81db2f822a",
+		"drops stm-fallback":                  "7433b8205181d283",
+		"drops serialize-on-conflict":         "a0cdba955527c0e9",
+		"drops sandboxed":                     "2526b3c56c02a9b8",
+		"elide-storm lock-only":               "8b5c741992ab29e0",
+		"elide-storm stm-fallback":            "38f14d81f0f1888d",
+		"elide-storm serialize-on-conflict":   "f2ad4e854e0628f3",
+		"elide-storm sandboxed":               "bcc59687a9099e62",
+		"lbr lock-only":                       "77562892f03e483b",
+		"lbr stm-fallback":                    "4c3b2230a0cdf7c4",
+		"lbr serialize-on-conflict":           "0ce83a7406056fd8",
+		"lbr sandboxed":                       "1bc52951a7fa45e1",
+		"sched lock-only":                     "b27d53fae0bf5a65",
+		"sched stm-fallback":                  "43c46560cd3e338a",
+		"sched serialize-on-conflict":         "ab5f92ab368bf18e",
+		"sched sandboxed":                     "c84b120916e613a7",
+		"spurious lock-only":                  "740ffabdb1d9716a",
+		"spurious stm-fallback":               "92a57ba0f0e248c3",
+		"spurious serialize-on-conflict":      "d8718f6d76153aa9",
+		"spurious sandboxed":                  "43298b43b7b0d778",
+		"storm lock-only":                     "a3a1e1d421fa662f",
+		"storm stm-fallback":                  "6e286aa7677ec5d0",
+		"storm serialize-on-conflict":         "c93718478263496c",
+		"storm sandboxed":                     "2ee4bfb1cce1d5cd",
+		"torn-flush lock-only":                "f51e3144844aa3d5",
+		"torn-flush stm-fallback":             "d2b02d20f3886b7a",
+		"torn-flush serialize-on-conflict":    "c2772234807b059e",
+		"torn-flush sandboxed":                "db34beeb0dd3ebb7",
+	}
+	plans := map[string]faults.Plan{
+		"none": {},
+		"full": {
+			SpuriousAbortRate: 1e-05, SampleDropRate: 0.2, CoalesceWindow: 400,
+			LBRTruncateRate: 0.125, LBRStaleRate: 0.05, LBRClearAbortRate: 0.05,
+			StallRate: 0.002, StallCycles: 4000, ClockSkewRate: 0.05, ClockSkewCycles: 1500,
+			CrashWriteOffset: 4096,
+			PmemCrashPoint:   faults.PmemCrashMidLog, PmemCrashTx: 3, PmemCrashEvery: 5,
+			StormPeriod: 4000, StormLength: 400, StormFactor: 2.5,
+		},
+	}
+	for name, p := range faults.Presets {
+		plans[name] = p
+	}
+	checked := 0
+	for name, p := range plans {
+		for h := machine.HybridPolicy(0); h.Valid(); h++ {
+			key := name + " " + h.String()
+			if got := ConfigHash(p, h); got != want[key] {
+				t.Errorf("ConfigHash(%s) = %s, recorded %q", key, got, want[key])
+			}
+			checked++
+		}
+	}
+	if checked != len(want) {
+		t.Errorf("checked %d plan and policy pairs, %d recorded", checked, len(want))
 	}
 }

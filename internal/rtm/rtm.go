@@ -239,7 +239,7 @@ const (
 type Stats struct {
 	Commits   uint64
 	Fallbacks uint64
-	Aborts    map[htm.Cause]uint64
+	Aborts    [htm.NumCauses]uint64
 	LockBusy  uint64 // explicit aborts because the lock was held
 
 	// Hybrid-TM accounting (zero unless Lock.Hybrid enables the STM
@@ -374,7 +374,6 @@ func NewLock(m *machine.Machine) *Lock {
 		Addr:           m.Mem.AllocLines(1),
 		Policy:         DefaultPolicy(),
 		Hybrid:         m.Config().Hybrid,
-		Stats:          Stats{Aborts: make(map[htm.Cause]uint64)},
 		overheadCycles: 25,
 	}
 	l.stm.init(l.Addr)

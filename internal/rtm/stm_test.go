@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"txsampler/internal/htm"
 	"txsampler/internal/machine"
 	"txsampler/internal/mem"
 )
@@ -307,7 +306,7 @@ func TestLockStateResetsAcrossRuns(t *testing.T) {
 	if got := m2.Mem.AllocLines(1); got != l.Addr {
 		t.Fatalf("allocator mismatch: %v vs %v", got, l.Addr)
 	}
-	l.Stats = Stats{Aborts: make(map[htm.Cause]uint64)}
+	l.Stats = Stats{}
 	if err := m2.RunAll(func(th *machine.Thread) {
 		l.Run(th, forceSlowPath(th, func() { th.Store(a, 2) }))
 	}); err != nil {

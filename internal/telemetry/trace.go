@@ -101,25 +101,6 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	t.emitLocked(ev)
-	t.mu.Unlock()
-}
-
-// EmitBatch records a batch of events under one lock acquisition —
-// the bulk path instrumented threads use to amortize the ring mutex
-// across a whole quantum of buffered events.
-func (t *Tracer) EmitBatch(evs []Event) {
-	if t == nil || len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	for _, ev := range evs {
-		t.emitLocked(ev)
-	}
-	t.mu.Unlock()
-}
-
-func (t *Tracer) emitLocked(ev Event) {
 	if !t.full && len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 	} else {
@@ -131,6 +112,7 @@ func (t *Tracer) emitLocked(ev Event) {
 		}
 		t.dropped++
 	}
+	t.mu.Unlock()
 }
 
 // BeginPhase opens a named phase span on the analyzer track,
@@ -252,8 +234,7 @@ func (e Event) chromeName() string {
 // JSON (the format chrome://tracing and Perfetto load). Events are
 // stably ordered by (timestamp, track, thread) before encoding, so
 // the output is a pure function of the buffered event multiset —
-// byte-identical no matter how per-thread batches interleaved in the
-// ring.
+// byte-identical no matter in which order threads emitted them.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
 	sort.SliceStable(events, func(i, j int) bool {
