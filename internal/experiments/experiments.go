@@ -384,10 +384,11 @@ func AccuracyComparison(w io.Writer, threads int, seed int64) error {
 }
 
 // TSXProfComparison runs the record-and-replay baseline (§9) against
-// TxSampler's single-pass overhead on representative workloads.
+// TxSampler's single-pass overhead on representative workloads, all
+// under the package's Hybrid policy.
 func TSXProfComparison(w io.Writer, threads int, seed int64) error {
 	names := []string{"stamp/vacation", "synchro/linkedlist", "parsec/dedup", "micro/true-sharing"}
-	return tsxprof.Compare(w, names, threads, seed, func(name string) (float64, error) {
+	return tsxprof.Compare(w, names, threads, seed, Hybrid, func(name string) (float64, error) {
 		row, err := overheadRow(name, threads, seed)
 		if err != nil {
 			return 0, err

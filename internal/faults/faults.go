@@ -40,8 +40,9 @@ type Plan struct {
 	// CoalesceWindow, when non-zero, coalesces samples delivered within
 	// the window (in cycles) of the previous delivery on the same
 	// thread: the later sample is merged away, modelling interrupt
-	// coalescing under handler backpressure.
-	CoalesceWindow uint64 `fault:"coalesce,count"`
+	// coalescing under handler backpressure. It is the one count that
+	// turns injection on by itself.
+	CoalesceWindow uint64 `fault:"coalesce,count,enables"`
 
 	// LBR corruption regimes, checked once per sample delivery.
 	// LBRTruncateRate truncates the snapshot to a random shorter
@@ -129,13 +130,9 @@ var PmemCrashPoints = []string{
 func (p Plan) Enabled() bool { return p.perThread() || p.PmemArmed() }
 
 // perThread reports whether the plan sets a regime the per-thread
-// Injector injects: any but the pmem crash point, which the machine's
-// pmem tier injects.
-func (p Plan) perThread() bool {
-	return p.SpuriousAbortRate > 0 || p.SampleDropRate > 0 || p.CoalesceWindow > 0 ||
-		p.LBRTruncateRate > 0 || p.LBRStaleRate > 0 || p.LBRClearAbortRate > 0 ||
-		p.StallRate > 0 || p.ClockSkewRate > 0
-}
+// Injector injects (a rate or the coalesce window; see spell.go): any
+// but the pmem crash point, which the machine's pmem tier injects.
+func (p Plan) perThread() bool { return injects(p) }
 
 // PmemArmed reports whether the plan injects persistent-memory
 // crashes. The pmem crash machinery lives in the machine's pmem tier,

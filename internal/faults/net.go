@@ -61,10 +61,9 @@ type NetPlan struct {
 	ResetRate float64 `fault:"reset,rate"`
 }
 
-// Enabled reports whether the plan injects anything.
-func (p NetPlan) Enabled() bool {
-	return p.LatencyRate > 0 || p.DropRate > 0 || p.DupRate > 0 || p.ResetRate > 0
-}
+// Enabled reports whether the plan injects anything: whether it sets
+// a rate (see spell.go).
+func (p NetPlan) Enabled() bool { return injects(p) }
 
 // Validate checks that every rate is a probability.
 func (p NetPlan) Validate() error { return checkRanges(p) }
@@ -103,6 +102,16 @@ type NetStats struct {
 	Dropped    uint64 `json:"dropped,omitempty"`
 	Duplicated uint64 `json:"duplicated,omitempty"`
 	Resets     uint64 `json:"resets,omitempty"`
+}
+
+// Merge accumulates src into s, as Stats.Merge does for the
+// machine-side counters.
+func (s *NetStats) Merge(src NetStats) {
+	s.Delayed += src.Delayed
+	s.DelayedMS += src.DelayedMS
+	s.Dropped += src.Dropped
+	s.Duplicated += src.Duplicated
+	s.Resets += src.Resets
 }
 
 // Total returns the number of injected loss-class faults (latency is

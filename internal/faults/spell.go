@@ -1,13 +1,17 @@
 package faults
 
 // Plan spellings. Every key of Plan and NetPlan is declared once, as a
-// `fault:"key,kind"` tag on its field, and one parse, format and range
-// check over those tags serves both plans. The kinds:
+// `fault:"key,kind"` tag on its field, and one parse, format, range
+// check and enablement test over those tags serves both plans. The
+// kinds:
 //
 //	rate    float64 probability, in [0,1]
 //	factor  float64 multiplier, finite and >= 0
 //	count   uint64
 //	name    string
+//
+// Any rate above zero turns a plan's injector on, and so does a
+// non-zero count tagged `fault:"key,count,enables"`; no other key does.
 //
 // String writes the keys in field order and omits a key whose value is
 // zero (for a float, not above zero), so the zero plan prints "none".
@@ -28,6 +32,7 @@ import (
 // key is one tagged field of a plan struct.
 type key struct {
 	name, kind string
+	enables    bool // a count whose non-zero value turns injection on
 	field      int
 }
 
@@ -44,8 +49,9 @@ func keysOf(t reflect.Type) []key {
 	var keys []key
 	for i := 0; i < t.NumField(); i++ {
 		if tag, ok := t.Field(i).Tag.Lookup("fault"); ok {
-			name, kind, _ := strings.Cut(tag, ",")
-			keys = append(keys, key{name: name, kind: kind, field: i})
+			name, rest, _ := strings.Cut(tag, ",")
+			kind, opt, _ := strings.Cut(rest, ",")
+			keys = append(keys, key{name: name, kind: kind, enables: opt == "enables", field: i})
 		}
 	}
 	return keys
@@ -144,6 +150,20 @@ func checkRanges(plan any) error {
 		}
 	}
 	return nil
+}
+
+// injects reports whether plan, a Plan or NetPlan, sets a key that
+// turns its injector on: a rate above zero or a non-zero enabling
+// count.
+func injects(plan any) bool {
+	v := reflect.ValueOf(plan)
+	for _, k := range tagged[v.Type()] {
+		f := v.Field(k.field)
+		if k.kind == "rate" && f.Float() > 0 || k.enables && f.Uint() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // presetNames returns the names of a preset table, sorted.

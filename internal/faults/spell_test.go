@@ -141,3 +141,48 @@ func roundTrip[P interface {
 		t.Fatalf("%q parsed to %+v, its spelling %q to %+v", s, p, p.String(), back)
 	}
 }
+
+// TestRatesEnableInjectors: the tags alone decide which keys turn an
+// injector on. A plan setting only one key, by reflection past the
+// parser's cross-key rules, gets a non-nil injector exactly when that
+// key is a rate or the coalesce window.
+func TestRatesEnableInjectors(t *testing.T) {
+	set := func(f reflect.Value, kind string) {
+		switch kind {
+		case "rate":
+			f.SetFloat(0.5)
+		case "factor":
+			f.SetFloat(2)
+		case "count":
+			f.SetUint(7)
+		case "name":
+			f.SetString(PmemCrashMidLog)
+		}
+	}
+	rates := 0
+	for _, k := range tagged[reflect.TypeFor[Plan]()] {
+		var p Plan
+		set(reflect.ValueOf(&p).Elem().Field(k.field), k.kind)
+		want := k.kind == "rate" || k.name == "coalesce"
+		if got := NewInjector(p, 1) != nil; got != want {
+			t.Errorf("plan %q: injector %v, want %v", p, got, want)
+		}
+		if k.kind == "rate" {
+			rates++
+		}
+	}
+	for _, k := range tagged[reflect.TypeFor[NetPlan]()] {
+		var p NetPlan
+		set(reflect.ValueOf(&p).Elem().Field(k.field), k.kind)
+		want := k.kind == "rate"
+		if got := NewNetInjector(p, 1) != nil; got != want {
+			t.Errorf("net plan %q: injector %v, want %v", p, got, want)
+		}
+		if k.kind == "rate" {
+			rates++
+		}
+	}
+	if rates != 7+4 {
+		t.Errorf("%d rate keys, want 7 machine-side and 4 network", rates)
+	}
+}

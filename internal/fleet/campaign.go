@@ -183,12 +183,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	}
 	wg.Wait()
 	for _, inj := range injectors {
-		st := inj.Snapshot()
-		rep.Net.Delayed += st.Delayed
-		rep.Net.DelayedMS += st.DelayedMS
-		rep.Net.Dropped += st.Dropped
-		rep.Net.Duplicated += st.Duplicated
-		rep.Net.Resets += st.Resets
+		rep.Net.Merge(inj.Snapshot())
 	}
 	logf("fleet: %d shards: %d accepted, %d duplicate, %d failed (%d attempts; net faults: %s)",
 		rep.Shards, rep.Accepted, rep.Duplicates, rep.Failed, rep.Attempts, rep.Net)

@@ -5,9 +5,9 @@ import "fmt"
 // ElisionMode selects whether lock-shaped critical sections
 // (rtm.ElidedLock) speculate through the TM runtime instead of
 // acquiring their lock. The zero value is ElisionOff: elidable locks
-// behave as plain locks and the machine is bit-for-bit the pre-elision
-// machine. ElisionOn maps Lock/Unlock onto TM_BEGIN/TM_END with the
-// full fallback ladder (HTM retry, then the configured hybrid
+// behave as plain locks and profiles are bit-for-bit the pre-elision
+// machine's. ElisionOn runs each critical section as TM_BEGIN/TM_END
+// with the full fallback ladder (HTM retry, then the configured hybrid
 // slow path, then actually acquiring the lock).
 type ElisionMode int
 

@@ -15,8 +15,8 @@ import (
 // elision runtime's total contract: every section serializes exactly
 // (shared and private counters come out arithmetically right), the
 // mode word inside a section always classifies to a legal mode for
-// the path taken, stats conserve sections (each section ends exactly
-// one way — a double unlock or a lost section breaks the count), no
+// the path taken, stats conserve Run sections (each ends exactly one
+// way — a double count or a lost section breaks the total), no
 // lock word or state word leaks past the run, and the whole machine
 // is a deterministic function of the input (identical fingerprints
 // on replay) that the per-op oracle (Quantum 1, every spin-wait
@@ -44,9 +44,9 @@ func FuzzElisionPolicy(f *testing.F) {
 		seed := int64(data[1])
 		pol := machine.HybridPolicy(int(data[2]) % len(machine.HybridPolicies()))
 		elide := data[3]%2 == 1
-		emode := machine.ElisionOff
+		emode, lockedMode := machine.ElisionOff, ModeLock
 		if elide {
-			emode = machine.ElisionOn
+			emode, lockedMode = machine.ElisionOn, ModeElidedLock
 		}
 		policy := Policy{
 			MaxRetries:      int(data[4]) % 8,
@@ -75,7 +75,7 @@ func FuzzElisionPolicy(f *testing.F) {
 			case 1, 3:
 				privateAdds++
 			}
-			if kind <= 4 {
+			if kind <= 3 { // RunLocked (4) counts no Stats
 				sections[lk]++
 			}
 		}
@@ -141,13 +141,13 @@ func FuzzElisionPolicy(f *testing.F) {
 							th.Add(ctr, 1)
 							th.Syscall("fuzz_serial")
 						})
-					case 4: // non-speculative Lock/Unlock pairing
-						l.Lock(th)
-						if mode := ModeOf(th.State, false); mode != ModeLock {
-							fail(fmt.Sprintf("held lock classified as %v", mode))
-						}
-						th.Add(sh, 1)
-						l.Unlock(th)
+					case 4: // non-speculative: the inner lock held outright
+						l.Inner().RunLocked(th, func() {
+							if mode := ModeOf(th.State, false); mode != lockedMode {
+								fail(fmt.Sprintf("held lock classified as %v", mode))
+							}
+							th.Add(sh, 1)
+						})
 					default: // no section
 						th.Compute(12)
 					}

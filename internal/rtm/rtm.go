@@ -6,6 +6,9 @@
 // fallback acquisition aborts it); after Policy.MaxRetries transient
 // aborts — or immediately on a persistent abort — it falls back to
 // acquiring the global lock and running the body non-speculatively.
+// Every non-speculative path (that fallback, RunHLE's, RunLocked, a
+// non-eliding ElidedLock) takes the lock word one way, acquire, which
+// under a hybrid policy also drains software writers.
 //
 // The package also implements the paper's ~21-line extension (§3.2):
 // a thread-private state word recording whether the thread is in a
@@ -17,8 +20,6 @@
 package rtm
 
 import (
-	"sync/atomic"
-
 	"txsampler/internal/htm"
 	"txsampler/internal/machine"
 	"txsampler/internal/mem"
@@ -229,6 +230,9 @@ const (
 	// path gives up and takes the global lock (hybrid policies only;
 	// HybridSerializeOnConflict makes one attempt).
 	stmRetries = 3
+	// overheadCycles is the software bookkeeping a transactional
+	// attempt burns on setup and on commit (the paper's T_oh).
+	overheadCycles = 25
 )
 
 // Stats counts critical-section outcomes for one lock; exact ground
@@ -242,7 +246,7 @@ type Stats struct {
 	Aborts    [htm.NumCauses]uint64
 	LockBusy  uint64 // explicit aborts because the lock was held
 
-	// Hybrid-TM accounting (zero unless Lock.Hybrid enables the STM
+	// Hybrid-TM accounting (zero under lock-only, which has no STM
 	// slow path).
 	StmCommits   uint64 // software transactions committed
 	StmAborts    uint64 // software-transaction conflicts/validation failures
@@ -275,69 +279,38 @@ type EventSink interface {
 
 // Lock is one elidable global lock protecting a set of critical
 // sections. The lock word occupies a dedicated cache line so that
-// false sharing never aborts transactions through the lock itself.
+// false sharing never aborts transactions through the lock itself. A
+// Lock lives on the machine NewLock allocated it on: its words are
+// addresses in that machine's memory and its software-TM metadata
+// belongs to that machine's run.
 type Lock struct {
 	Addr   mem.Addr
 	Policy Policy
 	Stats  Stats
-
-	// Hybrid selects the slow path taken after hardware retries are
-	// exhausted (see machine.HybridPolicy). NewLock copies it from the
-	// machine's configuration; tests may override it before use. With
-	// the default, HybridLockOnly, the lock behaves exactly as the
-	// paper's runtime.
-	Hybrid HybridPolicy
 
 	// Sink, when set, receives begin/commit/abort/fallback events —
 	// the instrumentation hook record-and-replay tools need. Nil for
 	// normal (sampling-profiled or native) runs.
 	Sink EventSink
 
-	overheadCycles int // software bookkeeping burned per attempt
+	// hybrid selects the slow path taken after hardware retries are
+	// exhausted (see machine.HybridPolicy), copied from the machine's
+	// configuration. Under lock-only the lock behaves exactly as the
+	// paper's runtime.
+	hybrid machine.HybridPolicy
 
-	// elided marks this lock as the engine of an ElidedLock running
-	// speculatively: every state-word update then carries InElision,
-	// splitting the lock's samples into the elided-* modes. False for
-	// TM_BEGIN sections and for elidable locks with elision off, which
-	// keeps those bit-identical to the pre-elision runtime.
+	// elided marks this lock as the engine of an ElidedLock with
+	// elision on: its sections speculate, and every state-word update
+	// carries InElision, splitting the lock's samples into the elided-*
+	// modes. False for TM_BEGIN sections and for elidable locks with
+	// elision off, which keeps those bit-identical to the pre-elision
+	// runtime.
 	elided bool
-
-	// runM is the machine this lock last ran on. A Lock reused across
-	// machine runs must not carry software-TM word locks from a
-	// previous run into the next; critical resets them when the
-	// machine changes. Atomic because the fast-path check in
-	// resetRunOn reads it outside Exclusive (writes stay inside).
-	runM atomic.Pointer[machine.Machine]
 
 	// stm is the software-transaction side of the lock (see stm.go).
 	// Always present so hybrid policies can be chosen per run without
-	// perturbing memory layout; idle unless Hybrid enables it.
+	// perturbing memory layout; idle under lock-only.
 	stm stmState
-}
-
-// ResetRun clears per-run lock state: the software-TM word locks and
-// writer count. critical calls it automatically when it first runs on
-// a new machine; callers reusing a Lock outside Run can invoke it
-// directly.
-func (l *Lock) ResetRun() {
-	l.runM.Store(nil)
-	l.stm.reset()
-}
-
-// resetRunOn resets per-run state the first time the lock is used on
-// machine m. The check is a plain atomic pointer load (no machine
-// operation, so schedules are unchanged); the reset itself is ordered
-// by Exclusive and idempotent, so concurrent first entries are safe.
-func (l *Lock) resetRunOn(t *machine.Thread) {
-	if l.runM.Load() == t.Machine() {
-		return
-	}
-	t.Exclusive(func() {
-		if l.runM.Load() != t.Machine() {
-			l.stm.reset()
-			l.runM.Store(t.Machine())
-		}
-	})
 }
 
 // cs returns the state-word bits for this lock's critical sections:
@@ -371,10 +344,9 @@ func (l *Lock) emit(t *machine.Thread, kind EventKind) {
 // in the hardware fast path.
 func NewLock(m *machine.Machine) *Lock {
 	l := &Lock{
-		Addr:           m.Mem.AllocLines(1),
-		Policy:         DefaultPolicy(),
-		Hybrid:         m.Config().Hybrid,
-		overheadCycles: 25,
+		Addr:   m.Mem.AllocLines(1),
+		Policy: DefaultPolicy(),
+		hybrid: m.Config().Hybrid,
 	}
 	l.stm.init(l.Addr)
 	return l
@@ -405,20 +377,19 @@ func (l *Lock) Run(t *machine.Thread, body func()) {
 // whether its effects are settled — true unless an injected pmem crash
 // discarded them, in which case the caller re-executes.
 func (l *Lock) critical(t *machine.Thread, body func()) bool {
-	l.resetRunOn(t)
 	t.PmemSectionBegin()
 	l.emit(t, EventBegin)
-	hybrid := l.Hybrid != HybridLockOnly
+	hybrid := l.hybrid != machine.HybridLockOnly
 	retries, lockBusy := 0, 0
 	for {
 		// Transaction setup overhead (paper's T_oh component).
 		t.State = l.cs(InCS | InOverhead)
-		t.Compute(l.overheadCycles)
+		t.Compute(overheadCycles)
 
 		// Wait for the lock to be free before starting (Figure 2).
 		t.State = l.cs(InCS | InLockWaiting)
 		waited := t.SpinWhileNonzero(l.Addr, 2) > 0
-		if hybrid && l.Hybrid != HybridSandboxed {
+		if hybrid && l.hybrid != machine.HybridSandboxed {
 			// Also wait for software writers to drain; the sandboxed
 			// policy skips this and burns speculative attempts on the
 			// in-transaction check instead.
@@ -456,7 +427,7 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 		if abort == nil {
 			// Committed. Clean up (overhead), leave the CS.
 			t.State = l.cs(InCS | InOverhead)
-			t.Compute(l.overheadCycles)
+			t.Compute(overheadCycles)
 			l.emit(t, EventCommit)
 			ok := l.persist(t)
 			t.State = 0
@@ -498,20 +469,20 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 		return l.persist(t)
 	}
 
-	// Fallback path: acquire the global lock. The CAS is a
-	// non-transactional write to the lock line, aborting every
-	// transaction that has read it — the serialization the paper's
-	// T_wait measures.
-	t.State = l.cs(InCS | InLockWaiting)
+	return l.serialize(t, body)
+}
+
+// serialize runs body under the lock: the tail every path that gives
+// up on speculation shares (Run's fallback rung, a non-eliding
+// ElidedLock, RunHLE's retry). The acquisition is a non-transactional
+// write to the lock line, aborting every transaction that has read it
+// — the serialization the paper's T_wait measures. The body runs in
+// the fallback state and the release in transaction overhead; the hold
+// is one fallback-lock span. It reports persist's verdict: false when
+// an injected pmem crash discarded the section and the caller must
+// re-execute it.
+func (l *Lock) serialize(t *machine.Thread, body func()) bool {
 	l.acquire(t)
-	if hybrid {
-		// Software writers that entered their write phase before the
-		// CAS drain here; new ones wait for the lock word. Their
-		// eager writes are complete (and will validate cleanly — the
-		// holder has written nothing yet), so once the count is zero
-		// the holder owns memory exclusively.
-		l.waitQuiesce(t)
-	}
 	held := t.Clock() // lock acquired; the serialization span begins
 	t.State = l.cs(InCS | InFallback)
 	body()
@@ -528,12 +499,22 @@ func (l *Lock) critical(t *machine.Thread, body func()) bool {
 	return ok
 }
 
-// acquire takes the lock word for t: CAS it from free to t's owner
-// tag, spinning on the cached word between attempts — the
-// test-and-test-and-set loop every non-speculative path shares.
+// acquire takes the lock word for t, the one way any non-speculative
+// path holds the lock: with the state word showing a lock wait, CAS
+// the word from free to t's owner tag, spinning on the cached word
+// between attempts (test-and-test-and-set). Under every hybrid policy
+// it then waits for software writers to drain: those that entered
+// their write phase before the CAS finish here, and new ones wait for
+// the lock word. Their eager writes are complete (and will validate
+// cleanly — the holder has written nothing yet), so once the count is
+// zero the holder owns memory exclusively.
 func (l *Lock) acquire(t *machine.Thread) {
+	t.State = l.cs(InCS | InLockWaiting)
 	for !t.AtomicCAS(l.Addr, 0, mem.Word(t.ID)+1) {
 		t.SpinWhileNonzero(l.Addr, 2)
+	}
+	if l.hybrid != machine.HybridLockOnly {
+		l.waitQuiesce(t)
 	}
 }
 
@@ -594,24 +575,19 @@ func (l *Lock) RunHLE(t *machine.Thread, body func()) {
 			return
 		}
 		l.Stats.Aborts[abort.Cause]++
-		// HLE retries by grabbing the real lock immediately.
-		t.State = l.cs(InCS | InLockWaiting)
-		l.acquire(t)
-		t.State = l.cs(InCS | InFallback)
-		body()
-		t.State = l.cs(InCS | InOverhead)
-		t.Store(l.Addr, 0)
-		t.State = 0
-		l.Stats.Fallbacks++
+		// HLE retries by grabbing the real lock immediately. It opens
+		// no durable section of its own, so it does not re-execute on
+		// persist's verdict.
+		l.serialize(t, body)
 	})
 }
 
 // RunLocked executes body under the global lock without attempting a
 // transaction — the pure pthread-mutex baseline the paper's workloads
-// were ported from.
+// were ported from. Unlike serialize it releases in the fallback state
+// and counts no fallback: nothing fell back.
 func (l *Lock) RunLocked(t *machine.Thread, body func()) {
 	t.Func("lock_acquire", func() {
-		t.State = l.cs(InCS | InLockWaiting)
 		l.acquire(t)
 		t.State = l.cs(InCS | InFallback)
 		body()

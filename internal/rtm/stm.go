@@ -22,10 +22,11 @@
 //     transaction speculating on the same words (requester wins).
 //   - Write-phase entry and the global lock mutually exclude: the
 //     first software store waits for the lock word to be free before
-//     raising the writer count (checked in one Exclusive step), and a
-//     fallback-lock holder waits for the writer count to drain before
-//     touching memory. Read-only software transactions instead check
-//     the lock word during validation.
+//     raising the writer count (checked in one Exclusive step), and
+//     every lock acquisition (Lock.acquire: the fallback rung, RunHLE,
+//     RunLocked, a non-eliding ElidedLock) waits for the writer count
+//     to drain before touching memory. Read-only software transactions
+//     instead check the lock word during validation.
 //
 // Word-lock ownership, the writer count, and undo/read-set peeking at
 // commit run inside machine.Thread.Exclusive sections: they model the
@@ -41,19 +42,6 @@ import (
 	"txsampler/internal/machine"
 	"txsampler/internal/mem"
 	"txsampler/internal/telemetry"
-)
-
-// HybridPolicy aliases machine.HybridPolicy so runtime-layer code and
-// workloads that already import rtm need not also import machine's
-// configuration surface.
-type HybridPolicy = machine.HybridPolicy
-
-// Re-exported policy values; see machine.HybridPolicy.
-const (
-	HybridLockOnly            = machine.HybridLockOnly
-	HybridStmFallback         = machine.HybridStmFallback
-	HybridSerializeOnConflict = machine.HybridSerializeOnConflict
-	HybridSandboxed           = machine.HybridSandboxed
 )
 
 // Simulated costs of the instrumented path, in cycles. These model
@@ -84,7 +72,7 @@ type stmState struct {
 	owner map[mem.Addr]int
 
 	// writers counts software transactions in their write phase; the
-	// Go-side authority the fallback-lock holder drains against. The
+	// Go-side authority a new lock holder drains against. The
 	// simulated active word mirrors it for hardware subscription.
 	writers int
 }
@@ -92,16 +80,6 @@ type stmState struct {
 func (s *stmState) init(lockAddr mem.Addr) {
 	s.active = lockAddr.Offset(1)
 	s.owner = make(map[mem.Addr]int)
-}
-
-// reset drops per-run state: word locks and the writer count. The
-// simulated active word lives in machine memory and starts at zero on
-// every machine.
-func (s *stmState) reset() {
-	s.writers = 0
-	if len(s.owner) > 0 {
-		s.owner = make(map[mem.Addr]int)
-	}
 }
 
 // stmRead is one read-set entry: the value observed at an address.
@@ -182,7 +160,7 @@ func (x *stmTx) OnStore(a mem.Addr) {
 
 // enterWritePhase raises the lock's software-writer count before the
 // transaction's first eager write. The lock-word check and the count
-// increment form one Exclusive step, so a fallback-lock holder can
+// increment form one Exclusive step, so a lock holder can
 // never interleave between them; the simulated active word is bumped
 // right after, dooming every subscribed hardware transaction before
 // the first dirty word becomes visible.
@@ -199,7 +177,7 @@ func (x *stmTx) enterWritePhase() {
 		if entered {
 			break
 		}
-		// A fallback-lock holder owns memory; wait it out before
+		// A lock holder owns memory; wait it out before
 		// instrumenting writes.
 		t.State = l.cs(InCS | InLockWaiting)
 		t.Compute(2)
@@ -287,7 +265,7 @@ func (x *stmTx) rollback() {
 // transaction; leaves with t.State == 0 on commit.
 func (l *Lock) runSTM(t *machine.Thread, body func()) bool {
 	attempts := stmRetries
-	if l.Hybrid == HybridSerializeOnConflict {
+	if l.hybrid == machine.HybridSerializeOnConflict {
 		attempts = 1
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -313,7 +291,7 @@ func (l *Lock) runSTM(t *machine.Thread, body func()) bool {
 			if committed {
 				x.release()
 				t.State = l.cs(InCS | InOverhead)
-				t.Compute(l.overheadCycles)
+				t.Compute(overheadCycles)
 				t.TraceEvent(telemetry.Event{
 					Kind: telemetry.KindSpan, TS: begin, Dur: t.Clock() - begin,
 					TID: int32(t.ID), Name: "stm-commit",
@@ -361,9 +339,9 @@ func runSTMBody(t *machine.Thread, x *stmTx, body func()) (aborted bool) {
 	return false
 }
 
-// waitQuiesce spins the fallback-lock holder until software write
-// phases drain. New software writers wait on the (now held) lock
-// word, so the count is monotone non-increasing here.
+// waitQuiesce spins a thread that has just taken the lock word until
+// software write phases drain. New software writers wait on the (now
+// held) lock word, so the count is monotone non-increasing here.
 func (l *Lock) waitQuiesce(t *machine.Thread) {
 	for {
 		writers := 0

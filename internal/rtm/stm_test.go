@@ -2,7 +2,7 @@ package rtm
 
 // Software-transaction slow path: undo-log mechanics, commit-time
 // validation against racing writers, policy escalation, and the
-// per-run reset of software-TM state when a Lock is reused.
+// writer drain every lock acquisition performs.
 
 import (
 	"reflect"
@@ -183,7 +183,7 @@ func TestSTMCommitsUnderContention(t *testing.T) {
 // TestHybridRunsAreSeedDeterministic: same seed, same policy →
 // byte-identical ground truth and stats.
 func TestHybridRunsAreSeedDeterministic(t *testing.T) {
-	for _, h := range []HybridPolicy{HybridStmFallback, HybridSerializeOnConflict, HybridSandboxed} {
+	for _, h := range hybridPolicies {
 		run := func() (mem.Word, Stats, machine.GroundTruth) {
 			m := machine.New(machine.Config{Threads: 4, Seed: 13, Hybrid: h})
 			l := NewLock(m)
@@ -226,7 +226,7 @@ func TestHybridRunsAreSeedDeterministic(t *testing.T) {
 // every hybrid policy, eliding and plain, and a RunHLE loop must count
 // the same outcomes at the per-op quantum 1 as at the default.
 func TestHybridLockStatsQuantumInvariant(t *testing.T) {
-	run := func(h HybridPolicy, el machine.ElisionMode, quantum int) [3]Stats {
+	run := func(h machine.HybridPolicy, el machine.ElisionMode, quantum int) [3]Stats {
 		m := machine.New(machine.Config{Threads: 4, Seed: 9, StartSkew: 256, Hybrid: h, Elision: el, Quantum: quantum})
 		locks := [2]*ElidedLock{NewElidedLock(m, "a"), NewElidedLock(m, "b")}
 		hle := NewLock(m)
@@ -241,10 +241,8 @@ func TestHybridLockStatsQuantumInvariant(t *testing.T) {
 					l.Run(th, func() { th.Add(ctr, 1) })
 				case 1: // syscall-poisoned: down the ladder
 					l.Run(th, forceSlowPath(th, func() { th.Add(ctr, 1) }))
-				case 2: // non-speculative pairing
-					l.Lock(th)
-					th.Add(ctr, 1)
-					l.Unlock(th)
+				case 2: // non-speculative: the inner lock held outright
+					l.Inner().RunLocked(th, func() { th.Add(ctr, 1) })
 				default:
 					hle.RunHLE(th, func() {
 						th.Add(ctrs[2], 1)
@@ -261,7 +259,7 @@ func TestHybridLockStatsQuantumInvariant(t *testing.T) {
 		return [3]Stats{locks[0].Inner().Stats, locks[1].Inner().Stats, hle.Stats}
 	}
 	for p := range machine.HybridPolicies() {
-		h := HybridPolicy(p)
+		h := machine.HybridPolicy(p)
 		for _, el := range []machine.ElisionMode{machine.ElisionOff, machine.ElisionOn} {
 			base, oracle := run(h, el, 0), run(h, el, 1)
 			if !reflect.DeepEqual(base, oracle) {
@@ -274,56 +272,57 @@ func TestHybridLockStatsQuantumInvariant(t *testing.T) {
 	}
 }
 
-// TestLockStateResetsAcrossRuns is the regression test for stale
-// per-run state: a run that fails inside a software transaction's
-// write phase leaves its word lock and the writer count held, and a
-// Lock reused on a second machine must not carry them into that run,
-// where the fallback holder would wait forever for the writer to drain.
-func TestLockStateResetsAcrossRuns(t *testing.T) {
-	mkMachine := func() *machine.Machine {
-		return machine.New(machine.Config{Threads: 1, Seed: 5, Hybrid: HybridStmFallback})
-	}
-	m1 := mkMachine()
-	l := NewLock(m1)
-	a := m1.Mem.AllocLines(1)
-	if err := m1.RunAll(func(th *machine.Thread) {
-		l.Run(th, forceSlowPath(th, func() {
-			th.Store(a, 1)
-			panic("workload bug")
-		}))
-	}); err == nil {
-		t.Fatal("setup: panicking section did not fail the run")
-	}
-	if len(l.stm.owner) != 1 || l.stm.writers != 1 {
-		t.Fatalf("setup: owner=%d writers=%d, want a held word lock and writer", len(l.stm.owner), l.stm.writers)
-	}
+// hybridPolicies lists the policies that run the STM slow path.
+var hybridPolicies = []machine.HybridPolicy{
+	machine.HybridStmFallback, machine.HybridSerializeOnConflict, machine.HybridSandboxed,
+}
 
-	// Reuse the same Lock on a fresh machine (same deterministic
-	// allocator, so the lock line address is valid there too). The
-	// body aborts persistently in hardware and commits in software; a
-	// stale word lock or writer would outlive the commit.
-	m2 := mkMachine()
-	if got := m2.Mem.AllocLines(1); got != l.Addr {
-		t.Fatalf("allocator mismatch: %v vs %v", got, l.Addr)
-	}
-	l.Stats = Stats{}
-	if err := m2.RunAll(func(th *machine.Thread) {
-		l.Run(th, forceSlowPath(th, func() { th.Store(a, 2) }))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if l.Stats.StmCommits != 1 || l.Stats.StmAborts != 0 || l.Stats.Fallbacks != 0 {
-		t.Fatalf("second run stats %+v, want one clean software commit", l.Stats)
-	}
-	if len(l.stm.owner) != 0 || l.stm.writers != 0 {
-		t.Fatalf("state of the failed run survived: owner=%d writers=%d", len(l.stm.owner), l.stm.writers)
-	}
-
-	// ResetRun is the manual form of the same reset.
-	l.stm.owner[l.Addr] = 1
-	l.stm.writers = 2
-	l.ResetRun()
-	if len(l.stm.owner) != 0 || l.stm.writers != 0 {
-		t.Fatalf("ResetRun left state: owner=%d writers=%d", len(l.stm.owner), l.stm.writers)
+// TestRunLockedDrainsSoftwareWriters: holding the lock must exclude
+// software writers mid write phase, whose eager writes are not yet
+// validated. Writers forced onto the STM path pass a shared word
+// through an odd value inside each section; RunLocked readers, which
+// hold the lock outright, must never see it odd.
+func TestRunLockedDrainsSoftwareWriters(t *testing.T) {
+	const threads, iters = 6, 40
+	for _, h := range hybridPolicies {
+		for seed := int64(1); seed <= 4; seed++ {
+			m := machine.New(machine.Config{Threads: threads, Seed: seed, Hybrid: h})
+			l := NewLock(m)
+			w := m.Mem.AllocLines(1)
+			reads, odd := 0, 0
+			if err := m.RunAll(func(th *machine.Thread) {
+				for i := 0; i < iters; i++ {
+					if th.ID%2 == 0 {
+						l.Run(th, forceSlowPath(th, func() {
+							th.Add(w, 1)
+							th.Compute(200)
+							th.Add(w, 1)
+						}))
+					} else {
+						l.RunLocked(th, func() {
+							reads++
+							if th.Load(w)%2 != 0 {
+								odd++
+							}
+						})
+					}
+					th.Compute(50 + th.Rand().Intn(200))
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if odd != 0 {
+				t.Errorf("%v seed %d: %d of %d locked reads saw a writer mid-section", h, seed, odd, reads)
+			}
+			if reads != threads/2*iters {
+				t.Errorf("%v seed %d: %d locked reads, want %d", h, seed, reads, threads/2*iters)
+			}
+			if got, want := m.Mem.Load(w), mem.Word(2*threads/2*iters); got != want {
+				t.Errorf("%v seed %d: word = %d, want %d", h, seed, got, want)
+			}
+			if l.Stats.StmCommits == 0 {
+				t.Errorf("%v seed %d: no software commits on a forced slow path: %+v", h, seed, l.Stats)
+			}
+		}
 	}
 }

@@ -90,16 +90,18 @@ func (r *Result) ReplaySlowdown() float64 {
 	return float64(r.ReplayCycles) / float64(r.NativeCycles)
 }
 
-// runOnce runs w natively on the benchmark machine, adding memPenalty
-// cycles to every load and store, with sink (if any) instrumenting
-// the workload's global lock, and returns the makespan.
-func runOnce(w *htmbench.Workload, threads int, seed int64, memPenalty uint64, sink rtm.EventSink) (uint64, error) {
+// runOnce runs w natively on the benchmark machine under the hybrid
+// policy, adding memPenalty cycles to every load and store, with sink
+// (if any) instrumenting the workload's global lock, and returns the
+// makespan.
+func runOnce(w *htmbench.Workload, threads int, seed int64, hybrid machine.HybridPolicy, memPenalty uint64, sink rtm.EventSink) (uint64, error) {
 	m := machine.New(machine.Config{
 		Threads:    threads,
 		Cache:      txsampler.BenchCache(),
 		Seed:       seed,
 		StartSkew:  1024,
 		MemPenalty: memPenalty,
+		Hybrid:     hybrid,
 	})
 	inst := w.BuildInstance(m, nil)
 	if sink != nil {
@@ -111,10 +113,10 @@ func runOnce(w *htmbench.Workload, threads int, seed int64, memPenalty uint64, s
 	return m.Elapsed(), nil
 }
 
-// Profile runs the three phases for one workload: native, record
-// (instrumented transactions), and replay (instrumented memory
-// accesses, modelling the STM re-execution).
-func Profile(name string, threads int, seed int64) (*Result, error) {
+// Profile runs the three phases for one workload under the hybrid
+// policy: native, record (instrumented transactions), and replay
+// (instrumented memory accesses, modelling the STM re-execution).
+func Profile(name string, threads int, seed int64, hybrid machine.HybridPolicy) (*Result, error) {
 	w, err := htmbench.Get(name)
 	if err != nil {
 		return nil, err
@@ -124,30 +126,31 @@ func Profile(name string, threads int, seed int64) (*Result, error) {
 	}
 	res := &Result{Workload: name, Threads: threads}
 
-	if res.NativeCycles, err = runOnce(w, threads, seed, 0, nil); err != nil {
+	if res.NativeCycles, err = runOnce(w, threads, seed, hybrid, 0, nil); err != nil {
 		return nil, err
 	}
 	rec := &Recorder{}
-	if res.RecordCycles, err = runOnce(w, threads, seed, 0, rec); err != nil {
+	if res.RecordCycles, err = runOnce(w, threads, seed, hybrid, 0, rec); err != nil {
 		return nil, err
 	}
 	res.Events = len(rec.Events)
 	res.TraceBytes = rec.TraceBytes()
 	// Replay: per-access instrumentation of every load and store (the
 	// heavyweight read/write-set maintenance the paper describes).
-	if res.ReplayCycles, err = runOnce(w, threads, seed, 60, nil); err != nil {
+	if res.ReplayCycles, err = runOnce(w, threads, seed, hybrid, 60, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // Compare prints the TxSampler-vs-TSXProf table for a set of
-// workloads; txOverhead supplies TxSampler's measured overhead per
-// workload (from the Figure 5 harness).
-func Compare(w io.Writer, names []string, threads int, seed int64, txOverhead func(name string) (float64, error)) error {
+// workloads under the hybrid policy; txOverhead supplies TxSampler's
+// measured overhead per workload (from the Figure 5 harness, under
+// the same policy).
+func Compare(w io.Writer, names []string, threads int, seed int64, hybrid machine.HybridPolicy, txOverhead func(name string) (float64, error)) error {
 	fmt.Fprintf(w, "=== TSXProf-style record-and-replay vs TxSampler (%d threads) ===\n", threads)
 	for _, name := range names {
-		res, err := Profile(name, threads, seed)
+		res, err := Profile(name, threads, seed, hybrid)
 		if err != nil {
 			return err
 		}

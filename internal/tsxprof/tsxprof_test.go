@@ -3,10 +3,13 @@ package tsxprof
 import (
 	"strings"
 	"testing"
+
+	"txsampler"
+	"txsampler/internal/machine"
 )
 
 func TestProfilePhases(t *testing.T) {
-	res, err := Profile("stamp/vacation", 8, 1)
+	res, err := Profile("stamp/vacation", 8, 1, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +23,7 @@ func TestProfilePhases(t *testing.T) {
 		t.Errorf("replay slowdown = %.2fx, expected a multiple of native", res.ReplaySlowdown())
 	}
 	// A memory-intensive workload pays the full replay cost.
-	list, err := Profile("synchro/linkedlist", 8, 1)
+	list, err := Profile("synchro/linkedlist", 8, 1, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +39,11 @@ func TestTraceGrowsWithAbortRate(t *testing.T) {
 	// The record phase logs one event per attempt: a high-abort
 	// workload produces a longer trace per committed transaction than
 	// a low-abort one (the paper's disk-usage argument).
-	low, err := Profile("micro/low-abort", 8, 1)
+	low, err := Profile("micro/low-abort", 8, 1, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Profile("micro/true-sharing", 8, 1)
+	high, err := Profile("micro/true-sharing", 8, 1, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestTraceGrowsWithAbortRate(t *testing.T) {
 }
 
 func TestRecorderCountsEventKinds(t *testing.T) {
-	res, err := Profile("micro/sync-abort", 4, 1)
+	res, err := Profile("micro/sync-abort", 4, 1, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +69,14 @@ func TestRecorderCountsEventKinds(t *testing.T) {
 }
 
 func TestProfileUnknownWorkload(t *testing.T) {
-	if _, err := Profile("no/such", 4, 1); err == nil {
+	if _, err := Profile("no/such", 4, 1, machine.HybridLockOnly); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestCompareRendering(t *testing.T) {
 	var b strings.Builder
-	err := Compare(&b, []string{"micro/low-abort"}, 4, 1, func(string) (float64, error) { return 0.04, nil })
+	err := Compare(&b, []string{"micro/low-abort"}, 4, 1, machine.HybridLockOnly, func(string) (float64, error) { return 0.04, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +89,36 @@ func TestCompareRendering(t *testing.T) {
 }
 
 func TestReplayIsDeterministic(t *testing.T) {
-	a, err := Profile("micro/low-abort", 4, 5)
+	a, err := Profile("micro/low-abort", 4, 5, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Profile("micro/low-abort", 4, 5)
+	b, err := Profile("micro/low-abort", 4, 5, machine.HybridLockOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.NativeCycles != b.NativeCycles || a.ReplayCycles != b.ReplayCycles || a.Events != b.Events {
 		t.Fatalf("record/replay nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestNativeMatchesTxSampler: the native phase is the run txsampler.Run
+// makes without the profiler, under the same hybrid policy, so the
+// comparison's overheads share one baseline.
+func TestNativeMatchesTxSampler(t *testing.T) {
+	for _, h := range []machine.HybridPolicy{machine.HybridLockOnly, machine.HybridStmFallback} {
+		for _, name := range []string{"synchro/linkedlist", "stamp/vacation"} {
+			res, err := Profile(name, 14, 1, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			native, err := txsampler.Run(name, txsampler.Options{Threads: 14, Seed: 1, Hybrid: h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NativeCycles != native.ElapsedCycles {
+				t.Errorf("%s under %v: native makespan %d, txsampler.Run %d", name, h, res.NativeCycles, native.ElapsedCycles)
+			}
+		}
 	}
 }
