@@ -17,7 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -31,37 +31,54 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it parses args, prints the chosen sections to
+// stdout and returns the exit status. Under a hybrid policy other than
+// lock-only, a "hybrid policy: <name>" line precedes the first section,
+// so a saved output names the policy behind its numbers.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		threads  = flag.Int("threads", 14, "thread count")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for independent runs (1 = sequential); output is identical for any value")
-		all      = flag.Bool("all", false, "run everything")
-		fig5     = flag.Bool("fig5", false, "Figure 5: runtime overhead per benchmark")
-		fig6     = flag.Bool("fig6", false, "Figure 6: overhead vs thread count")
-		table1   = flag.Bool("table1", false, "Table 1: CLOMP-TM inputs")
-		fig7     = flag.Bool("fig7", false, "Figure 7: CLOMP-TM decompositions")
-		fig8     = flag.Bool("fig8", false, "Figure 8: application categorization")
-		table2   = flag.Bool("table2", false, "Table 2: optimization speedups")
-		mem      = flag.Bool("mem", false, "collector memory overhead")
-		acc      = flag.Bool("accuracy", false, "attribution accuracy vs a conventional profiler")
-		tsx      = flag.Bool("tsxprof", false, "record-and-replay baseline comparison (TSXProf-style)")
-		caseN    = flag.String("case", "", "case study: dedup | leveldb | histo")
-		sweep    = flag.String("sweep", "", "run a journaled profile campaign over every base workload into this directory")
-		seeds    = flag.Int("seeds", 1, "with -sweep: fan each workload out over this many seeds starting at -seed")
-		resume   = flag.Bool("resume", false, "with -sweep: replay the campaign journal and skip shards whose artifacts verify")
-		retries  = flag.Int("retries", 2, "with -sweep: re-attempts per failed shard (exponential backoff)")
-		shardTO  = flag.Duration("shard-timeout", 0, "with -sweep: per-shard deadline (0 = none)")
-		crashAt  = flag.Int("crash-after-shards", 0, "with -sweep: exit(137) after N shards complete (crash-recovery testing)")
-		dbgAddr  = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and /metrics on this address")
-		hybrid   = flag.String("hybrid-policy", "lock-only", "slow-path execution mode: "+strings.Join(machine.HybridPolicies(), ", "))
+		threads  = fs.Int("threads", 14, "thread count")
+		seed     = fs.Int64("seed", 1, "workload seed")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for independent runs (1 = sequential); output is identical for any value")
+		all      = fs.Bool("all", false, "run everything")
+		fig5     = fs.Bool("fig5", false, "Figure 5: runtime overhead per benchmark")
+		fig6     = fs.Bool("fig6", false, "Figure 6: overhead vs thread count")
+		table1   = fs.Bool("table1", false, "Table 1: CLOMP-TM inputs")
+		fig7     = fs.Bool("fig7", false, "Figure 7: CLOMP-TM decompositions")
+		fig8     = fs.Bool("fig8", false, "Figure 8: application categorization")
+		table2   = fs.Bool("table2", false, "Table 2: optimization speedups")
+		mem      = fs.Bool("mem", false, "collector memory overhead")
+		acc      = fs.Bool("accuracy", false, "attribution accuracy vs a conventional profiler")
+		tsx      = fs.Bool("tsxprof", false, "record-and-replay baseline comparison (TSXProf-style)")
+		caseN    = fs.String("case", "", "case study: dedup | leveldb | histo")
+		sweep    = fs.String("sweep", "", "run a journaled profile campaign over every base workload into this directory")
+		seeds    = fs.Int("seeds", 1, "with -sweep: fan each workload out over this many seeds starting at -seed")
+		resume   = fs.Bool("resume", false, "with -sweep: replay the campaign journal and skip shards whose artifacts verify")
+		retries  = fs.Int("retries", 2, "with -sweep: re-attempts per failed shard (exponential backoff)")
+		shardTO  = fs.Duration("shard-timeout", 0, "with -sweep: per-shard deadline (0 = none)")
+		crashAt  = fs.Int("crash-after-shards", 0, "with -sweep: exit(137) after N shards complete (crash-recovery testing)")
+		dbgAddr  = fs.String("debug-addr", "", "serve net/http/pprof, expvar, and /metrics on this address")
+		hybrid   = fs.String("hybrid-policy", "lock-only", "slow-path execution mode: "+strings.Join(machine.HybridPolicies(), ", "))
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *parallel < 1 {
-		log.Fatalf("-parallel must be >= 1 (got %d)", *parallel)
+		fmt.Fprintf(stderr, "experiments: -parallel must be >= 1 (got %d)\n", *parallel)
+		return 1
 	}
 	hpol, err := machine.ParseHybridPolicy(*hybrid)
 	if err != nil {
-		log.Fatalf("experiments: %v", err)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
 	// One registry serves -debug-addr's /metrics and receives the
 	// -sweep campaign's counters.
@@ -69,17 +86,16 @@ func main() {
 	if *dbgAddr != "" {
 		srv, err := telemetry.ServeDebug(*dbgAddr, reg)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/\n", srv.Addr)
+		fmt.Fprintf(stderr, "debug endpoints on http://%s/\n", srv.Addr)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	experiments.Parallel = *parallel
 	experiments.Context = ctx
 	experiments.Hybrid = hpol
-	w := os.Stdout
+	w := stdout
 
 	if *sweep != "" {
 		var names []string
@@ -98,71 +114,88 @@ func main() {
 		})
 		switch {
 		case err != nil && rep != nil && rep.Canceled:
-			fmt.Fprintln(os.Stderr, "experiments: interrupted; resume with -sweep "+*sweep+" -resume")
-			os.Exit(130)
+			fmt.Fprintln(stderr, "experiments: interrupted; resume with -sweep "+*sweep+" -resume")
+			return 130
 		case err != nil:
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 1
 		case rep.Failed > 0:
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fail := func(err error) {
+	// failed maps a section's error to the exit status: 130 for an
+	// interrupt, 1 otherwise.
+	failed := func(err error) int {
 		if errors.Is(err, machine.ErrCanceled) || errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "experiments: interrupted")
-			os.Exit(130)
+			fmt.Fprintln(stderr, "experiments: interrupted")
+			return 130
 		}
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
 
+	// begin runs before each section; the first names a hybrid policy.
 	any := false
-	run := func(enabled bool, f func() error) {
-		if enabled || *all {
-			any = true
-			if err := f(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(w)
+	begin := func() {
+		if !any && hpol != machine.HybridLockOnly {
+			fmt.Fprintf(w, "hybrid policy: %v\n", hpol)
 		}
-	}
-
-	run(*table1, func() error { experiments.Table1(w); return nil })
-	run(*fig5, func() error { _, _, err := experiments.Fig5(w, *threads, *seed); return err })
-	run(*fig6, func() error { _, err := experiments.Fig6(w, *seed); return err })
-	run(*fig7, func() error { _, err := experiments.Fig7(w, *threads, *seed); return err })
-	run(*fig8, func() error { _, err := experiments.Fig8(w, *threads, *seed); return err })
-	run(*table2, func() error { _, err := experiments.Table2(w, *threads, *seed); return err })
-	run(*mem, func() error { _, err := experiments.MemOverhead(w, *threads, *seed); return err })
-	run(*acc, func() error { return experiments.AccuracyComparison(w, *threads, *seed) })
-	run(*tsx, func() error { return experiments.TSXProfComparison(w, *threads, *seed) })
-
-	caseStudy := func(name string) {
 		any = true
-		if _, _, err := experiments.CaseStudy(w, name, *threads, *seed); err != nil {
-			fail(err)
-		}
 	}
+	sections := []struct {
+		enabled bool
+		f       func() error
+	}{
+		{*table1, func() error { experiments.Table1(w); return nil }},
+		{*fig5, func() error { _, _, err := experiments.Fig5(w, *threads, *seed); return err }},
+		{*fig6, func() error { _, err := experiments.Fig6(w, *seed); return err }},
+		{*fig7, func() error { _, err := experiments.Fig7(w, *threads, *seed); return err }},
+		{*fig8, func() error { _, err := experiments.Fig8(w, *threads, *seed); return err }},
+		{*table2, func() error { _, err := experiments.Table2(w, *threads, *seed); return err }},
+		{*mem, func() error { _, err := experiments.MemOverhead(w, *threads, *seed); return err }},
+		{*acc, func() error { return experiments.AccuracyComparison(w, *threads, *seed) }},
+		{*tsx, func() error { return experiments.TSXProfComparison(w, *threads, *seed) }},
+	}
+	for _, sec := range sections {
+		if !sec.enabled && !*all {
+			continue
+		}
+		begin()
+		if err := sec.f(); err != nil {
+			return failed(err)
+		}
+		fmt.Fprintln(w)
+	}
+
+	var cases []string
 	switch *caseN {
 	case "":
+		if *all {
+			cases = []string{"parsec/dedup", "app/leveldb", "parboil/histo-1"}
+		}
 	case "dedup":
-		caseStudy("parsec/dedup")
+		cases = []string{"parsec/dedup"}
 	case "leveldb":
-		caseStudy("app/leveldb")
+		cases = []string{"app/leveldb"}
 	case "histo":
-		caseStudy("parboil/histo-1")
-		caseStudy("parboil/histo-2")
+		cases = []string{"parboil/histo-1", "parboil/histo-2"}
 	default:
-		log.Fatalf("unknown case study %q", *caseN)
+		fmt.Fprintf(stderr, "experiments: unknown case study %q\n", *caseN)
+		return 1
 	}
-	if *all && *caseN == "" {
-		for _, c := range []string{"parsec/dedup", "app/leveldb", "parboil/histo-1"} {
-			caseStudy(c)
+	for _, name := range cases {
+		begin()
+		if _, _, err := experiments.CaseStudy(w, name, *threads, *seed); err != nil {
+			return failed(err)
+		}
+		if *all && *caseN == "" {
 			fmt.Fprintln(w)
 		}
 	}
 	if !any {
-		flag.Usage()
+		fs.Usage()
 	}
+	return 0
 }

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"strings"
+	"testing"
+)
+
+// runTable1 runs the command's one section that runs no machine.
+func runTable1(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), append(args, "-table1"), &out, &errb); code != 0 {
+		t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+	}
+	return out.String()
+}
+
+// TestRunNamesHybridPolicy: a lock-only run prints its sections alone,
+// so experiments_output.txt keeps its bytes; any other policy is named
+// on one line before the first section, over the same section output.
+func TestRunNamesHybridPolicy(t *testing.T) {
+	lockOnly := runTable1(t)
+	if !strings.HasPrefix(lockOnly, "=== Table 1: CLOMP-TM inputs ===\n") {
+		t.Fatalf("lock-only output does not start with its section:\n%s", lockOnly)
+	}
+	if got := runTable1(t, "-hybrid-policy", "lock-only"); got != lockOnly {
+		t.Fatalf("explicit lock-only output differs from the default:\n%s", got)
+	}
+	for _, pol := range []string{"stm-fallback", "serialize-on-conflict", "sandboxed"} {
+		got := runTable1(t, "-hybrid-policy", pol)
+		if want := "hybrid policy: " + pol + "\n" + lockOnly; got != want {
+			t.Errorf("%s output:\n%s\nwant:\n%s", pol, got, want)
+		}
+	}
+}
+
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nosuchflag"},
+		{"-hybrid-policy", "bogus", "-table1"},
+		{"-parallel", "0", "-table1"},
+		{"-case", "bogus"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), args, &out, &errb); code == 0 {
+			t.Errorf("%v: exit 0, want an error", args)
+		}
+		if errb.Len() == 0 {
+			t.Errorf("%v: nothing on stderr", args)
+		}
+	}
+}

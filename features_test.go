@@ -4,7 +4,9 @@ package txsampler_test
 // every hybrid policy, with elision off and on where the program has
 // elidable locks, at each of its family's scheduler quanta, and — for
 // durable programs — with the persistent-memory tier on, clean and
-// under a crash storm at every crash point. Every cell must end in the
+// under a crash storm at every crash point. The generated-program
+// families add the fault-preset axis: every policy with every feature
+// on, under each ambient abort storm preset. Every cell must end in the
 // plain run's final memory: the programs' results are pure functions
 // of their committed operations, so byte-identical memory proves that
 // no execution path (hardware, software slow path, elision ladder,
@@ -93,6 +95,7 @@ type cell struct {
 	quantum int
 	pmem    bool
 	crash   string // pmem crash point ("" = none)
+	preset  string // fault preset ("" = none)
 }
 
 func (c cell) String() string {
@@ -103,16 +106,21 @@ func (c cell) String() string {
 	if c.crash != "" {
 		s += " crash=" + c.crash
 	}
+	if c.preset != "" {
+		s += " faults=" + c.preset
+	}
 	return s
 }
 
 // image is what a run leaves behind: the final volatile memory, the
-// workload lock's statistics and, with the pmem tier on, the
-// persist-domain image and crash stats.
+// workload lock's statistics, the spurious aborts a fault preset
+// injected and, with the pmem tier on, the persist-domain image and
+// crash stats.
 type image struct {
 	vol, persist uint64
 	stats        pmem.CrashStats
 	lock         rtm.Stats
+	spurious     uint64
 }
 
 // run executes the program natively in one cell, runs its own Check,
@@ -123,8 +131,11 @@ func (p matrixProgram) run(t *testing.T, c cell) image {
 		Threads: p.threads, Cache: txsampler.BenchCache(), Seed: p.seed, StartSkew: 1024,
 		Hybrid: c.pol, Elision: c.el, Quantum: c.quantum, Pmem: pmem.Config{Enabled: c.pmem},
 	}
-	if c.crash != "" {
+	switch {
+	case c.crash != "":
 		cfg.Faults = faults.Plan{PmemCrashPoint: c.crash, PmemCrashEvery: 5}
+	case c.preset != "":
+		cfg.Faults = faults.Presets[c.preset]
 	}
 	m := machine.New(cfg)
 	inst := p.w.BuildInstance(m, nil)
@@ -136,7 +147,7 @@ func (p matrixProgram) run(t *testing.T, c cell) image {
 			t.Fatalf("%s [%v]: result check failed: %v", p.w.Name, c, err)
 		}
 	}
-	img := image{vol: m.Mem.Fingerprint(), lock: inst.Lock.Stats}
+	img := image{vol: m.Mem.Fingerprint(), lock: inst.Lock.Stats, spurious: m.FaultStats().SpuriousAborts}
 	if d := m.Pmem(); d != nil {
 		img.persist, img.stats = d.Fingerprint(), d.Stats()
 	}
@@ -146,20 +157,31 @@ func (p matrixProgram) run(t *testing.T, c cell) image {
 // cells lists the program's matrix: clean cells under every policy ×
 // elision mode (off, and on where the program elides) × quantum, with
 // the pmem tier on for durable programs, then crash-storm cells at
-// every crash point with every feature on.
-func (p matrixProgram) cells(quanta []int) (clean, crash []cell) {
+// every crash point and fault-preset cells, both with every feature on.
+// The presets take turns across the policies, one per policy at every
+// quantum, which covers each policy and each preset at half the cost
+// of the full product.
+func (p matrixProgram) cells(presets []string, quanta []int) (clean, crash, storm []cell) {
 	elision := []machine.ElisionMode{machine.ElisionOff}
 	if p.elides {
 		elision = append(elision, machine.ElisionOn)
 	}
-	for _, pol := range allPolicies() {
+	for i, pol := range allPolicies() {
 		for _, el := range elision {
 			for _, q := range quanta {
 				c := cell{pol: pol, el: el, quantum: q, pmem: p.durable}
 				if c != (cell{}) {
 					clean = append(clean, c)
 				}
-				if !p.durable || el != elision[len(elision)-1] {
+				if el != elision[len(elision)-1] {
+					continue
+				}
+				if len(presets) > 0 {
+					sc := c
+					sc.preset = presets[i%len(presets)]
+					storm = append(storm, sc)
+				}
+				if !p.durable {
 					continue
 				}
 				for _, point := range faults.PmemCrashPoints {
@@ -169,16 +191,16 @@ func (p matrixProgram) cells(quanta []int) (clean, crash []cell) {
 			}
 		}
 	}
-	return clean, crash
+	return clean, crash, storm
 }
 
-// checkMatrix runs every program across its matrix at the given
-// quanta, one parallel subtest per program: every cell must end in
-// the plain run's memory, every pmem cell in the first clean pmem
-// run's persist image, and every cell with the lock statistics of the
-// same cell at its first quantum. Crash cells are subtests named
-// policy[+elide]/point/q<quantum>.
-func checkMatrix(t *testing.T, programs []matrixProgram, quanta ...int) {
+// checkMatrix runs every program across its matrix with the given
+// fault presets and quanta, one parallel subtest per program: every
+// cell must end in the plain run's memory, every clean or preset pmem
+// cell in the first clean pmem run's persist image, and every cell
+// with the lock statistics of the same cell at its first quantum.
+// Crash cells are subtests named policy[+elide]/point/q<quantum>.
+func checkMatrix(t *testing.T, programs []matrixProgram, presets []string, quanta ...int) {
 	for _, p := range programs {
 		t.Run(p.w.Name, func(t *testing.T) {
 			t.Parallel()
@@ -197,19 +219,22 @@ func checkMatrix(t *testing.T, programs []matrixProgram, quanta ...int) {
 					t.Errorf("lock stats under %v differ from another quantum: %+v vs %+v", c, got.lock, want)
 				}
 			}
-			clean, crash := p.cells(quanta)
+			clean, crash, storm := p.cells(presets, quanta)
 			var persist uint64
-			for i, c := range clean {
+			for i, c := range append(clean, storm...) {
 				got := p.run(t, c)
 				sameLock(t, c, got)
 				if got.vol != plain.vol {
 					t.Errorf("final memory under %v differs from the plain run (%#x vs %#x)", c, got.vol, plain.vol)
 				}
+				if c.preset != "" && got.spurious == 0 {
+					t.Errorf("%v injected no spurious abort; the cell is vacuous", c)
+				}
 				if !p.durable {
 					continue
 				}
 				if got.stats.Crashes != 0 || got.stats.Commits == 0 {
-					t.Fatalf("clean run under %v: %+v, want durable commits and no crashes", c, got.stats)
+					t.Fatalf("run under %v: %+v, want durable commits and no crashes", c, got.stats)
 				}
 				if i == 0 {
 					persist = got.persist
@@ -288,7 +313,7 @@ var elideWorkloads = []string{
 // The matrix's program families. Each test runs one family.
 
 func TestHybridPoliciesWorkloadEquivalence(t *testing.T) {
-	checkMatrix(t, workloads(t, 1, 0, equivalenceWorkloads...), 0, 1)
+	checkMatrix(t, workloads(t, 1, 0, equivalenceWorkloads...), nil, 0, 1)
 }
 
 // TestElisionWorkloadEquivalence needs no quantum-1 cells for the lock
@@ -296,25 +321,31 @@ func TestHybridPoliciesWorkloadEquivalence(t *testing.T) {
 // ElidedLocks, never on the workload lock, and
 // TestHybridLockStatsQuantumInvariant covers ElidedLock statistics.
 func TestElisionWorkloadEquivalence(t *testing.T) {
-	checkMatrix(t, workloads(t, 1, 0, elideWorkloads...), 0, 7)
+	checkMatrix(t, workloads(t, 1, 0, elideWorkloads...), nil, 0, 7)
 }
 
 func TestPmemCrashRecoveryConvergence(t *testing.T) {
-	checkMatrix(t, workloads(t, 7, 4, "pmem/kv", "pmem/log"), 0, 1)
+	checkMatrix(t, workloads(t, 7, 4, "pmem/kv", "pmem/log"), nil, 0, 1)
 }
 
 // TestHybridPoliciesProgenEquivalence and TestElisionProgenEquivalence
 // split the generated programs at the elision axis. A generated
 // program's check pins every program word, so fingerprint equality on
-// top of it is precisely the no-metadata-residue assertion.
+// top of it is precisely the no-metadata-residue assertion. Both add
+// the ambient abort storms, which push sections down every policy's
+// slow path and the elision ladder, at the per-op quantum too.
 func TestHybridPoliciesProgenEquivalence(t *testing.T) {
-	checkMatrix(t, generated(0, progen.MixSTM, progen.MixPmem, progen.MixSTM|progen.MixPmem), 0, 1)
+	checkMatrix(t, generated(0, progen.MixSTM, progen.MixPmem, progen.MixSTM|progen.MixPmem), stormPresets, 0, 1)
 }
 
 func TestElisionProgenEquivalence(t *testing.T) {
 	checkMatrix(t, generated(progen.MixElide, progen.MixSTM|progen.MixElide,
-		progen.MixPmem|progen.MixElide, progen.MixSTM|progen.MixPmem|progen.MixElide), 0, 1)
+		progen.MixPmem|progen.MixElide, progen.MixSTM|progen.MixPmem|progen.MixElide), stormPresets, 0, 1)
 }
+
+// stormPresets are the fault presets of the generated families' fault
+// axis.
+var stormPresets = []string{"storm", "elide-storm"}
 
 // TestElisionGOMAXPROCSInvariance pins the simulator's determinism
 // against host parallelism: an elided run must fingerprint identically

@@ -132,12 +132,12 @@ func FuzzEngineMatchesReference(f *testing.F) {
 // disagree on anything a caller can read.
 func compareTx(t *testing.T, n int, tx *Tx, rx *refTx) {
 	t.Helper()
-	got := [...]any{tx.ID, tx.TID, tx.StartCycle, tx.Doomed, tx.AbortCause, tx.AbortedBy,
+	got := [...]any{tx.TID, tx.StartCycle, tx.Doomed, tx.AbortCause, tx.AbortedBy,
 		tx.AbortedByTx, tx.ConflictLine, tx.CapKind, tx.ReadSetLines(), tx.WriteSetLines()}
-	want := [...]any{rx.ID, rx.TID, rx.StartCycle, rx.Doomed, rx.AbortCause, rx.AbortedBy,
+	want := [...]any{rx.TID, rx.StartCycle, rx.Doomed, rx.AbortCause, rx.AbortedBy,
 		rx.AbortedByTx, rx.ConflictLine, rx.CapKind, rx.ReadSetLines(), rx.WriteSetLines()}
 	if got != want {
-		t.Fatalf("step %d: thread %d transaction %v, reference %v\n(ID TID StartCycle Doomed AbortCause AbortedBy AbortedByTx ConflictLine CapKind reads writes)",
+		t.Fatalf("step %d: thread %d transaction %v, reference %v\n(TID StartCycle Doomed AbortCause AbortedBy AbortedByTx ConflictLine CapKind reads writes)",
 			n, tx.TID, got, want)
 	}
 }

@@ -205,7 +205,6 @@ const MaxThreads = 64
 // and reuses it: the *Tx that Begin returns, and the stores Commit
 // returns, are valid until the thread's next Begin.
 type Tx struct {
-	ID  uint64
 	TID int // simulated thread owning the transaction
 
 	Doomed     bool
@@ -258,8 +257,7 @@ type lineTrack struct {
 
 // Engine tracks all in-flight transactions on the machine.
 type Engine struct {
-	cfg    Config
-	nextID uint64
+	cfg Config
 
 	// lines records which transactions track each line. Doomed
 	// transactions are untracked eagerly, as hardware stops tracking
@@ -291,12 +289,10 @@ func (e *Engine) Begin(tid int, startCycle uint64) *Tx {
 		tx = &Tx{occBySet: make([]uint16, e.cfg.Sets)}
 		e.txs[tid] = tx
 	} else if tx.live {
-		panic(fmt.Sprintf("htm: Begin for thread %d while its transaction %d is in flight", tid, tx.ID))
+		panic(fmt.Sprintf("htm: Begin for thread %d while its transaction is in flight", tid))
 	}
 	clear(tx.occBySet)
-	e.nextID++
 	*tx = Tx{
-		ID:         e.nextID,
 		TID:        tid,
 		AbortedBy:  -1,
 		StartCycle: startCycle,

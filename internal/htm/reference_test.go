@@ -1,16 +1,15 @@
 package htm
 
-// The map-based engine the page-indexed one replaced, kept verbatim
-// (renamed) as the reference FuzzEngineMatchesReference compares
-// against: one fresh refTx per Begin, read and write sets as maps, and
-// per-line readers and writers in maps keyed by line.
+// The map-based engine the page-indexed one replaced, renamed, as the
+// reference FuzzEngineMatchesReference compares against: one fresh
+// refTx per Begin, read and write sets as maps, and per-line readers
+// and writers in maps keyed by line.
 
 import "txsampler/internal/mem"
 
 // refTx is one hardware transaction attempt. Fields are read-only for
 // callers; the engine mutates them.
 type refTx struct {
-	ID  uint64
 	TID int // simulated thread owning the transaction
 
 	Doomed     bool
@@ -40,8 +39,7 @@ func (t *refTx) WriteSetLines() int { return len(t.writeSet) }
 
 // refEngine tracks all in-flight transactions on the machine.
 type refEngine struct {
-	cfg    Config
-	nextID uint64
+	cfg Config
 
 	// readers maps a line to the transactions tracking it in their
 	// read set; writers maps a line to the single transaction holding
@@ -73,9 +71,7 @@ func newRefEngine(cfg Config) *refEngine {
 // Begin starts a transaction for thread tid whose clock reads
 // startCycle.
 func (e *refEngine) Begin(tid int, startCycle uint64) *refTx {
-	e.nextID++
 	return &refTx{
-		ID:         e.nextID,
 		TID:        tid,
 		AbortedBy:  -1,
 		StartCycle: startCycle,

@@ -114,6 +114,38 @@ func TestExplicitAbortDiscardsStores(t *testing.T) {
 	}
 }
 
+// Attempt returns the thread's own abort record, which the next abort
+// overwrites, so an aborted attempt allocates nothing once the
+// thread's reused Tx exists.
+func TestAbortedAttemptAllocatesNothing(t *testing.T) {
+	m := single()
+	a := m.Mem.AllocWords(1)
+	var allocs float64
+	var first, second *AbortInfo
+	var cause htm.Cause
+	err := m.RunAll(func(t *Thread) {
+		first = t.Attempt(func() { t.TxAbort() })
+		second = t.Attempt(func() { t.Syscall("write") })
+		cause = first.Cause
+		allocs = testing.AllocsPerRun(100, func() {
+			t.Attempt(func() {
+				t.Store(a, 1)
+				t.TxAbort()
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per aborted attempt, want 0", allocs)
+	}
+	if first != second || cause != htm.Sync {
+		t.Errorf("aborts returned records at %p and %p, the first reading %v after the second abort; want one record holding the sync abort",
+			first, second, cause)
+	}
+}
+
 func TestTxReadsOwnBufferedStore(t *testing.T) {
 	m := single()
 	a := m.Mem.AllocWords(1)

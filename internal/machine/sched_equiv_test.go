@@ -177,6 +177,78 @@ func TestHorizonThreadExitWhileMin(t *testing.T) {
 	}
 }
 
+// TestTxBeginHandsNothingOff pins an outermost XBEGIN as thread-private.
+// Both threads start at cycle 0. Thread 0's Compute(100) runs past
+// thread 1's pending position, and its XBEGIN at cycle 100 must still
+// keep the baton: the new transaction tracks no line, so no other
+// thread can reach it before its first transactional access, which
+// gates and hands off. Thread 1 stores to the line at cycle 120,
+// between thread 0's XBEGIN and that access, so the transaction must
+// read the new value, and a second store conflicts with its read set.
+// The run must match the per-op oracle.
+func TestTxBeginHandsNothingOff(t *testing.T) {
+	type result struct {
+		run                   quantumRun
+		atAccess, afterAccess uint64 // thread 0's handoffs around its first tx access
+		loaded                []uint64
+		final                 uint64
+	}
+	run := func(quantum int) result {
+		var p pmu.Periods
+		p[pmu.Loads] = 2
+		p[pmu.TxAbort] = 1
+		m := New(Config{Threads: 2, Seed: 3, Periods: p, Quantum: quantum})
+		a, b := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
+		h := &collectHandler{}
+		m.SetHandler(h)
+		var r result
+		err := m.Run(
+			func(t *Thread) {
+				t.Compute(100)
+				for t.Attempt(func() {
+					before := t.handoffs
+					v := t.Load(a)
+					if r.loaded == nil {
+						r.atAccess, r.afterAccess = before, t.handoffs
+					}
+					r.loaded = append(r.loaded, v)
+					t.Compute(200)
+					t.Store(b, v+1)
+				}) != nil {
+					t.Compute(10)
+				}
+			},
+			func(t *Thread) {
+				t.Compute(120)
+				t.Store(a, 7)
+				t.Compute(150)
+				t.Store(a, 9)
+			},
+		)
+		if err != nil {
+			t.Fatalf("quantum %d: %v", quantum, err)
+		}
+		r.run, r.final = capture(m, h), m.Mem.Load(b)
+		return r
+	}
+
+	oracle, got := run(1), run(0)
+	requireSameRun(t, "XBEGIN past the horizon: gate-point vs oracle", got.run, oracle.run)
+	if !reflect.DeepEqual(got.loaded, oracle.loaded) || got.final != oracle.final {
+		t.Fatalf("loads %v and result %d, oracle %v and %d", got.loaded, got.final, oracle.loaded, oracle.final)
+	}
+	if len(got.loaded) == 0 || got.loaded[0] != 7 {
+		t.Fatalf("first transactional load read %v, want 7: thread 1's store at cycle 120 precedes it", got.loaded)
+	}
+	if len(got.loaded) < 2 {
+		t.Fatalf("transaction never aborted (loads %v); the conflict is untested", got.loaded)
+	}
+	if got.atAccess != 0 || got.afterAccess != 1 {
+		t.Fatalf("thread 0 handed off %d times before its first transactional access and %d after it, want 0 and 1",
+			got.atAccess, got.afterAccess)
+	}
+}
+
 // runSpinBodies runs one body per thread under a sample-collecting
 // handler and returns the captured run, the spin iterations applied
 // without a gate pass, and Run's error.

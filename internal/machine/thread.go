@@ -349,8 +349,8 @@ func (t *Thread) startOp() {
 }
 
 // startShared begins an operation whose effect touches shared machine
-// state (memory, caches, the HTM engine) even outside a transaction: a
-// gate point.
+// state (memory, caches, the HTM engine's line records) even outside a
+// transaction: a gate point.
 func (t *Thread) startShared() {
 	if t.tx == nil {
 		t.gate() // startOp gates in-transaction operations itself
@@ -1010,7 +1010,10 @@ func (t *Thread) PmemPersist() (crashed, committed bool) {
 		t.pmemCrash(class)
 		return true, true
 	}
-	t.Exclusive(func() { d.Complete(t.ID) })
+	// No Exclusive: Complete closes t's own section and bumps a commit
+	// count that nothing reads during a run. Arm's count, by contrast,
+	// picks the crash point, so it runs at the canonical position.
+	d.Complete(t.ID)
 	return false, true
 }
 
@@ -1024,8 +1027,14 @@ const MaxTxNest = 7
 // flatten into the outermost transaction, as on TSX; exceeding
 // MaxTxNest aborts. Most callers want Attempt or the rtm package
 // instead.
+//
+// An outermost XBEGIN is thread-private: the engine detects conflicts
+// only on lines a transaction tracks, and a new one tracks none, so no
+// other thread can observe or doom it before its first transactional
+// operation, which gates (see startOp). A nested XBEGIN runs inside a
+// transaction and gates like any other operation there.
 func (t *Thread) TxBegin() {
-	t.startShared()
+	t.startOp()
 	var cost uint64
 	if t.tx != nil {
 		t.txNest++
@@ -1099,8 +1108,9 @@ func (t *Thread) TxAbort() {
 }
 
 // Attempt executes body as one hardware transaction attempt. It
-// returns nil if the transaction committed, or the abort record. It is
-// the simulated equivalent of the XBEGIN status-check idiom:
+// returns nil if the transaction committed, or the thread's abort
+// record, which stays valid until its next Attempt. It is the
+// simulated equivalent of the XBEGIN status-check idiom:
 //
 //	if (_xbegin() == _XBEGIN_STARTED) { body; _xend(); }
 //	else { /* inspect abort status */ }
@@ -1118,8 +1128,7 @@ func (t *Thread) Attempt(body func()) (abort *AbortInfo) {
 			if !outermost {
 				panic(r) // keep unwinding to the outermost XBEGIN
 			}
-			info := t.lastAbort
-			abort = &info
+			abort = &t.lastAbort
 		}
 	}()
 	t.TxBegin()
