@@ -73,12 +73,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(stderr, "experiments: -parallel must be >= 1 (got %d)\n", *parallel)
-		return 1
+		return 2
 	}
 	hpol, err := machine.ParseHybridPolicy(*hybrid)
 	if err != nil {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)
-		return 1
+		return 2
+	}
+	var cases []string
+	switch *caseN {
+	case "":
+		if *all {
+			cases = []string{"parsec/dedup", "app/leveldb", "parboil/histo-1"}
+		}
+	case "dedup":
+		cases = []string{"parsec/dedup"}
+	case "leveldb":
+		cases = []string{"app/leveldb"}
+	case "histo":
+		cases = []string{"parboil/histo-1", "parboil/histo-2"}
+	default:
+		fmt.Fprintf(stderr, "experiments: unknown case study %q (want dedup, leveldb or histo)\n", *caseN)
+		return 2
 	}
 	// One registry serves -debug-addr's /metrics and receives the
 	// -sweep campaign's counters.
@@ -169,22 +185,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(w)
 	}
 
-	var cases []string
-	switch *caseN {
-	case "":
-		if *all {
-			cases = []string{"parsec/dedup", "app/leveldb", "parboil/histo-1"}
-		}
-	case "dedup":
-		cases = []string{"parsec/dedup"}
-	case "leveldb":
-		cases = []string{"app/leveldb"}
-	case "histo":
-		cases = []string{"parboil/histo-1", "parboil/histo-2"}
-	default:
-		fmt.Fprintf(stderr, "experiments: unknown case study %q\n", *caseN)
-		return 1
-	}
 	for _, name := range cases {
 		begin()
 		if _, _, err := experiments.CaseStudy(w, name, *threads, *seed); err != nil {

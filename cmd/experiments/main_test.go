@@ -36,19 +36,29 @@ func TestRunNamesHybridPolicy(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors: a bad flag value exits 2 before any section runs,
+// with one "experiments: " prefix on stderr (the flag package reports
+// an unknown flag in its own words).
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nosuchflag"},
 		{"-hybrid-policy", "bogus", "-table1"},
 		{"-parallel", "0", "-table1"},
-		{"-case", "bogus"},
+		{"-case", "bogus", "-table1"},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(context.Background(), args, &out, &errb); code == 0 {
-			t.Errorf("%v: exit 0, want an error", args)
+		if code := run(context.Background(), args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		if errb.Len() == 0 {
+		if out.Len() != 0 {
+			t.Errorf("%v: a section ran: %s", args, out.String())
+		}
+		msg := errb.String()
+		if msg == "" {
 			t.Errorf("%v: nothing on stderr", args)
+		}
+		if args[0] != "-nosuchflag" && (!strings.HasPrefix(msg, "experiments: ") || strings.Count(msg, "experiments: ") != 1) {
+			t.Errorf("%v: stderr %q, want one \"experiments: \" prefix", args, msg)
 		}
 	}
 }

@@ -117,7 +117,8 @@ func main() {
 			names = append(names, w.Name)
 		}
 		if len(names) == 0 {
-			log.Fatalf("no workloads in suite %q", *suite)
+			fmt.Fprintf(os.Stderr, "htmbench: no workloads in suite %q\n", *suite)
+			os.Exit(2)
 		}
 	default:
 		names = flag.Args()

@@ -92,14 +92,20 @@ func AnalyzeInstrumented(program string, col *core.Collector, tr *telemetry.Trac
 	tr.BeginPhase("analyze:reduce")
 	// Fold every thread's tree into one fresh tree, so analysis never
 	// mutates collector state. Metrics.Merge only sums and children
-	// are ordered on output, so the fold order cannot show.
+	// are ordered on output, so the fold order cannot show. The same
+	// fold sums each thread's contexts into its totals: the collector
+	// charges every sample to exactly one context.
 	for _, p := range profiles {
-		r.Merged.Merge(p.Tree, mergeMetrics)
-		r.Totals.Merge(&p.Totals)
+		var tot core.Metrics
+		r.Merged.Merge(p.Tree, func(dst, src *core.Metrics) {
+			dst.Merge(src)
+			tot.Merge(src)
+		})
+		r.Totals.Merge(&tot)
 		r.PerThread = append(r.PerThread, ThreadSummary{
 			TID:           p.TID,
-			CommitSamples: p.Totals.CommitSamples,
-			AbortSamples:  p.Totals.AppAborts(),
+			CommitSamples: tot.CommitSamples,
+			AbortSamples:  tot.AppAborts(),
 		})
 	}
 	tr.EndPhase("analyze:reduce")
@@ -112,8 +118,6 @@ func AnalyzeInstrumented(program string, col *core.Collector, tr *telemetry.Trac
 }
 
 func newTree() *core.Tree { return cct.NewTree[core.Metrics]() }
-
-func mergeMetrics(dst, src *core.Metrics) { dst.Merge(src) }
 
 // Rcs returns the critical-section duration ratio r_cs = T/W
 // (paper §7.3). Zero when no cycles samples were taken.
@@ -262,9 +266,8 @@ func (r *Report) WastedWorkShare() float64 {
 // finding ("a thread may always abort other threads, causing thread
 // starvation").
 type ImbalancedContext struct {
-	Frames    []lbr.IP
-	PerThread []uint64
-	Skew      float64 // max over mean
+	Frames []lbr.IP
+	Skew   float64 // max over mean
 }
 
 // ImbalancedContexts scans the hottest critical-section contexts for
@@ -277,9 +280,8 @@ func (r *Report) ImbalancedContexts(k int, threshold float64) []ImbalancedContex
 	}
 	var out []ImbalancedContext
 	for _, hot := range r.TopTime(k) {
-		per := make([]uint64, len(r.Profiles))
 		var sum, maxV uint64
-		for i, p := range r.Profiles {
+		for _, p := range r.Profiles {
 			n := p.Tree.Root
 			for _, f := range hot.Frames {
 				if n = n.Lookup(f); n == nil {
@@ -287,19 +289,17 @@ func (r *Report) ImbalancedContexts(k int, threshold float64) []ImbalancedContex
 				}
 			}
 			if n != nil {
-				per[i] = n.Data.T()
-			}
-			sum += per[i]
-			if per[i] > maxV {
-				maxV = per[i]
+				v := n.Data.T()
+				sum += v
+				maxV = max(maxV, v)
 			}
 		}
 		if sum == 0 {
 			continue
 		}
-		mean := float64(sum) / float64(len(per))
+		mean := float64(sum) / float64(len(r.Profiles))
 		if skew := float64(maxV) / mean; skew >= threshold {
-			out = append(out, ImbalancedContext{Frames: hot.Frames, PerThread: per, Skew: skew})
+			out = append(out, ImbalancedContext{Frames: hot.Frames, Skew: skew})
 		}
 	}
 	return out

@@ -43,7 +43,7 @@ func feedAbort(c *core.Collector, tid int, cause htm.Cause, weight uint64, fns .
 		Event: pmu.TxAbort, TID: tid,
 		Stack: stack(fns...), IP: lbr.IP{Fn: fns[len(fns)-1]},
 		LBR:   abortedLBR(),
-		Abort: &machine.AbortInfo{Cause: cause, Weight: weight, AbortedBy: -1},
+		Abort: &machine.AbortInfo{Cause: cause, Weight: weight},
 	})
 }
 

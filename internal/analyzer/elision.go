@@ -23,9 +23,8 @@ type ElisionSite struct {
 	// Cycles samples inside the site's subtree, by execution mode:
 	// Htm are sections that ran speculatively, Stm sections in the
 	// instrumented software slow path, Lock sections that acquired the
-	// lock (the fallback when eliding; every section when not), Wait
-	// lock/drain waiting, Overhead begin/retry/cleanup bookkeeping.
-	Htm, Stm, Lock, Wait, Overhead uint64
+	// lock (the fallback when eliding; every section when not).
+	Htm, Stm, Lock uint64
 
 	// Elided reports whether the site actually ran elided (any sample
 	// carried the InElision bit). False means the samples are
@@ -115,8 +114,6 @@ func (r *Report) ElisionSites() []ElisionSite {
 		s.Htm += d.TimeIn(rtm.ModeHTM)
 		s.Stm += d.TimeIn(rtm.ModeSTM)
 		s.Lock += d.TimeIn(rtm.ModeLock)
-		s.Wait += d.Time[rtm.ModeWaiting]
-		s.Overhead += d.Time[rtm.ModeOverhead]
 		s.SpecCommits += d.CommitSamples
 		if d.Elided() > 0 {
 			s.Elided = true

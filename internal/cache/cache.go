@@ -58,13 +58,9 @@ func (c Config) SetIndex(line mem.Addr) int {
 	return int(line.LineIndex() % uint64(c.Sets))
 }
 
-// LinesPerL1 returns the total line capacity of one L1.
-func (c Config) LinesPerL1() int { return c.Sets * c.Ways }
-
 type way struct {
 	line  mem.Addr
 	valid bool
-	dirty bool
 	lru   uint64 // last-use tick; larger = more recent
 }
 
@@ -94,7 +90,7 @@ func (c *l1) lookup(set int, line mem.Addr) *way {
 
 // insert places line into set, evicting LRU if needed. Returns the
 // evicted line and whether an eviction happened.
-func (c *l1) insert(set int, line mem.Addr, dirty bool) (mem.Addr, bool) {
+func (c *l1) insert(set int, line mem.Addr) (mem.Addr, bool) {
 	c.tick++
 	victim := &c.sets[set][0]
 	for i := range c.sets[set] {
@@ -108,7 +104,7 @@ func (c *l1) insert(set int, line mem.Addr, dirty bool) (mem.Addr, bool) {
 		}
 	}
 	evicted, had := victim.line, victim.valid
-	*victim = way{line: line, valid: true, dirty: dirty, lru: c.tick}
+	*victim = way{line: line, valid: true, lru: c.tick}
 	return evicted, had
 }
 
@@ -131,23 +127,11 @@ type dirEntry struct {
 	owner   uint8  // 1 + the core with the modified copy, or 0
 }
 
-// AccessResult reports the outcome of one cache access.
-type AccessResult struct {
-	Latency     int
-	Hit         bool
-	Invalidated uint64 // bitmask of cores whose copy this access invalidated
-	Evicted     bool   // this core's L1 evicted a line to make room
-	EvictedLine mem.Addr
-}
-
 // Hierarchy is the full multi-core cache system.
 type Hierarchy struct {
 	cfg   Config
 	cores []*l1
 	dir   mem.Table[dirEntry]
-
-	// Stats, cumulative across all cores.
-	Hits, Misses, Invalidations, Evictions uint64
 }
 
 // New returns a hierarchy with n private L1 caches.
@@ -165,92 +149,70 @@ func New(n int, cfg Config) *Hierarchy {
 	return h
 }
 
-// Config returns the geometry the hierarchy was built with.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // Access performs a load (write=false) or store (write=true) by core to
 // the cache line containing a, updating coherence state, and returns
-// the latency and any remote invalidations. The returned Invalidated
-// mask is the set of *other* cores that lost their copy — the machine
-// layer uses it to charge sharing costs; the HTM engine performs its
-// own conflict detection on read/write sets.
-func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
+// its latency: HitLatency when core already held the line (for a
+// store, held it Modified), RemoteLatency when another core's copy had
+// to be downgraded or invalidated, MissLatency otherwise. The HTM
+// engine performs its own conflict detection on read/write sets.
+func (h *Hierarchy) Access(core int, a mem.Addr, write bool) int {
 	line := a.Line()
 	set := h.cfg.SetIndex(line)
 	c := h.cores[core]
 	w := c.lookup(set, line)
 	if !write && w != nil {
 		c.touch(w)
-		h.Hits++
-		return AccessResult{Latency: h.cfg.HitLatency, Hit: true}
+		return h.cfg.HitLatency
 	}
 	e := h.dir.At(line)
 	self := uint8(core + 1)
-
-	var res AccessResult
+	lat := h.cfg.MissLatency
 	if !write {
 		// Read miss: downgrade a remote M copy if present.
-		h.Misses++
-		res.Latency = h.cfg.MissLatency
 		if e.owner != 0 && e.owner != self {
-			res.Latency = h.cfg.RemoteLatency
+			lat = h.cfg.RemoteLatency
 			e.sharers |= 1 << (e.owner - 1)
 			e.owner = 0
 		}
 		e.sharers |= 1 << uint(core)
-		res.EvictedLine, res.Evicted = c.insert(set, line, false)
-		if res.Evicted {
-			h.evictFrom(core, res.EvictedLine)
-		}
-		return res
+		h.fill(core, set, line)
+		return lat
 	}
 
 	// Write.
 	if w != nil && e.owner == self {
 		c.touch(w)
-		w.dirty = true
-		h.Hits++
-		return AccessResult{Latency: h.cfg.HitLatency, Hit: true}
+		return h.cfg.HitLatency
 	}
-	h.Misses++
-	res.Latency = h.cfg.MissLatency
 	// Invalidate every other copy.
 	if e.owner != 0 && e.owner != self {
-		res.Latency = h.cfg.RemoteLatency
-		h.invalidateAt(int(e.owner-1), line)
-		res.Invalidated |= 1 << (e.owner - 1)
+		lat = h.cfg.RemoteLatency
+		h.cores[e.owner-1].invalidate(set, line)
 	}
 	for others := e.sharers &^ (1 << uint(core)); others != 0; others &= others - 1 {
-		other := bits.TrailingZeros64(others)
-		res.Latency = h.cfg.RemoteLatency
-		h.invalidateAt(other, line)
-		res.Invalidated |= 1 << uint(other)
+		lat = h.cfg.RemoteLatency
+		h.cores[bits.TrailingZeros64(others)].invalidate(set, line)
 	}
 	e.sharers = 0
 	e.owner = self
 	if w != nil {
-		// Upgrade in place: no fill needed.
-		c.touch(w)
-		w.dirty = true
+		c.touch(w) // upgrade in place: no fill needed
 	} else {
-		res.EvictedLine, res.Evicted = c.insert(set, line, true)
-		if res.Evicted {
-			h.evictFrom(core, res.EvictedLine)
-		}
+		h.fill(core, set, line)
 	}
-	return res
+	return lat
 }
 
-func (h *Hierarchy) invalidateAt(core int, line mem.Addr) {
-	h.Invalidations++
-	h.cores[core].invalidate(h.cfg.SetIndex(line), line)
-}
-
-// evictFrom updates directory state after core silently evicted line.
-// An entry left with no holder is the zero entry: untracked.
-func (h *Hierarchy) evictFrom(core int, line mem.Addr) {
-	h.Evictions++
-	e := h.dir.At(line)
+// fill places line in core's L1 set and, when that evicts another
+// line, updates the evicted line's directory entry: a silent eviction
+// drops core as its owner or sharer, and an entry left with no holder
+// is the zero entry, untracked.
+func (h *Hierarchy) fill(core, set int, line mem.Addr) {
+	evicted, had := h.cores[core].insert(set, line)
+	if !had {
+		return
+	}
+	e := h.dir.At(evicted)
 	if e.owner == uint8(core+1) {
 		e.owner = 0
 	}
@@ -265,10 +227,10 @@ func (h *Hierarchy) Holds(core int, a mem.Addr) bool {
 }
 
 // ReadHits replays n back-to-back read hits by core on the line
-// containing a, which core's L1 must hold: the LRU stamp, the L1's use
-// tick and the hit count end exactly where n Access(core, a, false)
-// calls would leave them. The machine's spin-wait fast-forward applies
-// a sleeping spinner's skipped loads with it.
+// containing a, which core's L1 must hold: the LRU stamp and the L1's
+// use tick end exactly where n Access(core, a, false) calls would
+// leave them. The machine's spin-wait fast-forward applies a sleeping
+// spinner's skipped loads with it.
 func (h *Hierarchy) ReadHits(core int, a mem.Addr, n uint64) {
 	line := a.Line()
 	c := h.cores[core]
@@ -278,5 +240,4 @@ func (h *Hierarchy) ReadHits(core int, a mem.Addr, n uint64) {
 	}
 	c.tick += n
 	w.lru = c.tick
-	h.Hits += n
 }

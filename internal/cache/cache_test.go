@@ -13,13 +13,11 @@ func cfg() Config { return DefaultConfig() }
 func TestReadMissThenHit(t *testing.T) {
 	h := New(2, cfg())
 	a := mem.Addr(0x10000)
-	r := h.Access(0, a, false)
-	if r.Hit || r.Latency != cfg().MissLatency {
-		t.Fatalf("first read: hit=%v lat=%d, want miss lat=%d", r.Hit, r.Latency, cfg().MissLatency)
+	if lat := h.Access(0, a, false); lat != cfg().MissLatency {
+		t.Fatalf("first read latency = %d, want miss %d", lat, cfg().MissLatency)
 	}
-	r = h.Access(0, a, false)
-	if !r.Hit || r.Latency != cfg().HitLatency {
-		t.Fatalf("second read: hit=%v lat=%d, want hit lat=%d", r.Hit, r.Latency, cfg().HitLatency)
+	if lat := h.Access(0, a, false); lat != cfg().HitLatency {
+		t.Fatalf("second read latency = %d, want hit %d", lat, cfg().HitLatency)
 	}
 }
 
@@ -29,12 +27,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	h.Access(1, a, false)
 	h.Access(2, a, false)
 	h.Access(3, a, false)
-	r := h.Access(0, a, true)
-	if r.Invalidated != 0b1110 {
-		t.Fatalf("invalidated %#b, want cores 1,2,3", r.Invalidated)
-	}
-	if r.Latency != cfg().RemoteLatency {
-		t.Fatalf("write over sharers latency = %d, want remote %d", r.Latency, cfg().RemoteLatency)
+	if lat := h.Access(0, a, true); lat != cfg().RemoteLatency {
+		t.Fatalf("write over sharers latency = %d, want remote %d", lat, cfg().RemoteLatency)
 	}
 	for c := 1; c <= 3; c++ {
 		if h.Holds(c, a) {
@@ -42,8 +36,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		}
 	}
 	// The writer now owns it: a repeat write is a hit.
-	if r := h.Access(0, a, true); !r.Hit {
-		t.Error("owner's repeat write missed")
+	if lat := h.Access(0, a, true); lat != cfg().HitLatency {
+		t.Errorf("owner's repeat write latency = %d, want hit %d", lat, cfg().HitLatency)
 	}
 }
 
@@ -51,34 +45,35 @@ func TestReadDowngradesModified(t *testing.T) {
 	h := New(2, cfg())
 	a := mem.Addr(0x20000)
 	h.Access(0, a, true) // core 0 takes M
-	r := h.Access(1, a, false)
-	if r.Hit {
-		t.Fatal("remote read of modified line reported hit")
+	if lat := h.Access(1, a, false); lat != cfg().RemoteLatency {
+		t.Fatalf("remote read latency = %d, want %d", lat, cfg().RemoteLatency)
 	}
-	if r.Latency != cfg().RemoteLatency {
-		t.Fatalf("remote read latency = %d, want %d", r.Latency, cfg().RemoteLatency)
-	}
-	if r.Invalidated != 0 {
-		t.Fatalf("read should not invalidate, got %#b", r.Invalidated)
+	if !h.Holds(0, a) || !h.Holds(1, a) {
+		t.Fatal("a read must leave both copies shared, not invalidate")
 	}
 	// Both copies are now shared; core 0 re-acquiring ownership must
 	// invalidate core 1.
-	r = h.Access(0, a, true)
-	if r.Invalidated != 1<<1 {
-		t.Fatalf("upgrade invalidated %#b, want core 1", r.Invalidated)
+	if lat := h.Access(0, a, true); lat != cfg().RemoteLatency {
+		t.Fatalf("upgrade latency = %d, want remote %d", lat, cfg().RemoteLatency)
+	}
+	if h.Holds(1, a) {
+		t.Fatal("upgrade left core 1's copy valid")
 	}
 }
 
+// Upgrading a copy core 0 alone holds Shared is a miss without remote
+// traffic, and happens in place: the other line of a full set stays.
 func TestWriteUpgradeOfOwnSharedCopyKeepsLine(t *testing.T) {
-	h := New(2, cfg())
-	a := mem.Addr(0x30000)
-	h.Access(0, a, false) // S in core 0
-	r := h.Access(0, a, true)
-	if r.Evicted {
-		t.Fatal("in-place upgrade caused an eviction")
+	c := Config{Sets: 2, Ways: 2, HitLatency: 1, MissLatency: 10, RemoteLatency: 20}
+	h := New(2, c)
+	a, b := mem.Addr(0*64), mem.Addr(2*64) // same set
+	h.Access(0, b, false)
+	h.Access(0, a, false) // S in core 0; b is the set's LRU way
+	if lat := h.Access(0, a, true); lat != c.MissLatency {
+		t.Fatalf("upgrade latency = %d, want miss %d", lat, c.MissLatency)
 	}
-	if !h.Holds(0, a) {
-		t.Fatal("line lost during upgrade")
+	if !h.Holds(0, a) || !h.Holds(0, b) {
+		t.Fatal("in-place upgrade lost a line")
 	}
 }
 
@@ -91,28 +86,38 @@ func TestSetOverflowEvictsLRU(t *testing.T) {
 		h.Access(0, l, false)
 	}
 	h.Access(0, lines[0], false) // make lines[1] the LRU
-	r := h.Access(0, lines[2], false)
-	if !r.Evicted || r.EvictedLine != lines[1] {
-		t.Fatalf("evicted %v/%v, want %v", r.Evicted, r.EvictedLine, lines[1])
-	}
+	h.Access(0, lines[2], false)
 	if !h.Holds(0, lines[0]) || !h.Holds(0, lines[2]) {
 		t.Fatal("expected lines 0 and 2 resident")
 	}
 	if h.Holds(0, lines[1]) {
 		t.Fatal("evicted line still resident")
 	}
+	if lat := h.Access(0, lines[1], false); lat != c.MissLatency {
+		t.Fatalf("re-read of the evicted line latency = %d, want miss %d", lat, c.MissLatency)
+	}
 }
 
+// A silent eviction drops the evicting core from the line's directory
+// entry: another core's write to the line is then a plain miss, with no
+// invalidation round trip to the core that no longer holds it.
 func TestEvictionClearsDirectory(t *testing.T) {
 	c := Config{Sets: 2, Ways: 1, HitLatency: 1, MissLatency: 10, RemoteLatency: 20}
 	h := New(2, c)
 	a, b := mem.Addr(0*64), mem.Addr(4*64) // same set
 	h.Access(0, a, true)
 	h.Access(0, b, true) // evicts a
-	// Core 1 writing a must not see core 0 as owner anymore.
-	r := h.Access(1, a, true)
-	if r.Invalidated != 0 {
-		t.Fatalf("write to evicted line invalidated %#b, want none", r.Invalidated)
+	if h.Holds(0, a) {
+		t.Fatal("evicted line still resident")
+	}
+	if lat := h.Access(1, a, true); lat != c.MissLatency {
+		t.Fatalf("write to an evicted line latency = %d, want miss %d", lat, c.MissLatency)
+	}
+	// Likewise for a line evicted while shared.
+	h.Access(0, a, false) // core 0 shares a with owner 1, evicting b
+	h.Access(0, b, false) // evicts a again
+	if lat := h.Access(1, a, true); lat != c.MissLatency {
+		t.Fatalf("write to a line its other sharer evicted latency = %d, want miss %d", lat, c.MissLatency)
 	}
 }
 
@@ -138,9 +143,8 @@ func TestDistinctLinesNoInterference(t *testing.T) {
 	h := New(2, cfg())
 	a, b := mem.Addr(0x1000), mem.Addr(0x1040) // adjacent lines
 	h.Access(0, a, true)
-	r := h.Access(1, b, true)
-	if r.Invalidated != 0 {
-		t.Fatalf("write to different line invalidated %#b", r.Invalidated)
+	if lat := h.Access(1, b, true); lat != cfg().MissLatency {
+		t.Fatalf("write to a different line latency = %d, want miss %d", lat, cfg().MissLatency)
 	}
 	if !h.Holds(0, a) || !h.Holds(1, b) {
 		t.Fatal("both cores should retain their lines")
@@ -152,9 +156,11 @@ func TestSameLineDifferentWordsConflict(t *testing.T) {
 	h := New(2, cfg())
 	a := mem.Addr(0x2000)
 	h.Access(0, a, true)
-	r := h.Access(1, a+56, true)
-	if r.Invalidated != 1<<0 {
-		t.Fatalf("false-sharing write invalidated %#b, want core 0", r.Invalidated)
+	if lat := h.Access(1, a+56, true); lat != cfg().RemoteLatency {
+		t.Fatalf("false-sharing write latency = %d, want remote %d", lat, cfg().RemoteLatency)
+	}
+	if h.Holds(0, a) {
+		t.Fatal("false-sharing write left core 0's copy valid")
 	}
 }
 
@@ -176,36 +182,53 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// Property: at most one core ever observes write-hit status for a line
-// without an intervening miss — i.e. single-writer is preserved under
-// arbitrary access sequences.
+// Property: under arbitrary access sequences a write leaves no other
+// core holding the line (single writer), a read hits exactly when the
+// core already held the line, and a write hits exactly when the core
+// held the line Modified: it held the line, no other core did, and no
+// other core read the line since the core last wrote it. (A core
+// alone holding the line Shared, after a read miss, pays a miss to
+// upgrade.) The 16 lines map to distinct sets, so none is evicted.
 func TestQuickSingleWriter(t *testing.T) {
 	type op struct {
 		Core  uint8
 		Slot  uint8
 		Write bool
 	}
-	h := New(4, cfg())
 	f := func(ops []op) bool {
+		h := New(4, cfg())
+		var owner [16]int // 1 + the core holding the slot's line Modified, or 0
 		for _, o := range ops {
-			core := int(o.Core) % 4
-			a := mem.Addr(0x4000 + uint64(o.Slot%16)*64)
-			h.Access(core, a, o.Write)
+			core, slot := int(o.Core)%4, o.Slot%16
+			a := mem.Addr(0x4000 + uint64(slot)*64)
+			held, others := h.Holds(core, a), false
+			for other := 0; other < 4; other++ {
+				others = others || other != core && h.Holds(other, a)
+			}
+			hit := h.Access(core, a, o.Write) == cfg().HitLatency
 			if o.Write {
-				// After a write, no other core may write-hit.
+				if hit != (held && !others && owner[slot] == core+1) {
+					return false
+				}
+				owner[slot] = core + 1
+				// After a write, no other core may hold the line.
 				for other := 0; other < 4; other++ {
-					if other == core {
-						continue
-					}
-					if h.Holds(other, a) {
+					if other != core && h.Holds(other, a) {
 						return false
 					}
 				}
+				continue
+			}
+			if hit != held {
+				return false
+			}
+			if owner[slot] != core+1 {
+				owner[slot] = 0
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,9 +237,9 @@ func TestQuickSingleWriter(t *testing.T) {
 func TestQuickLatencyDomain(t *testing.T) {
 	h := New(3, cfg())
 	f := func(core, slot uint8, write bool) bool {
-		r := h.Access(int(core)%3, mem.Addr(uint64(slot)*64), write)
+		lat := h.Access(int(core)%3, mem.Addr(uint64(slot)*64), write)
 		c := cfg()
-		return r.Latency == c.HitLatency || r.Latency == c.MissLatency || r.Latency == c.RemoteLatency
+		return lat == c.HitLatency || lat == c.MissLatency || lat == c.RemoteLatency
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -224,7 +247,7 @@ func TestQuickLatencyDomain(t *testing.T) {
 }
 
 // ReadHits must leave a hierarchy exactly as the same number of
-// Access read hits does: LRU stamps, use ticks and the hit count.
+// Access read hits does: LRU stamps and use ticks.
 func TestReadHitsMatchesAccess(t *testing.T) {
 	c := Config{Sets: 2, Ways: 2, HitLatency: 1, MissLatency: 10, RemoteLatency: 20}
 	a, b := mem.Addr(0*64), mem.Addr(2*64) // same set

@@ -183,13 +183,3 @@ func InTxPath(snapshot []lbr.Entry) (path []lbr.IP, truncated bool) {
 	}
 	return stack, truncated
 }
-
-// Concat joins the unwound stack prefix (which reaches the transaction
-// begin) with the LBR-reconstructed in-transaction suffix, the
-// profiler's full-context construction of Figure 3(c).
-func Concat(unwound, inTx []lbr.IP) []lbr.IP {
-	out := make([]lbr.IP, 0, len(unwound)+len(inTx))
-	out = append(out, unwound...)
-	out = append(out, inTx...)
-	return out
-}

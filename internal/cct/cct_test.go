@@ -118,7 +118,7 @@ func TestPaperFigure3(t *testing.T) {
 	if truncated {
 		t.Fatal("window reached the non-TSX boundary: must not report truncation")
 	}
-	full := Concat([]lbr.IP{fn("main"), fn("A")}, path)
+	full := append([]lbr.IP{fn("main"), fn("A")}, path...)
 	wantFull := []lbr.IP{fn("main"), fn("A"), fn("C"), fn("D")}
 	if !reflect.DeepEqual(full, wantFull) {
 		t.Fatalf("full context = %v, want %v", full, wantFull)

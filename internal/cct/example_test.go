@@ -25,7 +25,7 @@ func ExampleInTxPath() {
 	}
 	suffix, truncated := cct.InTxPath(snapshot)
 	unwound := []lbr.IP{{Fn: "main"}, {Fn: "A"}}
-	full := cct.Concat(unwound, suffix)
+	full := append(unwound, suffix...)
 	for i, f := range full {
 		if i > 0 {
 			fmt.Print(" -> ")

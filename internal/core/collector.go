@@ -215,12 +215,12 @@ type (
 	Node = cct.Node[Metrics]
 )
 
-// Profile is one thread's profile.
+// Profile is one thread's profile. Each sample's metrics land on one
+// context, so the thread's totals are the sum over its tree.
 type Profile struct {
 	TID     int
 	Tree    *Tree
-	Totals  Metrics // aggregate over all contexts
-	Samples uint64  // samples of any event
+	Samples uint64 // samples of any event
 
 	// paths hash-conses derived calling contexts: repeated samples on
 	// the same (stack, LBR, IP) resolve to their CCT node without
@@ -448,7 +448,6 @@ func (c *Collector) HandleSample(s *machine.Sample) {
 	m := &node.Data
 	if truncated {
 		m.Truncated++
-		p.Totals.Truncated++
 		c.quality.TruncatedPaths++
 	}
 
@@ -458,7 +457,6 @@ func (c *Collector) HandleSample(s *machine.Sample) {
 		// mode read off the state word and the LBR abort bit.
 		mode := rtm.ModeOf(s.State, inTx)
 		m.Time[mode]++
-		p.Totals.Time[mode]++
 
 	case pmu.TxAbort:
 		if s.Abort == nil {
@@ -481,48 +479,37 @@ func (c *Collector) HandleSample(s *machine.Sample) {
 			return
 		}
 		m.AbortSamples++
-		p.Totals.AbortSamples++
 		m.AbortCount[cause]++
-		p.Totals.AbortCount[cause]++
 		m.AbortWeight[cause] += s.Abort.Weight
-		p.Totals.AbortWeight[cause] += s.Abort.Weight
 		if cause == htm.Conflict {
 			if s.Abort.AbortedByTx {
 				m.ConflictTx++
-				p.Totals.ConflictTx++
 			} else {
 				m.ConflictNonTx++
-				p.Totals.ConflictNonTx++
 			}
 		}
 		if cause == htm.Capacity {
 			switch s.Abort.CapKind {
 			case htm.CapacityRead:
 				m.CapReadW += s.Abort.Weight
-				p.Totals.CapReadW += s.Abort.Weight
 			case htm.CapacityWrite:
 				m.CapWriteW += s.Abort.Weight
-				p.Totals.CapWriteW += s.Abort.Weight
 			}
 		}
 
 	case pmu.TxCommit:
 		m.CommitSamples++
-		p.Totals.CommitSamples++
 
 	case pmu.Loads, pmu.Stores:
 		if !s.HasAddr {
 			return
 		}
 		m.MemSamples++
-		p.Totals.MemSamples++
 		switch c.Shadow.Observe(s.TID, s.Addr, s.IsWrite, s.Time) {
 		case shadow.TrueSharing:
 			m.TrueSharing++
-			p.Totals.TrueSharing++
 		case shadow.FalseSharing:
 			m.FalseSharing++
-			p.Totals.FalseSharing++
 		}
 	}
 }

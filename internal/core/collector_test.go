@@ -10,6 +10,16 @@ import (
 	"txsampler/internal/rtm"
 )
 
+// totals sums the profiles' contexts: the collector charges each
+// sample to exactly one context of its thread's tree.
+func totals(ps ...*Profile) Metrics {
+	var m Metrics
+	for _, p := range ps {
+		p.Tree.Walk(func(n *Node, _ int) { m.Merge(&n.Data) })
+	}
+	return m
+}
+
 func periods(cycles, abort, commit, loads, stores uint64) pmu.Periods {
 	var p pmu.Periods
 	p[pmu.Cycles] = cycles
@@ -154,15 +164,8 @@ func TestExactMatchWithPeriodOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.GroundTruth()
-	var commits, aborts uint64
-	var byCause [htm.NumCauses]uint64
-	for _, p := range col.Profiles() {
-		commits += p.Totals.CommitSamples
-		aborts += p.Totals.AbortSamples
-		for i, n := range p.Totals.AbortCount {
-			byCause[i] += n
-		}
-	}
+	tot := totals(col.Profiles()...)
+	commits, aborts, byCause := tot.CommitSamples, tot.AbortSamples, tot.AbortCount
 	if commits != g.Commits {
 		t.Errorf("sampled commits = %d, ground truth %d", commits, g.Commits)
 	}
@@ -204,10 +207,7 @@ func TestTimeDecompositionPureTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tot Metrics
-	for _, p := range col.Profiles() {
-		tot.Merge(&p.Totals)
-	}
+	tot := totals(col.Profiles()...)
 	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
@@ -243,10 +243,7 @@ func TestTimeDecompositionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tot Metrics
-	for _, p := range col.Profiles() {
-		tot.Merge(&p.Totals)
-	}
+	tot := totals(col.Profiles()...)
 	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
@@ -276,10 +273,7 @@ func TestTimeDecompositionOverheadForTinyTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tot Metrics
-	for _, p := range col.Profiles() {
-		tot.Merge(&p.Totals)
-	}
+	tot := totals(col.Profiles()...)
 	if tot.T() == 0 {
 		t.Fatal("no critical-section samples")
 	}
@@ -313,10 +307,7 @@ func TestSharingClassification(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		var tot Metrics
-		for _, p := range col.Profiles() {
-			tot.Merge(&p.Totals)
-		}
+		tot := totals(col.Profiles()...)
 		return tot.TrueSharing, tot.FalseSharing
 	}
 
@@ -347,7 +338,7 @@ func TestAbortWeightByCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := col.Profiles()[0].Totals
+	tot := totals(col.Profiles()[0])
 	if tot.AbortCount[htm.Sync] != 1 {
 		t.Fatalf("sync abort samples = %d, want 1", tot.AbortCount[htm.Sync])
 	}
@@ -375,7 +366,7 @@ func TestCapacityWeightSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := col.Profiles()[0].Totals
+	tot := totals(col.Profiles()[0])
 	if tot.AbortCount[htm.Capacity] == 0 || tot.CapReadW == 0 {
 		t.Fatalf("capacity: count=%d readW=%d", tot.AbortCount[htm.Capacity], tot.CapReadW)
 	}
@@ -440,8 +431,8 @@ func TestPerThreadHistogram(t *testing.T) {
 	}
 	g := m.GroundTruth()
 	for i, p := range col.Profiles() {
-		if p.Totals.CommitSamples != g.PerThreadCommits[i] {
-			t.Errorf("thread %d: sampled commits %d, truth %d", i, p.Totals.CommitSamples, g.PerThreadCommits[i])
+		if n := totals(p).CommitSamples; n != g.PerThreadCommits[i] {
+			t.Errorf("thread %d: sampled commits %d, truth %d", i, n, g.PerThreadCommits[i])
 		}
 	}
 }
@@ -487,8 +478,9 @@ func TestSamplingRateInPaperBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range col.Profiles() {
-		if p.Totals.W() < 3 || p.Totals.W() > 2000 {
-			t.Errorf("thread %d: %d cycles samples, outside the expected band", p.TID, p.Totals.W())
+		tot := totals(p)
+		if tot.W() < 3 || tot.W() > 2000 {
+			t.Errorf("thread %d: %d cycles samples, outside the expected band", p.TID, tot.W())
 		}
 	}
 }
@@ -520,7 +512,7 @@ func TestTruncatedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Profiles()[0].Totals.Truncated == 0 {
+	if totals(col.Profiles()[0]).Truncated == 0 {
 		t.Fatal("no truncated reconstructions with a 4-entry LBR")
 	}
 }
@@ -546,7 +538,7 @@ func TestInterruptAbortSamplesSeparated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := col.Profiles()[0].Totals
+	tot := totals(col.Profiles()[0])
 	if tot.AbortCount[htm.Interrupt] == 0 {
 		t.Fatal("dense sampling produced no interrupt-abort samples")
 	}
@@ -581,10 +573,7 @@ func TestConflictSourceSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tot Metrics
-	for _, p := range col.Profiles() {
-		tot.Merge(&p.Totals)
-	}
+	tot := totals(col.Profiles()...)
 	if tot.ConflictTx == 0 {
 		t.Error("no transactional conflicts recorded")
 	}
@@ -625,7 +614,7 @@ func TestEquationInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range col.Profiles() {
-		tot := p.Totals
+		tot := totals(p)
 		if tot.W() != tot.T()+tot.Time[rtm.ModeNone] {
 			t.Fatalf("thread %d: W=%d != T=%d + S=%d (Equation 1 violated)",
 				p.TID, tot.W(), tot.T(), tot.Time[rtm.ModeNone])

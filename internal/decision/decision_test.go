@@ -37,7 +37,7 @@ func aborts(c *core.Collector, n int, cause htm.Cause, w uint64) {
 		c.HandleSample(&machine.Sample{
 			Event: pmu.TxAbort, Stack: stack("main"), IP: lbr.IP{Fn: "main"},
 			LBR:   []lbr.Entry{{Kind: lbr.KindAbort, Abort: true, InTSX: true}},
-			Abort: &machine.AbortInfo{Cause: cause, Weight: w, AbortedBy: -1},
+			Abort: &machine.AbortInfo{Cause: cause, Weight: w},
 		})
 	}
 }
@@ -253,21 +253,21 @@ func TestPerContextRefinement(t *testing.T) {
 		c.HandleSample(&machine.Sample{
 			Event: pmu.TxAbort, Stack: stack("main", "contended"), IP: lbr.IP{Fn: "contended"},
 			LBR:   []lbr.Entry{{Kind: lbr.KindAbort, Abort: true, InTSX: true}},
-			Abort: &machine.AbortInfo{Cause: htm.Conflict, Weight: 300, AbortedBy: 1},
+			Abort: &machine.AbortInfo{Cause: htm.Conflict, Weight: 300},
 		})
 	}
 	// ...but one context holds all the capacity weight...
 	c.HandleSample(&machine.Sample{
 		Event: pmu.TxAbort, Stack: stack("main", "bigfootprint"), IP: lbr.IP{Fn: "bigfootprint"},
 		LBR:   []lbr.Entry{{Kind: lbr.KindAbort, Abort: true, InTSX: true}},
-		Abort: &machine.AbortInfo{Cause: htm.Capacity, CapKind: htm.CapacityRead, Weight: 900, AbortedBy: -1},
+		Abort: &machine.AbortInfo{Cause: htm.Capacity, CapKind: htm.CapacityRead, Weight: 900},
 	})
 	// ...and another is pure sync aborts.
 	for i := 0; i < 3; i++ {
 		c.HandleSample(&machine.Sample{
 			Event: pmu.TxAbort, Stack: stack("main", "write_file"), IP: lbr.IP{Fn: "write_file"},
 			LBR:   []lbr.Entry{{Kind: lbr.KindAbort, Abort: true, InTSX: true}},
-			Abort: &machine.AbortInfo{Cause: htm.Sync, Weight: 400, AbortedBy: -1},
+			Abort: &machine.AbortInfo{Cause: htm.Sync, Weight: 400},
 		})
 	}
 	a := evaluate(c)

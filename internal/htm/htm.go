@@ -78,58 +78,6 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
-// TSX EAX status bits, as the XBEGIN fallback path receives them
-// (Intel SDM Vol. 1, RTM status register).
-const (
-	// StatusExplicit: the abort came from XABORT.
-	StatusExplicit uint32 = 1 << 0
-	// StatusRetry: the hardware hints the transaction may succeed on
-	// retry.
-	StatusRetry uint32 = 1 << 1
-	// StatusConflict: another logical processor conflicted.
-	StatusConflict uint32 = 1 << 2
-	// StatusCapacity: an internal buffer overflowed.
-	StatusCapacity uint32 = 1 << 3
-	// StatusDebug: a debug breakpoint was hit (unused here).
-	StatusDebug uint32 = 1 << 4
-	// StatusNested: the abort occurred in a nested transaction
-	// (unused: the RTM layer flattens nesting).
-	StatusNested uint32 = 1 << 5
-)
-
-// TSXStatus encodes the cause as the EAX status word the fallback
-// path of a real XBEGIN receives. Synchronous and interrupt aborts
-// report a zero status, exactly as unfriendly instructions and
-// asynchronous events do on hardware.
-func (c Cause) TSXStatus() uint32 {
-	switch c {
-	case Conflict:
-		return StatusConflict | StatusRetry
-	case Capacity:
-		return StatusCapacity
-	case Explicit:
-		return StatusExplicit
-	default:
-		return 0
-	}
-}
-
-// CauseFromStatus decodes an EAX status word back to a cause; a zero
-// status is indistinguishable between sync aborts and interrupts, as
-// on hardware, and decodes to Sync.
-func CauseFromStatus(s uint32) Cause {
-	switch {
-	case s&StatusExplicit != 0:
-		return Explicit
-	case s&StatusConflict != 0:
-		return Conflict
-	case s&StatusCapacity != 0:
-		return Capacity
-	default:
-		return Sync
-	}
-}
-
 // Retryable reports whether an abort with this cause may succeed if the
 // transaction is simply retried, mirroring the TSX "retry" status bit:
 // conflicts, interrupt-induced aborts, and spurious aborts are
@@ -210,15 +158,11 @@ type Tx struct {
 	Doomed     bool
 	AbortCause Cause
 	CapKind    CapacityKind
-	// ConflictLine is the line whose access triggered a conflict
-	// abort, and AbortedBy the thread that issued it (-1 otherwise).
 	// AbortedByTx distinguishes conflicts with another transaction
 	// from conflicts with non-transactional code (e.g. the fallback
 	// lock acquisition) — the finer cause granularity POWER8 exposes
 	// and Intel does not (paper §10).
-	ConflictLine mem.Addr
-	AbortedBy    int
-	AbortedByTx  bool
+	AbortedByTx bool
 
 	StartCycle uint64 // thread clock at XBEGIN, for abort-weight accounting
 
@@ -264,10 +208,6 @@ type Engine struct {
 	// an aborted transaction's lines.
 	lines mem.Table[lineTrack]
 	txs   [MaxThreads]*Tx // each thread's reused transaction
-
-	// Stats.
-	Commits uint64
-	Aborts  [NumCauses]uint64
 }
 
 // NewEngine returns an engine for the given tracking geometry. Direct
@@ -294,7 +234,6 @@ func (e *Engine) Begin(tid int, startCycle uint64) *Tx {
 	clear(tx.occBySet)
 	*tx = Tx{
 		TID:        tid,
-		AbortedBy:  -1,
 		StartCycle: startCycle,
 		live:       true,
 		reads:      tx.reads[:0],
@@ -306,31 +245,26 @@ func (e *Engine) Begin(tid int, startCycle uint64) *Tx {
 }
 
 // Doom marks tx aborted with the given cause and untracks its lines.
-// byTID identifies the conflicting thread for conflict aborts; pass -1
-// otherwise. Doom on an already-doomed transaction is a no-op so the
-// first cause wins.
-func (e *Engine) Doom(tx *Tx, cause Cause, byTID int, line mem.Addr) {
-	e.doom(tx, cause, byTID, line, false)
-}
+// Doom on an already-doomed transaction is a no-op so the first cause
+// wins.
+func (e *Engine) Doom(tx *Tx, cause Cause) { e.doom(tx, cause, false) }
 
-func (e *Engine) doom(tx *Tx, cause Cause, byTID int, line mem.Addr, byTx bool) {
+// doom is Doom recording whether the dooming access was transactional.
+func (e *Engine) doom(tx *Tx, cause Cause, byTx bool) {
 	if tx.Doomed {
 		return
 	}
 	tx.Doomed = true
 	tx.AbortCause = cause
-	tx.AbortedBy = byTID
 	tx.AbortedByTx = byTx
-	tx.ConflictLine = line
-	e.Aborts[cause]++
 	e.untrack(tx)
 }
 
 // doomReaders dooms the transactions of the threads in the bitmask
-// readers with a conflict on line caused by thread byTID.
-func (e *Engine) doomReaders(readers uint64, byTID int, line mem.Addr, byTx bool) {
+// readers with a conflict.
+func (e *Engine) doomReaders(readers uint64, byTx bool) {
 	for ; readers != 0; readers &= readers - 1 {
-		e.doom(e.txs[bits.TrailingZeros64(readers)], Conflict, byTID, line, byTx)
+		e.doom(e.txs[bits.TrailingZeros64(readers)], Conflict, byTx)
 	}
 }
 
@@ -357,7 +291,7 @@ func (e *Engine) track(tx *Tx, line mem.Addr, kind CapacityKind) bool {
 	set := int(line.LineIndex() % uint64(e.cfg.Sets))
 	if int(tx.occBySet[set]) >= e.cfg.Ways {
 		tx.CapKind = kind
-		e.Doom(tx, Capacity, -1, line)
+		e.Doom(tx, Capacity)
 		return false
 	}
 	tx.occBySet[set]++
@@ -385,13 +319,13 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 	} else if lt.writer != 0 {
 		// Requester wins: a remote transaction holding the line in its
 		// write set receives our share request and aborts.
-		e.doom(e.txs[lt.writer-1], Conflict, tx.TID, line, true)
+		e.doom(e.txs[lt.writer-1], Conflict, true)
 	}
 	bit := uint64(1) << tx.TID
 	if lt.readers&bit == 0 {
 		if len(tx.reads) >= e.cfg.maxRead() {
 			tx.CapKind = CapacityRead
-			e.Doom(tx, Capacity, -1, line)
+			e.Doom(tx, Capacity)
 			return 0, false
 		}
 		// Both read and write sets are tracked in the L1: a set whose
@@ -420,10 +354,10 @@ func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
 	lt := e.lines.At(line)
 	self := uint8(tx.TID + 1)
 	if lt.writer != 0 && lt.writer != self {
-		e.doom(e.txs[lt.writer-1], Conflict, tx.TID, line, true)
+		e.doom(e.txs[lt.writer-1], Conflict, true)
 	}
 	bit := uint64(1) << tx.TID
-	e.doomReaders(lt.readers&^bit, tx.TID, line, true)
+	e.doomReaders(lt.readers&^bit, true)
 	if lt.writer != self {
 		// A line already in the read set is already tracked in its L1
 		// set; only new lines consume a way.
@@ -451,23 +385,21 @@ func (e *Engine) NonTxAccess(tid int, a mem.Addr, write bool) {
 		return
 	}
 	if lt.writer != 0 && int(lt.writer) != tid+1 {
-		e.Doom(e.txs[lt.writer-1], Conflict, tid, line)
+		e.Doom(e.txs[lt.writer-1], Conflict)
 	}
 	if write {
-		e.doomReaders(lt.readers&^(1<<uint(tid)), tid, line, false)
+		e.doomReaders(lt.readers&^(1<<uint(tid)), false)
 	}
 }
 
 // Commit attempts to commit tx. On success it returns the buffered
-// stores, one per written word, for the machine to apply to memory and
-// records the commit; if the transaction was doomed it returns nil and
-// false.
+// stores, one per written word, for the machine to apply to memory; if
+// the transaction was doomed it returns nil and false.
 func (e *Engine) Commit(tx *Tx) (stores []Store, ok bool) {
 	if tx.Doomed {
 		return nil, false
 	}
 	e.untrack(tx)
-	e.Commits++
 	for i := range tx.writes {
 		wl := &tx.writes[i]
 		for m := wl.mask; m != 0; m &= m - 1 {

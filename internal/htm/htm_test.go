@@ -33,9 +33,6 @@ func TestCommitAppliesBufferedStores(t *testing.T) {
 	if len(stores) != 2 || storeSet(stores)[0x1000] != 7 || storeSet(stores)[0x1008] != 8 {
 		t.Fatalf("stores = %v", stores)
 	}
-	if e.Commits != 1 {
-		t.Fatalf("Commits = %d", e.Commits)
-	}
 	if r, w := e.InFlight(); r != 0 || w != 0 {
 		t.Fatalf("leaked tracking: r=%d w=%d", r, w)
 	}
@@ -61,14 +58,11 @@ func TestWriteWriteConflictRequesterWins(t *testing.T) {
 	b := e.Begin(1, 0)
 	e.Write(a, 0x3000, 1)
 	e.Write(b, 0x3008, 2) // same line, different word: still a conflict
-	if !a.Doomed || a.AbortCause != Conflict || a.AbortedBy != 1 {
-		t.Fatalf("victim a: doomed=%v cause=%v by=%d", a.Doomed, a.AbortCause, a.AbortedBy)
+	if !a.Doomed || a.AbortCause != Conflict || !a.AbortedByTx {
+		t.Fatalf("victim a: doomed=%v cause=%v by-tx=%v", a.Doomed, a.AbortCause, a.AbortedByTx)
 	}
 	if b.Doomed {
 		t.Fatal("requester b should survive")
-	}
-	if a.ConflictLine != mem.Addr(0x3000).Line() {
-		t.Fatalf("conflict line = %v", a.ConflictLine)
 	}
 }
 
@@ -124,8 +118,8 @@ func TestNonTxWriteAbortsReadersAndWriter(t *testing.T) {
 	if !r.Doomed || !w.Doomed {
 		t.Fatal("non-tx write must abort conflicting transactions")
 	}
-	if r.AbortedBy != 2 || w.AbortedBy != 2 {
-		t.Fatalf("AbortedBy = %d,%d, want 2,2", r.AbortedBy, w.AbortedBy)
+	if r.AbortedByTx || w.AbortedByTx {
+		t.Fatalf("AbortedByTx = %v,%v, want false,false", r.AbortedByTx, w.AbortedByTx)
 	}
 }
 
@@ -204,13 +198,10 @@ func TestReadCapacity(t *testing.T) {
 func TestDoomFirstCauseWins(t *testing.T) {
 	e := eng()
 	tx := e.Begin(0, 0)
-	e.Doom(tx, Sync, -1, 0)
-	e.Doom(tx, Conflict, 3, 0x40)
-	if tx.AbortCause != Sync || tx.AbortedBy != -1 {
-		t.Fatalf("second doom overwrote first: %v by %d", tx.AbortCause, tx.AbortedBy)
-	}
-	if e.Aborts[Sync] != 1 || e.Aborts[Conflict] != 0 {
-		t.Fatalf("abort stats: %v", e.Aborts)
+	e.Doom(tx, Sync)
+	e.doom(tx, Conflict, true)
+	if tx.AbortCause != Sync || tx.AbortedByTx {
+		t.Fatalf("second doom overwrote first: %v by-tx=%v", tx.AbortCause, tx.AbortedByTx)
 	}
 }
 
@@ -219,7 +210,7 @@ func TestDoomedTxStopsConflicting(t *testing.T) {
 	a := e.Begin(0, 0)
 	b := e.Begin(1, 0)
 	e.Write(a, 0xa000, 1)
-	e.Doom(a, Interrupt, -1, 0)
+	e.Doom(a, Interrupt)
 	e.Write(b, 0xa000, 2) // must not be affected by the dead tx
 	if b.Doomed {
 		t.Fatal("doomed tx still caused a conflict")
@@ -233,7 +224,7 @@ func TestCommitDoomedFails(t *testing.T) {
 	e := eng()
 	tx := e.Begin(0, 0)
 	e.Write(tx, 0xb000, 1)
-	e.Doom(tx, Explicit, -1, 0)
+	e.Doom(tx, Explicit)
 	if _, ok := e.Commit(tx); ok {
 		t.Fatal("doomed transaction committed")
 	}
@@ -291,29 +282,6 @@ func TestBeginWhileInFlightPanics(t *testing.T) {
 		}
 	}()
 	e.Begin(3, 0)
-}
-
-func TestTSXStatusRoundTrip(t *testing.T) {
-	for _, c := range []Cause{Conflict, Capacity, Explicit} {
-		if got := CauseFromStatus(c.TSXStatus()); got != c {
-			t.Errorf("round trip %v -> %#x -> %v", c, c.TSXStatus(), got)
-		}
-	}
-	// Sync and Interrupt both encode as zero status: hardware cannot
-	// tell them apart either, and zero decodes to Sync.
-	if Sync.TSXStatus() != 0 || Interrupt.TSXStatus() != 0 {
-		t.Error("sync/interrupt status must be zero")
-	}
-	if CauseFromStatus(0) != Sync {
-		t.Error("zero status must decode to Sync")
-	}
-	// The retry hint matches Retryable for hardware-reported causes.
-	if Conflict.TSXStatus()&StatusRetry == 0 {
-		t.Error("conflict status lacks the retry hint")
-	}
-	if Capacity.TSXStatus()&StatusRetry != 0 {
-		t.Error("capacity status must not hint retry")
-	}
 }
 
 func TestCauseRetryable(t *testing.T) {

@@ -15,15 +15,11 @@ type refTx struct {
 	Doomed     bool
 	AbortCause Cause
 	CapKind    CapacityKind
-	// ConflictLine is the line whose access triggered a conflict
-	// abort, and AbortedBy the thread that issued it (-1 otherwise).
 	// AbortedByTx distinguishes conflicts with another transaction
 	// from conflicts with non-transactional code (e.g. the fallback
 	// lock acquisition) — the finer cause granularity POWER8 exposes
 	// and Intel does not (paper §10).
-	ConflictLine mem.Addr
-	AbortedBy    int
-	AbortedByTx  bool
+	AbortedByTx bool
 
 	StartCycle uint64 // thread clock at XBEGIN, for abort-weight accounting
 
@@ -47,10 +43,6 @@ type refEngine struct {
 	// as hardware stops tracking an aborted transaction's lines.
 	readers map[mem.Addr]map[*refTx]struct{}
 	writers map[mem.Addr]*refTx
-
-	// Stats.
-	Commits uint64
-	Aborts  map[Cause]uint64
 }
 
 // newRefEngine returns an engine for the given tracking geometry. Direct
@@ -64,7 +56,6 @@ func newRefEngine(cfg Config) *refEngine {
 		cfg:     cfg,
 		readers: make(map[mem.Addr]map[*refTx]struct{}),
 		writers: make(map[mem.Addr]*refTx),
-		Aborts:  make(map[Cause]uint64),
 	}
 }
 
@@ -73,7 +64,6 @@ func newRefEngine(cfg Config) *refEngine {
 func (e *refEngine) Begin(tid int, startCycle uint64) *refTx {
 	return &refTx{
 		TID:        tid,
-		AbortedBy:  -1,
 		StartCycle: startCycle,
 		readSet:    make(map[mem.Addr]struct{}),
 		writeSet:   make(map[mem.Addr]struct{}),
@@ -83,23 +73,17 @@ func (e *refEngine) Begin(tid int, startCycle uint64) *refTx {
 }
 
 // Doom marks tx aborted with the given cause and untracks its lines.
-// byTID identifies the conflicting thread for conflict aborts; pass -1
-// otherwise. Doom on an already-doomed transaction is a no-op so the
-// first cause wins.
-func (e *refEngine) Doom(tx *refTx, cause Cause, byTID int, line mem.Addr) {
-	e.doom(tx, cause, byTID, line, false)
-}
+// Doom on an already-doomed transaction is a no-op so the first cause
+// wins.
+func (e *refEngine) Doom(tx *refTx, cause Cause) { e.doom(tx, cause, false) }
 
-func (e *refEngine) doom(tx *refTx, cause Cause, byTID int, line mem.Addr, byTx bool) {
+func (e *refEngine) doom(tx *refTx, cause Cause, byTx bool) {
 	if tx.Doomed {
 		return
 	}
 	tx.Doomed = true
 	tx.AbortCause = cause
-	tx.AbortedBy = byTID
 	tx.AbortedByTx = byTx
-	tx.ConflictLine = line
-	e.Aborts[cause]++
 	e.untrack(tx)
 }
 
@@ -136,12 +120,12 @@ func (e *refEngine) Read(tx *refTx, a mem.Addr) (v mem.Word, ok bool) {
 	// Requester wins: a remote transaction holding the line in its
 	// write set receives our share request and aborts.
 	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+		e.doom(w, Conflict, true)
 	}
 	if _, tracked := tx.readSet[line]; !tracked {
 		if len(tx.readSet) >= e.cfg.maxRead() {
 			tx.CapKind = CapacityRead
-			e.Doom(tx, Capacity, -1, line)
+			e.Doom(tx, Capacity)
 			return 0, false
 		}
 		// Both read and write sets are tracked in the L1: a set whose
@@ -152,7 +136,7 @@ func (e *refEngine) Read(tx *refTx, a mem.Addr) (v mem.Word, ok bool) {
 			set := int(line.LineIndex() % uint64(e.cfg.Sets))
 			if int(tx.occBySet[set]) >= e.cfg.Ways {
 				tx.CapKind = CapacityRead
-				e.Doom(tx, Capacity, -1, line)
+				e.Doom(tx, Capacity)
 				return 0, false
 			}
 			tx.occBySet[set]++
@@ -179,11 +163,11 @@ func (e *refEngine) Write(tx *refTx, a mem.Addr, v mem.Word) {
 	}
 	line := a.Line()
 	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+		e.doom(w, Conflict, true)
 	}
 	for r := range e.readers[line] {
 		if r != tx {
-			e.doom(r, Conflict, tx.TID, line, true)
+			e.doom(r, Conflict, true)
 		}
 	}
 	if _, tracked := tx.writeSet[line]; !tracked {
@@ -193,7 +177,7 @@ func (e *refEngine) Write(tx *refTx, a mem.Addr, v mem.Word) {
 			set := int(line.LineIndex() % uint64(e.cfg.Sets))
 			if int(tx.occBySet[set]) >= e.cfg.Ways {
 				tx.CapKind = CapacityWrite
-				e.Doom(tx, Capacity, -1, line)
+				e.Doom(tx, Capacity)
 				return
 			}
 			tx.occBySet[set]++
@@ -211,26 +195,25 @@ func (e *refEngine) Write(tx *refTx, a mem.Addr, v mem.Word) {
 func (e *refEngine) NonTxAccess(tid int, a mem.Addr, write bool) {
 	line := a.Line()
 	if w := e.writers[line]; w != nil && w.TID != tid {
-		e.Doom(w, Conflict, tid, line)
+		e.Doom(w, Conflict)
 	}
 	if write {
 		for r := range e.readers[line] {
 			if r.TID != tid {
-				e.Doom(r, Conflict, tid, line)
+				e.Doom(r, Conflict)
 			}
 		}
 	}
 }
 
 // Commit attempts to commit tx. On success it returns the buffered
-// stores for the machine to apply to memory and records the commit; if
-// the transaction was doomed it returns nil and false.
+// stores for the machine to apply to memory; if the transaction was
+// doomed it returns nil and false.
 func (e *refEngine) Commit(tx *refTx) (stores map[mem.Addr]mem.Word, ok bool) {
 	if tx.Doomed {
 		return nil, false
 	}
 	e.untrack(tx)
-	e.Commits++
 	return tx.writeBuf, true
 }
 

@@ -121,7 +121,6 @@ func fieldAddr(node mem.Addr, field int) mem.Addr { return node.Offset(field) }
 // paper's Dedup pathology (a hash that clusters keys into few
 // buckets, §8.1).
 type hashTable struct {
-	buckets  int
 	headBase mem.Addr
 	dense    bool // heads densely packed (8 per line) vs padded
 	pool     *nodePool
@@ -129,7 +128,7 @@ type hashTable struct {
 }
 
 func newHashTable(m *machine.Machine, threads, buckets, poolPerThread int, dense bool, hash func(uint64) int) *hashTable {
-	h := &hashTable{buckets: buckets, dense: dense, pool: newNodePool(m, threads, poolPerThread), hash: hash}
+	h := &hashTable{dense: dense, pool: newNodePool(m, threads, poolPerThread), hash: hash}
 	if dense {
 		h.headBase = m.Mem.AllocWords(buckets)
 	} else {

@@ -394,9 +394,10 @@ type threadStatus struct {
 }
 
 func statusOf(t *Thread) threadStatus {
-	top := t.stack[len(t.stack)-1].fn
-	if site := t.stack[len(t.stack)-1].site; site != "" {
-		top += "@" + site
+	ip := t.curIP()
+	top := ip.Fn
+	if ip.Site != "" {
+		top += "@" + ip.Site
 	}
 	return threadStatus{
 		clock: t.clock, depth: len(t.stack), top: top, ops: t.opCount,

@@ -23,17 +23,10 @@ type txAbortSentinel struct{}
 // AbortInfo describes one completed transaction abort, surfaced to the
 // RTM runtime library for its retry decision.
 type AbortInfo struct {
-	Cause        htm.Cause
-	CapKind      htm.CapacityKind
-	Weight       uint64 // cycles wasted in the aborted attempt
-	ConflictLine mem.Addr
-	AbortedBy    int  // aborting thread, or -1
-	AbortedByTx  bool // conflicting access was itself transactional
-}
-
-type frame struct {
-	fn   string
-	site string
+	Cause       htm.Cause
+	CapKind     htm.CapacityKind
+	Weight      uint64 // cycles wasted in the aborted attempt
+	AbortedByTx bool   // conflicting access was itself transactional
 }
 
 // Thread is one simulated hardware thread (pinned to its own core).
@@ -45,7 +38,7 @@ type Thread struct {
 	ID int
 
 	clock    uint64
-	stack    []frame
+	stack    []lbr.IP // call stack, root first; the top frame's Site is set by At
 	lbrBuf   *lbr.Buffer
 	counters pmu.Counters
 	rng      *rand.Rand
@@ -127,7 +120,7 @@ func newThread(m *Machine, id int) *Thread {
 		ID:        id,
 		lbrBuf:    lbr.New(m.cfg.LBRDepth),
 		rng:       rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(id))),
-		stack:     append(make([]frame, 0, 64), frame{fn: "thread_root"}),
+		stack:     append(make([]lbr.IP, 0, 64), lbr.IP{Fn: "thread_root"}),
 		quantum:   uint64(m.cfg.Quantum),
 		maxCycles: m.cfg.MaxCycles,
 	}
@@ -283,29 +276,9 @@ func (t *Thread) Aborts(c htm.Cause) uint64 { return t.aborts[c] }
 
 // CallStack returns a copy of the architectural call stack, root
 // first — what a call-stack unwinder observes at this instant.
-func (t *Thread) CallStack() []lbr.IP { return t.stackIPs() }
+func (t *Thread) CallStack() []lbr.IP { return slices.Clone(t.stack) }
 
-func (t *Thread) curIP() lbr.IP {
-	f := t.stack[len(t.stack)-1]
-	return lbr.IP{Fn: f.fn, Site: f.site}
-}
-
-func (t *Thread) stackIPs() []lbr.IP {
-	out := make([]lbr.IP, len(t.stack))
-	for i, f := range t.stack {
-		out[i] = lbr.IP{Fn: f.fn, Site: f.site}
-	}
-	return out
-}
-
-// stackIPsInto is stackIPs reusing dst's backing array.
-func (t *Thread) stackIPsInto(dst []lbr.IP) []lbr.IP {
-	dst = dst[:0]
-	for _, f := range t.stack {
-		dst = append(dst, lbr.IP{Fn: f.fn, Site: f.site})
-	}
-	return dst
-}
+func (t *Thread) curIP() lbr.IP { return t.stack[len(t.stack)-1] }
 
 // opMeta carries PMU metadata for one operation.
 type opMeta struct {
@@ -342,7 +315,7 @@ func (t *Thread) startOp() {
 			// Transient microarchitectural abort: the status word
 			// reports nothing (no _XABORT_* bit set), as real TSX does
 			// for TLB shootdowns, uncore interference, and similar.
-			t.m.HTM.Doom(t.tx, htm.Spurious, -1, 0)
+			t.m.HTM.Doom(t.tx, htm.Spurious)
 			t.abortNow()
 		}
 	}
@@ -452,7 +425,7 @@ func (t *Thread) rollback() (abortOverflow bool) {
 		Kind: lbr.KindAbort, From: t.curIP(), To: t.txBeginIP, Abort: true, InTSX: true,
 	})
 	t.stack = t.stack[:t.txStack]
-	t.stack[len(t.stack)-1].site = t.txSite
+	t.stack[len(t.stack)-1].Site = t.txSite
 	t.State = t.txState
 	t.txNest = 0
 	t.clock += txAbortCost
@@ -463,14 +436,7 @@ func (t *Thread) rollback() (abortOverflow bool) {
 		TID: int32(t.ID), Arg: uint64(cause), Name: abortEventNames[cause],
 	})
 	abortOverflow = t.counters.Add(pmu.TxAbort, 1)
-	t.lastAbort = AbortInfo{
-		Cause:        cause,
-		CapKind:      tx.CapKind,
-		Weight:       weight,
-		ConflictLine: tx.ConflictLine,
-		AbortedBy:    tx.AbortedBy,
-		AbortedByTx:  tx.AbortedByTx,
-	}
+	t.lastAbort = AbortInfo{Cause: cause, CapKind: tx.CapKind, Weight: weight, AbortedByTx: tx.AbortedByTx}
 	t.tx = nil
 	return abortOverflow
 }
@@ -479,7 +445,7 @@ func (t *Thread) rollback() (abortOverflow bool) {
 // doomed transaction: roll back, deliver an RTM_RETIRED:ABORTED sample
 // if that counter overflowed, and unwind to Attempt.
 func (t *Thread) abortNow() {
-	t.truthScratch = t.stackIPsInto(t.truthScratch)
+	t.truthScratch = append(t.truthScratch[:0], t.stack...)
 	truth := t.truthScratch
 	from := t.curIP()
 	overflow := t.rollback()
@@ -503,13 +469,13 @@ func (t *Thread) abortNow() {
 // plain interrupt branch.
 func (t *Thread) deliverInterrupt(events []pmu.Event, meta opMeta) {
 	t.interrupts++
-	t.truthScratch = t.stackIPsInto(t.truthScratch)
+	t.truthScratch = append(t.truthScratch[:0], t.stack...)
 	truth := t.truthScratch
 	ip := t.curIP()
 	wasInTx := t.tx != nil
 	var evBuf [3]pmu.Event // at most two overflow events plus TxAbort
 	if wasInTx {
-		t.m.HTM.Doom(t.tx, htm.Interrupt, -1, 0)
+		t.m.HTM.Doom(t.tx, htm.Interrupt)
 		// The abort retires before the PMI handler freezes the
 		// counters; if it overflows the TxAbort counter, a second
 		// interrupt is pending and delivers right after this one.
@@ -545,7 +511,7 @@ func (t *Thread) deliverSamples(events []pmu.Event, ip lbr.IP, truth []lbr.IP, w
 	// stack captured before delivery, so the backing array is shared.
 	stack := truth
 	if wasInTx {
-		t.stackScratch = t.stackIPsInto(t.stackScratch)
+		t.stackScratch = append(t.stackScratch[:0], t.stack...)
 		stack = t.stackScratch // rolled back: differs from truth
 	}
 	for _, ev := range events {
@@ -612,19 +578,19 @@ func (t *Thread) Load(a mem.Addr) mem.Word {
 	if t.tx != nil {
 		buf, fromBuf := t.m.HTM.Read(t.tx, a)
 		if !t.tx.Doomed {
-			r := t.m.Caches.Access(t.ID, a, false)
+			lat := t.m.Caches.Access(t.ID, a, false)
 			if fromBuf {
 				v = buf
 			} else {
 				v = t.m.Mem.Load(a)
 			}
-			cost = uint64(r.Latency) + t.m.cfg.MemPenalty
+			cost = uint64(lat) + t.m.cfg.MemPenalty
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, false)
-		r := t.m.Caches.Access(t.ID, a, false)
+		lat := t.m.Caches.Access(t.ID, a, false)
 		v = t.m.Mem.Load(a)
-		cost = uint64(r.Latency) + t.m.cfg.MemPenalty
+		cost = uint64(lat) + t.m.cfg.MemPenalty
 	}
 	t.endOp(opMeta{ev: pmu.Loads, n: 1, hasEv: true, addr: a, hasAddr: true}, cost)
 	t.softLoad(a, v)
@@ -784,14 +750,13 @@ func (t *Thread) Store(a mem.Addr, v mem.Word) {
 	if t.tx != nil {
 		t.m.HTM.Write(t.tx, a, v)
 		if !t.tx.Doomed {
-			r := t.m.Caches.Access(t.ID, a, true)
-			cost = uint64(r.Latency) + t.m.cfg.MemPenalty
+			cost = uint64(t.m.Caches.Access(t.ID, a, true)) + t.m.cfg.MemPenalty
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, true)
-		r := t.m.Caches.Access(t.ID, a, true)
+		lat := t.m.Caches.Access(t.ID, a, true)
 		t.m.Mem.Store(a, v)
-		cost = uint64(r.Latency) + t.m.cfg.MemPenalty
+		cost = uint64(lat) + t.m.cfg.MemPenalty
 		if t.m.pmem != nil {
 			cost += t.m.pmem.OnStore(t.ID, a, v)
 		}
@@ -826,12 +791,11 @@ func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 				t.m.HTM.Write(t.tx, a, new)
 				ok = !t.tx.Doomed
 			}
-			r := t.m.Caches.Access(t.ID, a, true)
-			cost = uint64(r.Latency) + atomicCost
+			cost = uint64(t.m.Caches.Access(t.ID, a, true)) + atomicCost
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, true)
-		r := t.m.Caches.Access(t.ID, a, true)
+		lat := t.m.Caches.Access(t.ID, a, true)
 		if t.m.Mem.Load(a) == old {
 			t.m.Mem.Store(a, new)
 			ok = true
@@ -839,7 +803,7 @@ func (t *Thread) AtomicCAS(a mem.Addr, old, new mem.Word) bool {
 				cost += t.m.pmem.OnStore(t.ID, a, new)
 			}
 		}
-		cost += uint64(r.Latency) + atomicCost
+		cost += uint64(lat) + atomicCost
 	}
 	t.endOp(opMeta{ev: pmu.Stores, n: 1, hasEv: true, addr: a, isWrite: true, hasAddr: true}, cost)
 	return ok
@@ -861,15 +825,14 @@ func (t *Thread) AtomicAdd(a mem.Addr, d int64) mem.Word {
 			}
 			v = cur + mem.Word(d)
 			t.m.HTM.Write(t.tx, a, v)
-			r := t.m.Caches.Access(t.ID, a, true)
-			cost = uint64(r.Latency) + atomicCost
+			cost = uint64(t.m.Caches.Access(t.ID, a, true)) + atomicCost
 		}
 	} else {
 		t.m.HTM.NonTxAccess(t.ID, a, true)
-		r := t.m.Caches.Access(t.ID, a, true)
+		lat := t.m.Caches.Access(t.ID, a, true)
 		v = t.m.Mem.Load(a) + mem.Word(d)
 		t.m.Mem.Store(a, v)
-		cost = uint64(r.Latency) + atomicCost
+		cost = uint64(lat) + atomicCost
 		if t.m.pmem != nil {
 			cost += t.m.pmem.OnStore(t.ID, a, v)
 		}
@@ -884,7 +847,7 @@ func (t *Thread) Syscall(kind string) {
 	t.startOp()
 	var cost uint64
 	if t.tx != nil {
-		t.m.HTM.Doom(t.tx, htm.Sync, -1, 0)
+		t.m.HTM.Doom(t.tx, htm.Sync)
 	} else {
 		cost = syscallCost
 	}
@@ -900,7 +863,7 @@ func (t *Thread) PageFault() {
 	t.startOp()
 	var cost uint64
 	if t.tx != nil {
-		t.m.HTM.Doom(t.tx, htm.Sync, -1, 0)
+		t.m.HTM.Doom(t.tx, htm.Sync)
 	} else {
 		cost = syscallCost * 3 // fault handling round trip
 	}
@@ -913,7 +876,7 @@ func (t *Thread) Call(fn string) {
 	t.lbrBuf.Record(lbr.Entry{
 		Kind: lbr.KindCall, From: t.curIP(), To: lbr.IP{Fn: fn}, InTSX: t.tx != nil,
 	})
-	t.stack = append(t.stack, frame{fn: fn})
+	t.stack = append(t.stack, lbr.IP{Fn: fn})
 	t.endOp(opMeta{}, callCost)
 }
 
@@ -942,7 +905,7 @@ func (t *Thread) Func(fn string, f func()) {
 
 // At annotates the current frame with a source-site label used for
 // sample attribution. It is free: no cycles, no scheduling point.
-func (t *Thread) At(site string) { t.stack[len(t.stack)-1].site = site }
+func (t *Thread) At(site string) { t.stack[len(t.stack)-1].Site = site }
 
 // --- Persistent-memory operations ---
 
@@ -1039,14 +1002,14 @@ func (t *Thread) TxBegin() {
 	if t.tx != nil {
 		t.txNest++
 		if t.txNest >= MaxTxNest {
-			t.m.HTM.Doom(t.tx, htm.Explicit, -1, 0)
+			t.m.HTM.Doom(t.tx, htm.Explicit)
 		}
 		cost = txBeginCost / 4 // nested XBEGIN is cheap
 	} else {
 		t.txNest = 0
 		t.tx = t.m.HTM.Begin(t.ID, t.clock)
 		t.txStack = len(t.stack)
-		t.txSite = t.stack[len(t.stack)-1].site
+		t.txSite = t.stack[len(t.stack)-1].Site
 		t.txState = t.State
 		t.txBeginIP = t.curIP()
 		cost = txBeginCost
@@ -1103,7 +1066,7 @@ func (t *Thread) TxAbort() {
 	if t.tx == nil {
 		panic("machine: TxAbort outside a transaction")
 	}
-	t.m.HTM.Doom(t.tx, htm.Explicit, -1, 0)
+	t.m.HTM.Doom(t.tx, htm.Explicit)
 	t.endOp(opMeta{}, 0)
 }
 

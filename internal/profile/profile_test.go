@@ -38,7 +38,7 @@ func buildReport(t *testing.T) *analyzer.Report {
 		c.HandleSample(mk(1, pmu.Cycles, 0, false, "main", "cold"))
 	}
 	s := mk(0, pmu.TxAbort, rtm.InCS, true, "main", "hot")
-	s.Abort = &machine.AbortInfo{Cause: htm.Conflict, Weight: 123, AbortedBy: 1}
+	s.Abort = &machine.AbortInfo{Cause: htm.Conflict, Weight: 123}
 	c.HandleSample(s)
 	c.HandleSample(mk(1, pmu.TxCommit, rtm.InCS, false, "main", "hot"))
 	return analyzer.Analyze("test/prog", c)

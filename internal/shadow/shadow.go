@@ -52,9 +52,6 @@ type Memory struct {
 
 	byLine map[mem.Addr]record
 	byWord map[mem.Addr]record
-
-	// Counters of classified samples.
-	True, False uint64
 }
 
 // DefaultThreshold approximates the paper's 100ms window in simulated
@@ -86,10 +83,8 @@ func (m *Memory) Observe(tid int, addr mem.Addr, isWrite bool, now uint64) Shari
 		// word on the line → false sharing.
 		if w := m.byWord[addr]; w.valid && w.tid != tid {
 			result = TrueSharing
-			m.True++
 		} else {
 			result = FalseSharing
-			m.False++
 		}
 	}
 

@@ -28,9 +28,6 @@ func TestTrueSharingSameWord(t *testing.T) {
 	if got := m.Observe(1, 0x1000, false, 20); got != TrueSharing {
 		t.Fatalf("remote read after write of same word = %v, want true sharing", got)
 	}
-	if m.True != 1 || m.False != 0 {
-		t.Fatalf("counters true=%d false=%d", m.True, m.False)
-	}
 }
 
 func TestFalseSharingDifferentWords(t *testing.T) {
@@ -38,9 +35,6 @@ func TestFalseSharingDifferentWords(t *testing.T) {
 	m.Observe(0, 0x1000, true, 10)
 	if got := m.Observe(1, 0x1008, true, 20); got != FalseSharing {
 		t.Fatalf("remote write to sibling word = %v, want false sharing", got)
-	}
-	if m.False != 1 {
-		t.Fatalf("false counter = %d", m.False)
 	}
 }
 

@@ -24,9 +24,6 @@ func TestLineStraddleBoundary(t *testing.T) {
 	if got := m.Observe(1, base, true, 30); got != FalseSharing {
 		t.Fatalf("same-line sibling %s after %s = %v, want false sharing", base, last, got)
 	}
-	if m.True != 0 || m.False != 1 {
-		t.Fatalf("counters true=%d false=%d, want 0/1", m.True, m.False)
-	}
 }
 
 // TestAdjacentWordAllOffsets: a remote write to any of the other

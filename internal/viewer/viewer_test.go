@@ -35,7 +35,7 @@ func report(t *testing.T) *analyzer.Report {
 		c.HandleSample(mk(1, pmu.Cycles, true, "main", "minor"))
 	}
 	s := mk(0, pmu.TxAbort, true, "main", "hashtable_search")
-	s.Abort = &machine.AbortInfo{Cause: htm.Capacity, CapKind: htm.CapacityRead, Weight: 500, AbortedBy: -1}
+	s.Abort = &machine.AbortInfo{Cause: htm.Capacity, CapKind: htm.CapacityRead, Weight: 500}
 	c.HandleSample(s)
 	for i := 0; i < 8; i++ {
 		c.HandleSample(mk(0, pmu.TxCommit, false, "main"))
